@@ -222,6 +222,19 @@ def mod_inverse(x: int, q: int) -> int:
     return pow(x, -1, q)
 
 
+def require_mq(m: int, q: int, X=None) -> None:
+    """Reject a multiplier m and modulus q outside the theory: m = 0, q < 1,
+    gcd(m, q) > 1, or q > X when a range X is given."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    if math.gcd(abs(m), q) != 1:
+        raise ValueError("require gcd(m, q) = 1")
+    if X is not None and q > X:
+        raise ValueError("require q <= X")
+
+
 @dataclass(frozen=True)
 class SieveWindow:
     """Squarefree indicator over [lo, hi): flags[i] means lo+i is squarefree.

@@ -7,6 +7,10 @@ the tests calibrate and enforce.  The closed forms implemented here are the
 ones that make the exact/decomposition identities hold to float precision;
 where a printed source formula disagrees with its own downstream algebra,
 the exact oracle decides.
+
+G(Y,r) and its unweighted companion share one split evaluator (exact head,
+closed-form tail); A_formula is the S_main of theorem_main_terms, so the
+main-term closed form exists once.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from .arith import phi_of, prime_factors, primes_up_to
-from .multiplicative import (euler_constant, euler_product_mp, f_q_zero,
-                             gamma_an, gamma_ar, h_of, zeta_em)
+from .arith import phi_of, prime_factors, primes_up_to, require_mq
+from .multiplicative import (_WORK_PREC, euler_constant, euler_product_mp,
+                             f_q_zero, gamma_an, gamma_ar, h_of, zeta_em)
 from .records import ApproxReal
-
-_WORK_PREC = 180
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +94,12 @@ def _psi1_mp(x):
     return (frac - frac * frac) / 2
 
 
-def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
-    """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): exact head d <= D plus
-    the d > D tail Y/(2d^2) - Y^2/(2d^4) summed in closed form (full Euler
-    product minus partial sum).  Result is independent of the split D."""
+def _split_G(Y: float, r: int, eps: float, D, weight, full_sum) -> ApproxReal:
+    """sum over (d,r)=1 of weight(d) Psi_1(Y/d^2): exact head d <= D plus
+    the d > D tail Y/(2d^2) - Y^2/(2d^4) summed in closed form (full series
+    minus partial sum).  full_sum(k) is (sum over (d,r)=1 of weight(d)/d^k,
+    its relative truncation bound) for k = 2, 4.  Result is independent of
+    the split D."""
     if Y <= 0:
         raise ValueError("require Y > 0")
     if r < 1:
@@ -107,20 +111,19 @@ def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
     with mp.workprec(_WORK_PREC):
         Ym = mpf(Y)
         head = mpf(0)
-        p2 = mpf(0)  # partial sum of h(d)/d^2, d <= D
+        p2 = mpf(0)  # partial sum of weight(d)/d^2, d <= D
         p4 = mpf(0)
         for d in range(1, D + 1):
             if math.gcd(d, r) != 1:
                 continue
-            hd = h_of(d)
-            if hd == 0:
+            w = weight(d)
+            if w == 0:
                 continue
-            hm = mpf(hd.numerator) / hd.denominator
-            head += hm * _psi1_mp(Ym / (d * d))
-            p2 += hm / d ** 2
-            p4 += hm / d ** 4
-        H2, t2 = euler_product_mp("sum_h_d2", r)
-        H4, t4 = euler_product_mp("sum_h_d4", r)
+            wm = mpf(w.numerator) / w.denominator
+            head += wm * _psi1_mp(Ym / (d * d))
+            p2 += wm / d ** 2
+            p4 += wm / d ** 4
+        (H2, t2), (H4, t4) = full_sum(2), full_sum(4)
         tail = Ym / 2 * (H2 - p2) - Ym * Ym / 2 * (H4 - p4)
         value = head + tail
         err = float(Ym / 2 * H2 * t2 + Ym * Ym / 2 * H4 * t4
@@ -128,6 +131,13 @@ def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
         if err > eps:
             raise ArithmeticError(f"G tail bound {err} exceeds eps={eps}")
         return ApproxReal(float(value), err)
+
+
+def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
+    """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2), split at D (default
+    ceil(Y^(2/3))); the tail uses the sum_h_d2 / sum_h_d4 Euler products."""
+    return _split_G(Y, r, eps, D, h_of,
+                    lambda k: euler_product_mp(f"sum_h_d{k}", r))
 
 
 def G_main_term(Y: float, r: int, eps: float = 1e-12) -> ApproxReal:
@@ -140,39 +150,20 @@ def G_main_term(Y: float, r: int, eps: float = 1e-12) -> ApproxReal:
     return ApproxReal(cp.value * scale, cp.abs_err * scale + abs(cp.value) * scale * 1e-15)
 
 
+def _coprime_zeta(k: int, r: int) -> tuple:
+    """(sum over (d,r)=1 of d^-k, 0): zeta(k) prod_{p|r} (1 - p^-k) has no
+    truncation error."""
+    z = zeta_em(k)
+    for p in prime_factors(r):
+        z *= 1 - mpf(p) ** -k
+    return z, 0
+
+
 def aux_G_unweighted(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
-    """Same split evaluation with h replaced by 1: the d-sum runs over all
-    integers coprime to r, the tail closed forms are zeta(2), zeta(4) times
-    finite local corrections."""
-    if Y <= 0:
-        raise ValueError("require Y > 0")
-    if r < 1:
-        raise ValueError("require r >= 1")
-    if D is None:
-        D = math.ceil(Y ** (2 / 3))
-    if D * D < Y:
-        raise ValueError("split point must satisfy D^2 >= Y")
-    with mp.workprec(_WORK_PREC):
-        Ym = mpf(Y)
-        head = mpf(0)
-        p2 = mpf(0)
-        p4 = mpf(0)
-        for d in range(1, D + 1):
-            if math.gcd(d, r) != 1:
-                continue
-            head += _psi1_mp(Ym / (d * d))
-            p2 += mpf(1) / d ** 2
-            p4 += mpf(1) / d ** 4
-        z2 = zeta_em(2)
-        z4 = zeta_em(4)
-        for p in prime_factors(r):
-            z2 *= 1 - mpf(p) ** -2
-            z4 *= 1 - mpf(p) ** -4
-        value = head + Ym / 2 * (z2 - p2) - Ym * Ym / 2 * (z4 - p4)
-        err = float((abs(value) + Ym * Ym) * mpf(2) ** (40 - _WORK_PREC))
-        if err > eps:
-            raise ArithmeticError("precision shortfall in aux_G_unweighted")
-        return ApproxReal(float(value), err)
+    """G(Y,r) with h replaced by 1: the d-sum runs over all integers coprime
+    to r, and the tail sums are zeta(2), zeta(4) times finite local
+    corrections."""
+    return _split_G(Y, r, eps, D, lambda d: 1, lambda k: _coprime_zeta(k, r))
 
 
 def aux_G_main_term(Y: float, r: int) -> float:
@@ -185,15 +176,6 @@ def aux_G_main_term(Y: float, r: int) -> float:
 # ---------------------------------------------------------------------------
 # frakS[m](Y, q)
 # ---------------------------------------------------------------------------
-
-def _require_mq(m: int, q: int) -> None:
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if q < 1:
-        raise ValueError("q must be positive")
-    if math.gcd(abs(m), q) != 1:
-        raise ValueError("require gcd(m, q) = 1")
-
 
 def _f_rational_array(N: int, m: int, q: int) -> np.ndarray:
     """f_q(l, m)/C_2 for l = 1..N as float64 (index 0 unused, set to 0):
@@ -224,7 +206,7 @@ def _f_rational_array(N: int, m: int, q: int) -> np.ndarray:
 def frakS_exact(Y: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     """frakS[m](Y,q) = sum_{0 < l <= Y} f_q(l,m) (Y - l), by direct
     summation of the vectorized f_q values."""
-    _require_mq(m, q)
+    require_mq(m, q)
     if Y <= 0:
         raise ValueError("require Y > 0")
     N = int(math.floor(Y))
@@ -259,11 +241,9 @@ def frakS_formula(Y: float, q: int, m: int, eps: float = 1e-12) -> MainTermBreak
     (1/2)(phi(q)/q) C(q)^2, (1/2)(phi(|m|q)/(|m|q)) C(|m|q) (entering with a
     minus sign), and (C/2) Gamma_ar(m) prod_{p|q}(1+2/p)^(-1).  The halves
     on the polynomial coefficients are forced by the exact oracle: they are
-    what the decomposition identity and the remainder scaling require."""
-    _require_mq(m, q)
-    from .arith import mu_of
-    if mu_of(abs(m)) == 0:
-        raise ValueError("closed form implemented for squarefree m")
+    what the decomposition identity and the remainder scaling require.
+    gamma_ar rejects m that is not squarefree."""
+    require_mq(m, q)
     cq = euler_constant("C_of_q", eps, arg=q)
     quadratic = cq * cq * float(Fraction(phi_of(q), 2 * q))
     mq = abs(m) * q
@@ -282,9 +262,7 @@ def frakS_formula(Y: float, q: int, m: int, eps: float = 1e-12) -> MainTermBreak
 def A_exact(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     """A[m](X,q) = sum over l of f_q(l,m) |I(l)|, summed directly over the
     support |l| <= (|m|+1) X / q, using f_q(-l) = f_q(l)."""
-    _require_mq(m, q)
-    if q > X:
-        raise ValueError("require q <= X")
+    require_mq(m, q, X)
     m_abs = abs(m)
     L = int(math.floor((m_abs + 1) * X / q)) + 1
     arr = _f_rational_array(L, m, q)
@@ -315,9 +293,7 @@ def A_exact(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
 def A_decomposition(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     """The frakS-decomposition path for A[m](X,q): an exact algebraic
     rearrangement of A_exact, evaluated independently."""
-    _require_mq(m, q)
-    if q > X:
-        raise ValueError("require q <= X")
+    require_mq(m, q, X)
 
     def S(Y: float) -> ApproxReal:
         if Y <= 0:
@@ -335,18 +311,8 @@ def A_decomposition(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
 
 def A_formula(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     """phi(q) (C(q) X/q)^2 + (C/2) Gamma_an(m) Gamma_ar(m)
-    prod_{p|q}(1+2/p)^(-1) sqrt(Xq)."""
-    _require_mq(m, q)
-    if q > X:
-        raise ValueError("require q <= X")
-    from .arith import mu_of
-    if mu_of(abs(m)) == 0:
-        raise ValueError("closed form implemented for squarefree m")
-    cq = euler_constant("C_of_q", eps, arg=q)
-    quad = cq * cq * (phi_of(q) * (X / q) ** 2)
-    half = euler_constant("C", eps) * 0.5 * gamma_an(m) * gamma_ar(m) \
-        * euler_constant("hall_factor", eps, arg=q) * math.sqrt(X * q)
-    return quad + half
+    prod_{p|q}(1+2/p)^(-1) sqrt(Xq): the S_main of theorem_main_terms."""
+    return theorem_main_terms(X, q, m, eps).S_main
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +330,8 @@ def theorem_main_terms(X: float, q: int, m: int, eps: float = 1e-12) -> TheoremM
     M2_main = (C/2) Gamma_an Gamma_ar prod_{p|q}(1+2/p)^(-1) sqrt(Xq) and
     S_main = phi(q) (C(q) X/q)^2 + M2_main.  The quadratic coefficient
     phi(q) (not phi(q)/2) is the one the dispersion identity and the exact
-    S oracle confirm."""
-    _require_mq(m, q)
-    if q > X:
-        raise ValueError("require q <= X")
-    from .arith import mu_of
-    if mu_of(abs(m)) == 0:
-        raise ValueError("main terms implemented for squarefree m")
+    S oracle confirm.  gamma_ar rejects m that is not squarefree."""
+    require_mq(m, q, X)
     m2 = euler_constant("C", eps) * 0.5 * gamma_an(m) * gamma_ar(m) \
         * euler_constant("hall_factor", eps, arg=q) * math.sqrt(X * q)
     cq = euler_constant("C_of_q", eps, arg=q)

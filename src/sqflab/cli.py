@@ -1,5 +1,6 @@
 """Batch front end: verification suites and scan reports with CSV/JSON
-output and CI-friendly exit codes (0 pass, 1 assertion failure, 2 usage).
+output and CI-friendly exit codes: 0 pass, 1 an asserted record failed,
+2 bad input (argument errors, or a computation that rejects its inputs).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _suite_expsums(seed: int, eps: float) -> list:
         if (m2 * q) % p == 0:
             continue
         b, c, d = (rng.randrange(p) for _ in range(3))
-        lit = expsums.s1_sum(p, q, m2, b, c, d, method="literal")
+        lit = expsums.s1_literal(p, q, m2, b, c, d)
         fac = expsums.s1_sum(p, q, m2, b, c, d)
         records.append(VerificationRecord.checked(
             "expsums.s1_paths",
@@ -286,22 +287,31 @@ def main(argv=None) -> int:
     ps.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-
-    if args.command == "verify":
-        records = run_verify(args.suite, args.seed, args.precision)
-        rows = [r.as_dict() for r in records]
-        failures = [r for r in records if r.mode == "assert" and not r.passed]
-        status = 1 if failures else 0
-        summary = (f"suite={args.suite} records={len(records)} "
-                   f"failures={len(failures)}")
-    else:
+    if not (math.isfinite(args.precision) and args.precision > 0):
+        parser.error("--precision must be a positive finite number")
+    if args.command == "scan":
         try:
             q_list = [int(tok) for tok in args.q.split(",") if tok.strip()]
         except ValueError:
             parser.error("--q must be a comma-separated list of integers")
-        rows = _scan_rows(args.kind, args.x, q_list, args.m, args.precision)
-        status = 0
-        summary = f"kind={args.kind} rows={len(rows)}"
+        if any(q < 1 for q in q_list):
+            parser.error("--q moduli must be positive")
+
+    try:
+        if args.command == "verify":
+            records = run_verify(args.suite, args.seed, args.precision)
+            rows = [r.as_dict() for r in records]
+            failures = [r for r in records if r.mode == "assert" and not r.passed]
+            status = 1 if failures else 0
+            summary = (f"suite={args.suite} records={len(records)} "
+                       f"failures={len(failures)}")
+        else:
+            rows = _scan_rows(args.kind, args.x, q_list, args.m, args.precision)
+            status = 0
+            summary = f"kind={args.kind} rows={len(rows)}"
+    except (ValueError, ArithmeticError) as exc:
+        print(f"sqflab: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

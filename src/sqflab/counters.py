@@ -10,11 +10,13 @@ paths together and is checked to 1e-8 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .arith import (mod_inverse, phi_of, prime_factors,
+from .arith import (mod_inverse, mu_of, phi_of, prime_factors, require_mq,
                     squarefree_counts_by_residue, squarefree_window)
 from .multiplicative import euler_constant
 from .records import ApproxReal, VerificationRecord
@@ -23,6 +25,11 @@ from .records import ApproxReal, VerificationRecord
 # ---------------------------------------------------------------------------
 # error vector and variance
 # ---------------------------------------------------------------------------
+
+def _coprime_residues(q: int) -> np.ndarray:
+    """The residues a mod q with gcd(a, q) = 1, ascending."""
+    return np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
+
 
 @dataclass
 class ResidueErrorVector:
@@ -33,21 +40,16 @@ class ResidueErrorVector:
     q: int
     counts: np.ndarray
     main_term: ApproxReal
-    _errors: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def coprime_residues(self) -> np.ndarray:
-        return np.nonzero(np.gcd(np.arange(self.q, dtype=np.int64), self.q) == 1)[0]
+        return _coprime_residues(self.q)
 
     def error(self, a: int) -> ApproxReal:
         if math.gcd(a, self.q) != 1:
             raise ValueError("E(X,q,a) is defined for gcd(a,q)=1 only")
-        a %= self.q
-        if a not in self._errors:
-            self._errors[a] = ApproxReal(
-                float(self.counts[a]) - self.main_term.value,
-                self.main_term.abs_err)
-        return self._errors[a]
+        return ApproxReal(float(self.counts[a % self.q]) - self.main_term.value,
+                          self.main_term.abs_err)
 
     def errors_array(self) -> np.ndarray:
         """E over the coprime residues, float64, in residue order."""
@@ -57,8 +59,6 @@ class ResidueErrorVector:
 
 def error_vector(X: int, q: int, eps: float = 1e-12) -> ResidueErrorVector:
     """Counts from the segmented sieve plus the main term C(q) X/q."""
-    if not (1 <= q <= X):
-        raise ValueError("require 1 <= q <= X")
     counts = squarefree_counts_by_residue(X, q)
     cq = euler_constant("C_of_q", eps, arg=q)
     main = ApproxReal(cq.value * X / q, cq.abs_err * X / q)
@@ -75,29 +75,30 @@ class CorrelationResult:
     decomposition_residual: float
 
 
-def _require_coprime(m: int, q: int) -> None:
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if math.gcd(abs(m), q) != 1:
-        raise ValueError("require gcd(m, q) = 1")
-
-
 def double_sum_S(X: int, q: int, m: int, eps: float = 1e-12) -> int:
     """S[m](X,q) = #{(n1,n2) <= X squarefree, coprime to q, m n1 = n2 (q)},
     via the residue-count reindexing sum_a* cnt(a) cnt(ma mod q)."""
-    _require_coprime(m, q)
-    vec = error_vector(X, q, eps)
-    return _double_sum_from_counts(vec.counts, q, m)
+    require_mq(m, q)
+    counts = squarefree_counts_by_residue(X, q)
+    a = _coprime_residues(q)
+    return _double_sum_from_counts(counts[a], counts[(m * a) % q])
 
 
-def _double_sum_from_counts(counts: np.ndarray, q: int, m: int) -> int:
-    a = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
-    partner = (m * a) % q
-    return int(np.sum(counts[a] * counts[partner]))
+def _double_sum_from_counts(c: np.ndarray, c_partner: np.ndarray) -> int:
+    """sum_i c[i] c_partner[i] exactly, for nonnegative int64 counts where
+    c_partner is a permutation of c.  By Cauchy-Schwarz the sum and every
+    partial sum are at most max(c) sum(c), so the int64 sum cannot wrap
+    while that bound is below 2^63 (checked in floats against 2^62, which
+    leaves room for their rounding); otherwise sum Python ints."""
+    if float(c.max(initial=0)) * float(c.sum(dtype=np.float64)) < 2.0 ** 62:
+        return int(np.sum(c * c_partner))
+    return sum(x * y for x, y in zip(c.tolist(), c_partner.tolist()))
 
 
 def _dispersion_parts(X: int, q: int, m: int, eps: float):
-    """(direct M2 as ApproxReal, reassembled M2, exact S) for one cell."""
+    """(direct M2 as ApproxReal, reassembled M2, exact S, comparison scale)
+    for one cell."""
+    require_mq(m, q)
     vec = error_vector(X, q, eps)
     a = vec.coprime_residues
     partner = (m * a) % q
@@ -112,17 +113,17 @@ def _dispersion_parts(X: int, q: int, m: int, eps: float):
         + float(np.sum(np.abs(terms))) * 2e-16
     m2 = ApproxReal(direct, err)
 
-    S = _double_sum_from_counts(vec.counts, q, m)
-    reassembled = _reassemble_m2(S, int(np.sum(vec.counts[a])), phi_of(q), M)
-    return m2, reassembled, S
+    ca = vec.counts[a]
+    S = _double_sum_from_counts(ca, vec.counts[partner])
+    reassembled = _reassemble_m2(S, int(np.sum(ca)), phi_of(q), M)
+    scale = max(1.0, abs(m2.value), abs(reassembled))
+    return m2, reassembled, S, scale
 
 
 def variance_M2(X: int, q: int, m: int, eps: float = 1e-12) -> CorrelationResult:
     """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma), together with
     the exact double sum and the dispersion-identity residual."""
-    _require_coprime(m, q)
-    m2, reassembled, S = _dispersion_parts(X, q, m, eps)
-    scale = max(1.0, abs(m2.value), abs(reassembled))
+    m2, reassembled, S, scale = _dispersion_parts(X, q, m, eps)
     residual = abs(m2.value - reassembled) / scale
     return CorrelationResult(X, q, m, S, m2, residual)
 
@@ -130,16 +131,13 @@ def variance_M2(X: int, q: int, m: int, eps: float = 1e-12) -> CorrelationResult
 def _reassemble_m2(S: int, coprime_count: int, phi: int, M: float) -> float:
     """S - 2 M sum_{(n,q)=1} mu^2(n) + phi(q) M^2, in exact rational
     arithmetic over the float main term M."""
-    from fractions import Fraction
     fm = Fraction(M)
     return float(S - 2 * fm * coprime_count + phi * fm * fm)
 
 
 def dispersion_check(X: int, q: int, m: int, eps: float = 1e-12) -> VerificationRecord:
     """The dispersion identity: direct M2 against S - 2 C(q)(X/q) Q + phi M^2."""
-    _require_coprime(m, q)
-    m2, reassembled, S = _dispersion_parts(X, q, m, eps)
-    scale = max(1.0, abs(m2.value), abs(reassembled))
+    m2, reassembled, S, scale = _dispersion_parts(X, q, m, eps)
     return VerificationRecord.checked(
         "counters.dispersion", {"X": X, "q": q, "m": m, "S": S},
         m2.value, reassembled, 1e-8 * scale)
@@ -147,7 +145,7 @@ def dispersion_check(X: int, q: int, m: int, eps: float = 1e-12) -> Verification
 
 def pair_enumeration_S(X: int, q: int, m: int) -> int:
     """Literal O(X^2)-pair oracle for double_sum_S (test use; X <= a few 10^3)."""
-    _require_coprime(m, q)
+    require_mq(m, q)
     win = squarefree_window(1, X + 1)
     vals = win.squarefree_values()
     vals = vals[np.gcd(vals, q) == 1]
@@ -165,8 +163,6 @@ def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
     class-dependent expected value
     mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
     d = gcd(a,q), q0 = q/d."""
-    if not (1 <= q <= X):
-        raise ValueError("require 1 <= q <= X")
     counts = squarefree_counts_by_residue(X, q).astype(np.float64)
     six_over_pi2 = euler_constant("C_of_q", eps, arg=1)
     hq = 1.0
@@ -175,7 +171,6 @@ def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
     base = six_over_pi2.value * hq * X / q
     base_err = six_over_pi2.abs_err * hq * X / q
 
-    from .arith import mu_of
     g = np.gcd(np.arange(q, dtype=np.int64), q)
     expected = np.zeros(q)
     for d in (int(x) for x in np.unique(g)):
@@ -251,7 +246,6 @@ def u_p_local(p: int, l: int, m: int, q: int) -> int:
     (p coprime to q, m squarefree)."""
     if q % p == 0:
         raise ValueError("u_p requires p coprime to q")
-    from .arith import mu_of
     if m == 0 or mu_of(abs(m)) == 0:
         raise ValueError("u_p requires squarefree m")
     p2 = p * p
@@ -286,7 +280,6 @@ def N_d_count(d: int, l: int, m: int, q: int, X) -> int:
     p^2 | n or p^2 | mn + lq."""
     if math.gcd(d, q) != 1:
         raise ValueError("require gcd(d, q) = 1")
-    from .arith import mu_of
     if mu_of(d) == 0:
         raise ValueError("N_d is used for squarefree d")
     ps = [p * p for p in prime_factors(d)]
@@ -326,6 +319,8 @@ def lattice_count_N(J: int, K: int, m1: int, m2: int, X: int, q: int) -> int:
         raise ValueError("require J, K, X, q >= 1")
     if math.gcd(abs(m1) * abs(m2), q) != 1:
         raise ValueError("require gcd(m1 m2, q) = 1")
+    if q * X >= 2 ** 63:
+        raise ValueError("require q X < 2^63 for the int64 class counts")
     total = 0
     for j in range(J + 1, 2 * J + 1):
         if math.gcd(j, q) != 1:

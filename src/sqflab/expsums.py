@@ -2,9 +2,10 @@
 character sums S1, S2 whose explicit bounds power the large-modulus range.
 
 All sums are evaluated exactly (complex double accumulation over per-modulus
-root-of-unity tables).  S1 carries two independent paths — the literal triple
-sum and the Gauss-times-S2 factorization — and the CRT product identity over
-a composite modulus is checked against a literal evaluation of the full sum.
+root-of-unity tables).  K and K2 share one literal kernel.  S1 carries two
+independent paths — the Gauss-times-S2 factorization (s1_sum) and the
+literal triple sum (s1_literal) — and the CRT product identity over a
+composite modulus is checked against a literal evaluation of the full sum.
 Full-sweep helpers return (n, n, n) tables computed with FFTs so exhaustive
 bound checks over all multiplier triples stay cheap.
 """
@@ -58,9 +59,9 @@ def _phase_table(M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _symbol_table(p: int) -> np.ndarray:
-    """Legendre symbols (h/p), h < p, as a float array."""
-    return np.array([jacobi_symbol(h, p) for h in range(p)], dtype=np.float64)
+def _symbol_table(n: int) -> np.ndarray:
+    """Jacobi symbols (h/n), h < n, as a float array (Legendre for prime n)."""
+    return np.array([jacobi_symbol(h, n) for h in range(n)], dtype=np.float64)
 
 
 def _sum_value(kind: str, modulus: int, z: complex) -> ExpSumValue:
@@ -71,26 +72,25 @@ def _sum_value(kind: str, modulus: int, z: complex) -> ExpSumValue:
 # classical sums
 # ---------------------------------------------------------------------------
 
-def kloosterman_K(a: int, b: int, q: int) -> ExpSumValue:
-    """K(a,b;q) = sum over x coprime to q of e((a x + b xbar)/q)."""
+def _kloosterman_type(kind: str, a: int, b: int, q: int, k: int) -> ExpSumValue:
+    """sum over x coprime to q of e((a x + b xbar^k)/q), summed literally."""
     if q <= 1:
         raise ValueError("require q >= 2")
     if q > _MAX_LITERAL_MODULUS:
         raise ValueError("modulus too large for a literal sum")
     E = _phase_table(q)
-    idx = [(a * x + b * pow(x, -1, q)) % q for x in range(1, q) if math.gcd(x, q) == 1]
-    return _sum_value("K", q, complex(np.sum(E[idx])) if idx else 0j)
+    idx = [(a * x + b * pow(x, -k, q)) % q for x in range(1, q) if math.gcd(x, q) == 1]
+    return _sum_value(kind, q, complex(np.sum(E[idx])) if idx else 0j)
+
+
+def kloosterman_K(a: int, b: int, q: int) -> ExpSumValue:
+    """K(a,b;q) = sum over x coprime to q of e((a x + b xbar)/q)."""
+    return _kloosterman_type("K", a, b, q, 1)
 
 
 def k2_sum(a: int, b: int, q: int) -> ExpSumValue:
     """K2(a,b;q) = sum over x coprime to q of e((a x + b xbar^2)/q)."""
-    if q <= 1:
-        raise ValueError("require q >= 2")
-    if q > _MAX_LITERAL_MODULUS:
-        raise ValueError("modulus too large for a literal sum")
-    E = _phase_table(q)
-    idx = [(a * x + b * pow(x, -2, q)) % q for x in range(1, q) if math.gcd(x, q) == 1]
-    return _sum_value("K2", q, complex(np.sum(E[idx])) if idx else 0j)
+    return _kloosterman_type("K2", a, b, q, 2)
 
 
 def kloosterman_weil_report(p: int) -> VerificationRecord:
@@ -130,15 +130,19 @@ def _prime_power(n: int) -> tuple:
     return fact[0]
 
 
-def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
-    """S2(r^f, q, m2; b,c,d): the triple sum over alpha,beta,gamma mod r^f
-    constrained by r^f | m2 alpha^2 beta - q gamma.  The constraint pins
-    gamma, so the evaluation is a double sum."""
+def _require_s2_args(r_pow: int, q: int, m2: int) -> None:
     r, f = _prime_power(r_pow)
     if m2 == 0:
         raise ValueError("m2 must be nonzero")
     if q % r == 0:
         raise ValueError("require r coprime to q")
+
+
+def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
+    """S2(r^f, q, m2; b,c,d): the triple sum over alpha,beta,gamma mod r^f
+    constrained by r^f | m2 alpha^2 beta - q gamma.  The constraint pins
+    gamma, so the evaluation is a double sum."""
+    _require_s2_args(r_pow, q, m2)
     n = r_pow
     if n > _MAX_LITERAL_MODULUS:
         raise ValueError("modulus too large for a literal sum")
@@ -150,58 +154,55 @@ def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
     return _sum_value("S2", n, complex(np.sum(E[idx])))
 
 
-def s1_sum(p: int, q: int, m2: int, b: int, c: int, d: int,
-           method: str = "factored") -> ExpSumValue:
-    """S1(p, q, m2; b,c,d) = sum over alpha,beta,gamma mod p of
-    ((m2 alpha^2 beta - q gamma)/p) e((b alpha + c beta + d gamma)/p).
-
-    method="factored" uses S1 = gauss_sum(-d qbar, p) * S2(p, ...), an exact
-    consequence of substituting h = m2 alpha^2 beta - q gamma; "literal"
-    evaluates the triple sum directly as an independent oracle.
-    """
+def _require_s1_args(p: int, q: int, m2: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    if m2 == 0:
-        raise ValueError("m2 must be nonzero")
     if (m2 * q) % p == 0:
-        raise ValueError("require p coprime to m2 q")
-    if method == "factored":
-        g = gauss_sum((-d * pow(q, -1, p)) % p, p)
-        s2 = s2_sum(p, q, m2, b, c, d)
-        return _sum_value("S1", p, g.value * s2.value)
-    if method != "literal":
-        raise ValueError("method must be 'factored' or 'literal'")
-    E = _phase_table(p)
+        raise ValueError("require p coprime to m2 q, m2 nonzero")
+
+
+def _s1_symbols(p: int, q: int, m2: int) -> np.ndarray:
+    """The (p,p,p) cube of Legendre symbols ((m2 alpha^2 beta - q gamma)/p)
+    indexed [alpha, beta, gamma]."""
+    _require_s1_args(p, q, m2)
     sym = _symbol_table(p)
     alpha = np.arange(p, dtype=np.int64)
     a2b = ((m2 % p) * ((alpha * alpha) % p))[:, None] * alpha[None, :] % p
     resid = (a2b[:, :, None] - (q % p) * alpha[None, None, :]) % p
+    return sym[resid]
+
+
+def s1_sum(p: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
+    """S1(p, q, m2; b,c,d) = sum over alpha,beta,gamma mod p of
+    ((m2 alpha^2 beta - q gamma)/p) e((b alpha + c beta + d gamma)/p),
+    as gauss_sum(-d qbar, p) * S2(p, ...): an exact consequence of
+    substituting h = m2 alpha^2 beta - q gamma.  s1_literal is the
+    independent oracle."""
+    _require_s1_args(p, q, m2)
+    g = gauss_sum((-d * pow(q, -1, p)) % p, p)
+    s2 = s2_sum(p, q, m2, b, c, d)
+    return _sum_value("S1", p, g.value * s2.value)
+
+
+def s1_literal(p: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
+    """S1(p, q, m2; b,c,d) by direct evaluation of the triple sum."""
+    cube = _s1_symbols(p, q, m2)
+    E = _phase_table(p)
+    alpha = np.arange(p, dtype=np.int64)
     idx = ((b % p) * alpha[:, None, None] + (c % p) * alpha[None, :, None]
            + (d % p) * alpha[None, None, :]) % p
-    return _sum_value("S1", p, complex(np.sum(sym[resid] * E[idx])))
+    return _sum_value("S1", p, complex(np.sum(cube * E[idx])))
 
 
 def s1_table(p: int, q: int, m2: int) -> np.ndarray:
     """All S1(p,q,m2;b,c,d) at once as a (p,p,p) complex array indexed
-    [b,c,d], via a 3D FFT of the Jacobi-symbol cube."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if m2 == 0 or (m2 * q) % p == 0:
-        raise ValueError("require p coprime to m2 q, m2 nonzero")
-    sym = _symbol_table(p)
-    alpha = np.arange(p, dtype=np.int64)
-    a2b = ((m2 % p) * ((alpha * alpha) % p))[:, None] * alpha[None, :] % p
-    resid = (a2b[:, :, None] - (q % p) * alpha[None, None, :]) % p
-    return np.conj(np.fft.fftn(sym[resid]))
+    [b,c,d], via a 3D FFT of the Legendre-symbol cube."""
+    return np.conj(np.fft.fftn(_s1_symbols(p, q, m2)))
 
 
 def s2_table(r_pow: int, q: int, m2: int) -> np.ndarray:
     """All S2(r^f,q,m2;b,c,d) as a (n,n,n) complex array indexed [b,c,d]."""
-    r, f = _prime_power(r_pow)
-    if m2 == 0:
-        raise ValueError("m2 must be nonzero")
-    if q % r == 0:
-        raise ValueError("require r coprime to q")
+    _require_s2_args(r_pow, q, m2)
     n = r_pow
     coef = (m2 * pow(q, -1, n)) % n
     alpha = np.arange(n, dtype=np.int64)
@@ -249,7 +250,7 @@ def full_sum_S(u: int, p1: int, p2: int, q: int, m2: int,
     M = u * P
     EM = _phase_table(M)
     EP = _phase_table(P)
-    J = np.array([jacobi_symbol(t, P) for t in range(P)], dtype=np.float64)
+    J = _symbol_table(P)
     ubar = pow(u, -1, P)
     qbar_P = pow(q % P, -1, P)
     k1 = (nu * ubar * qbar_P) % P
@@ -257,16 +258,13 @@ def full_sum_S(u: int, p1: int, p2: int, q: int, m2: int,
     jhat = complex(np.sum(J * EP[(-k1 * t) % P]))
     if jhat == 0:
         return 0j
-    qbar_u = pow(q % u, -1, u) if u > 1 else 0
+    qbar_u = pow(q % u, -1, u)  # 0 when u = 1, so gamma0 vanishes
     lam, mu, nu = lam % M, mu % M, nu % M
     beta = np.arange(M, dtype=np.int64)
     total = 0j
     for alpha in range(M):
         sq = alpha * alpha
-        if u > 1:
-            gamma0 = (qbar_u * m2 * sq) % u * beta % u
-        else:
-            gamma0 = np.zeros(M, dtype=np.int64)
+        gamma0 = (qbar_u * m2 * sq) % u * beta % u
         W = (((m2 * sq) % P) * beta - (q % P) * gamma0) % P
         idx = (lam * alpha + mu * beta + nu * gamma0) % M
         total += complex(np.sum(EM[idx] * EP[(k1 * W) % P]))
@@ -279,14 +277,15 @@ def crt_product(u: int, p1: int, p2: int, q: int, m2: int,
     local multipliers of lam, mu, nu for its own modulus."""
     _validate_crt_args(u, p1, p2, q, m2)
     M = u * p1 * p2
+
+    def local(n: int) -> list:
+        return [_crt_multiplier(v, M, n) for v in (lam, mu, nu)]
+
     out = 1 + 0j
     for p in (p1, p2):
-        out *= s1_sum(p, q, m2, _crt_multiplier(lam, M, p),
-                      _crt_multiplier(mu, M, p), _crt_multiplier(nu, M, p)).value
+        out *= s1_sum(p, q, m2, *local(p)).value
     for r, f in factorize(u).factors:
-        n = r ** f
-        out *= s2_sum(n, q, m2, _crt_multiplier(lam, M, n),
-                      _crt_multiplier(mu, M, n), _crt_multiplier(nu, M, n)).value
+        out *= s2_sum(r ** f, q, m2, *local(r ** f)).value
     return out
 
 
@@ -296,14 +295,9 @@ def _validate_crt_args(u: int, p1: int, p2: int, q: int, m2: int) -> None:
     if p1 == p2:
         raise ValueError("moduli overlap: p1 = p2")
     for p in (p1, p2):
-        if p == 2 or not is_prime(p):
-            raise ValueError("p1, p2 must be distinct odd primes")
-        if (m2 * q) % p == 0:
-            raise ValueError("require p1, p2 coprime to m2 q")
+        _require_s1_args(p, q, m2)
     if p1 * p2 > 400:
         raise ValueError("require p1 p2 <= 400")
-    if m2 == 0:
-        raise ValueError("m2 must be nonzero")
     if math.gcd(u, p1 * p2 * q * m2) != 1:
         raise ValueError("require u coprime to p1 p2 q m2")
 

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpf, bernoulli
 
-from .arith import factorize, mu_of, phi_of, prime_factors, primes_up_to
+from .arith import (factorize, mu_of, phi_of, prime_factors, primes_up_to,
+                    require_mq, squarefree_window)
 from .records import ApproxReal, VerificationRecord
 
 _WORK_PREC = 180  # bits; leaves ~40 guard digits below the 1e-12 default eps
@@ -137,27 +139,15 @@ def gamma_ar(m: int) -> float:
 # f_q
 # ---------------------------------------------------------------------------
 
-def _require_valid_mq(m: int, q: int) -> None:
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if math.gcd(abs(m), q) != 1:
-        raise ValueError("require gcd(m, q) = 1")
-
-
 def f_q_rational_part(l: int, m: int, q: int) -> Fraction:
     """The exact finite-product part of f_q(l, m): everything except the
     leading C_2 constant.  Divisibility conditions use |m| and |l|."""
-    _require_valid_mq(m, q)
+    require_mq(m, q)
     if l == 0:
         raise ValueError("l = 0 goes through f_q_zero")
     m_abs = abs(m)
-    out = Fraction(1)
-    for p in prime_factors(m_abs):
-        out *= Fraction(p * p - 1, p * p - 2)
-    for p in prime_factors(q):
-        out *= Fraction(p * p - p, p * p - 2)
+    out = _local_product(m_abs, lambda p: Fraction(p * p - 1, p * p - 2)) \
+        * _local_product(q, lambda p: Fraction(p * p - p, p * p - 2))
     out *= kappa(math.gcd(abs(l), m_abs * m_abs))
     for p, e in factorize(abs(l)).factors:
         if e >= 2 and m_abs % p != 0 and q % p != 0:
@@ -177,7 +167,7 @@ def f_q_of(l: int, m: int, q: int, eps: float = 1e-12) -> ApproxReal:
 
 def f_q_zero(m: int, q: int, eps: float = 1e-12) -> ApproxReal:
     """f_q(0, m) via the closed form phi(|m|q)/(|m|q) * C(|m|q)."""
-    _require_valid_mq(m, q)
+    require_mq(m, q)
     mq = abs(m) * q
     rat = Fraction(phi_of(mq), mq)
     c = euler_constant("C_of_q", eps, arg=mq)
@@ -189,7 +179,7 @@ def f_q_zero_local_factors(p: int, m: int, q: int) -> tuple:
     """Local factor at prime p of the literal infinite product defining
     f_q(0, m), paired with the local factor of the closed form
     phi(|m|q)/(|m|q) * C(|m|q).  Both exact rationals; they must be equal."""
-    _require_valid_mq(m, q)
+    require_mq(m, q)
     m_abs = abs(m)
     p2 = p * p
     literal = Fraction(p2 - 2, p2)            # C_2 local factor
@@ -293,27 +283,28 @@ class LocalFactorFn:
         return float(abs(self.factor(p) - 1)) <= self.tail_coef / p**self.tail_exponent
 
 
+# (1-3x^2+2x^3)/(1-2x^2) - 1 = -x^2 (1-2x)/(1-2x^2), magnitude <= x^2
+_CPRIME = LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2), 2, 1.0)
+
 LOCAL_FACTORS = {
     # (1-x)^2 (1+2x) = 1 - 3x^2 + 2x^3
     "C": LocalFactorFn("C", (1, 0, -3, 2), (1,), 2, 3.0),
     "C2": LocalFactorFn("C2", (1, 0, -2), (1,), 2, 2.0),
-    # (1-3x^2+2x^3)/(1-2x^2) - 1 = -x^2 (1-2x)/(1-2x^2), magnitude <= x^2
-    "Cprime": LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2), 2, 1.0),
-    "C_beta": LocalFactorFn("C_beta", (1, 0, -3, 2), (1, 0, -2), 2, 1.0),
+    # C' and, restricted to p not dividing r, C_beta(r) share one factor
+    "Cprime": _CPRIME,
+    "C_beta": _CPRIME,
     "sum_h_d2": LocalFactorFn("sum_h_d2", (1, 0, -1), (1, 0, -2), 2, 2.0),
     "sum_h_d4": LocalFactorFn("sum_h_d4", (1, 0, -2, 0, 1), (1, 0, -2), 4, 2.0),
 }
 
 
 @lru_cache(maxsize=None)
-def _accelerated_product(name: str, target_exp: int) -> tuple:
-    """prod over all primes of the named local factor, with zeta acceleration.
+def _accelerated_product(lf: LocalFactorFn, target_exp: int) -> tuple:
+    """prod over all primes of the local factor lf, with zeta acceleration.
 
-    Returns (value: mpf-as-str storage avoided; actual mpf, tail_bound: float)
-    computed at _WORK_PREC with truncation point chosen so the tail factor
-    is below 10^-target_exp.
+    Returns (mpf value, float tail bound) computed at _WORK_PREC with the
+    truncation point chosen so the tail factor is below 10^-target_exp.
     """
-    lf = LOCAL_FACTORS[name]
     with mp.workprec(_WORK_PREC):
         series = [x - y for x, y in zip(_log_series(list(lf.num)),
                                         _log_series(list(lf.den)))]
@@ -362,21 +353,23 @@ def _accelerated_product(name: str, target_exp: int) -> tuple:
         return value, float(tail_factor)
 
 
-def _finite_local_product(name: str, r: int) -> Fraction:
-    lf = LOCAL_FACTORS[name]
+def _local_product(n: int, factor) -> Fraction:
+    """prod over the primes p | n of the exact local factor factor(p)."""
     out = Fraction(1)
-    for p in prime_factors(r):
-        out *= lf.factor(p)
+    for p in prime_factors(n):
+        out *= factor(p)
     return out
 
 
 def euler_product_mp(kind: str, r: int = 1, target_exp: int = 26):
-    """(mpf value, tail-factor bound) for the gcd-restricted products
-    sum_h_d2 / sum_h_d4 / C_beta at full working precision; used where a
-    float-rounded constant would lose too much in downstream cancellation."""
+    """(mpf value, tail-factor bound) for the LOCAL_FACTORS product `kind`
+    over primes not dividing r, at full working precision; used directly
+    where a float-rounded constant would lose too much in downstream
+    cancellation."""
+    lf = LOCAL_FACTORS[kind]
     with mp.workprec(_WORK_PREC):
-        base, tail = _accelerated_product(kind, target_exp)
-        rat = _finite_local_product(kind, r)
+        base, tail = _accelerated_product(lf, target_exp)
+        rat = _local_product(r, lf.factor)
         return base / (mpf(rat.numerator) / rat.denominator), tail
 
 
@@ -393,27 +386,19 @@ def euler_constant(kind: str, eps: float = 1e-12, arg: int = None) -> ApproxReal
         if kind == "C_of_q":
             q = _require_arg(arg)
             val = 1 / zeta_em(2)
-            rat = Fraction(1)
-            for p in prime_factors(q):
-                rat *= Fraction(p * p, p * p - 1)
+            rat = _local_product(q, lambda p: Fraction(p * p, p * p - 1))
             val *= mpf(rat.numerator) / rat.denominator
             return _to_approx(val, mpf(2) ** (60 - _WORK_PREC) * abs(val), eps, kind)
         if kind == "hall_factor":
-            q = _require_arg(arg)
-            rat = Fraction(1)
-            for p in prime_factors(q):
-                rat *= Fraction(p, p + 2)
+            rat = _local_product(_require_arg(arg), lambda p: Fraction(p, p + 2))
             val = mpf(rat.numerator) / rat.denominator
             return _to_approx(val, mpf(0), eps, kind)
-        if kind == "C":
-            base, tail = _accelerated_product("C", target_exp)
-            val = zeta_em(Fraction(3, 2)) / mp.pi * base
-        elif kind == "C2":
-            base, tail = _accelerated_product("C2", target_exp)
-            val = base
-        elif kind == "Cprime":
-            base, tail = _accelerated_product("Cprime", target_exp)
-            val = zeta_em(Fraction(3, 2)) / (2 * mp.pi) * base
+        if kind in ("C", "C2", "Cprime"):
+            val, tail = euler_product_mp(kind, 1, target_exp)
+            if kind == "C":
+                val = zeta_em(Fraction(3, 2)) / mp.pi * val
+            elif kind == "Cprime":
+                val = zeta_em(Fraction(3, 2)) / (2 * mp.pi) * val
         elif kind in ("C_beta", "sum_h_d2", "sum_h_d4"):
             r = _require_arg(arg if arg is not None else 1)
             val, tail = euler_product_mp(kind, r, target_exp)
@@ -484,12 +469,10 @@ def kappa_mu_products(m: int) -> tuple:
         return p_recip, p_plain, float(p_sqrt)
 
 
-def h_series_partials(r: int, D: int = 10**4) -> tuple:
-    """Partial sums over squarefree d <= D, gcd(d,r)=1 of h(d)/d^2 and
+def h_series_partials(r: int) -> tuple:
+    """Partial sums over squarefree d <= D = 10^4, gcd(d,r)=1 of h(d)/d^2 and
     h(d)/d^4 (floats), with rigorous tail bounds for the two full series."""
-    import numpy as np
-    from .arith import squarefree_window
-
+    D = 10**4
     win = squarefree_window(1, D + 1)
     d_vals = win.squarefree_values()
     mask = np.gcd(d_vals, r) == 1

@@ -19,7 +19,8 @@ from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 psi_antiderivative, psi_mellin_integral,
                                 psi_mellin_limit, theorem_main_terms)
 from sqflab.counters import interval_I
-from sqflab.multiplicative import euler_constant, f_q_of, f_q_zero, gamma_an, gamma_ar
+from sqflab.multiplicative import (euler_constant, f_q_of, f_q_zero, gamma_an,
+                                   gamma_ar, h_of)
 from sqflab.records import ApproxReal
 
 
@@ -103,6 +104,23 @@ def test_G_split_point_independence():
         vals = [G_of(Y, r, D=d).value for d in (d0, 2 * d0, 5 * d0 + 3)]
         for v in vals[1:]:
             assert v == pytest.approx(vals[0], rel=1e-13), (Y, r)
+
+
+@pytest.mark.parametrize("Y", [50.0, 487.25])
+@pytest.mark.parametrize("r", [1, 6])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_G_split_sum_vs_literal_sum(Y, r, weighted):
+    # S_N = sum over d <= N, (d,r)=1 of w(d) Psi_1(Y/d^2).  Each term with
+    # d^2 > Y lies in [0, w_max Y/(2 d^2)], so the infinite sum exceeds S_N
+    # by at most w_max Y/(2N).
+    N = 20000
+    fn, weight = (G_of, lambda d: float(h_of(d))) if weighted \
+        else (aux_G_unweighted, lambda d: 1.0)
+    w_max = 1 / euler_constant("C2", 1e-12).value if weighted else 1.0
+    S_N = math.fsum(weight(d) * psi_antiderivative(Y / (d * d))
+                    for d in range(1, N + 1) if math.gcd(d, r) == 1)
+    gap = fn(Y, r).value - S_N
+    assert -1e-9 <= gap <= w_max * Y / (2 * N), (Y, r, gap)
 
 
 def test_G_guards():

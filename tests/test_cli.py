@@ -77,6 +77,26 @@ def test_bad_arguments_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--q", "0"],
+    ["--q=-7"],
+    ["--q", "7", "--precision", "0"],
+    ["--q", "7", "--precision", "1e-30"],
+    ["--q", "7", "--precision", "nan"],
+], ids=["q-zero", "q-negative", "precision-zero", "precision-unreachable",
+        "precision-nan"])
+def test_bad_input_exits_2_without_traceback(extra, capsys):
+    argv = ["scan", "--kind", "variance", "--x", "1000"] + extra
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("sqflab: error: ")
+
+
 def test_scan_variance_table(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     rc = main(["scan", "--kind", "variance", "--x", "20000",

@@ -80,6 +80,19 @@ def test_double_sum_matches_pair_enumeration_seeded():
         checked += 1
 
 
+def test_double_sum_exact_past_int64(monkeypatch):
+    # synthetic counts of ~10^10 per class: the pair products reach 10^20,
+    # past the int64 range, and S must still be the exact integer
+    big = 10 ** 10
+    fake = np.array([0, big + 1, big + 3], dtype=np.int64)
+    monkeypatch.setattr("sqflab.counters.squarefree_counts_by_residue",
+                        lambda X, q: fake)
+    X = 3 * 10 ** 10
+    assert double_sum_S(X, 3, 1) == (big + 1) ** 2 + (big + 3) ** 2
+    assert double_sum_S(X, 3, -1) == 2 * (big + 1) * (big + 3)
+    assert variance_M2(X, 3, 1).S_exact == (big + 1) ** 2 + (big + 3) ** 2
+
+
 def test_double_sum_rejections():
     with pytest.raises(ValueError):
         double_sum_S(100, 10, 5)
@@ -260,6 +273,8 @@ def test_lattice_rejections_and_reference():
         lattice_count_N(0, 1, 1, 1, 100, 3)
     with pytest.raises(ValueError):
         lattice_count_N(1, 1, 3, 1, 100, 6)
+    with pytest.raises(ValueError):
+        lattice_count_N(1, 1, 1, 1, 2 ** 62, 2)  # q X = 2^63 would wrap c v
     # reference bound is a report quantity; just pin its shape
     assert lattice_reference(10, 5, 1000, 7) == pytest.approx(
         1000 / 7 * (1000 / 50 + 1000 * 5 / 100))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from sqflab.arith import phi_of
 from sqflab.expsums import (ExpSumValue, crt_factor_check, crt_product,
                             full_sum_S, gauss_sum, k2_sum, kloosterman_K,
-                            kloosterman_weil_report, s1_sum, s1_table,
-                            s2_gcd_bound, s2_sum, s2_table)
+                            kloosterman_weil_report, s1_literal, s1_sum,
+                            s1_table, s2_gcd_bound, s2_sum, s2_table)
 
 
 def _e(k, n):
@@ -162,8 +162,8 @@ def test_s2_rejections():
 def test_s1_factored_matches_literal(p, q, m2, b, c, d):
     if m2 == 0 or (m2 * q) % p == 0:
         return
-    lhs = s1_sum(p, q, m2, b, c, d, method="factored").value
-    rhs = s1_sum(p, q, m2, b, c, d, method="literal").value
+    lhs = s1_sum(p, q, m2, b, c, d).value
+    rhs = s1_literal(p, q, m2, b, c, d).value
     assert lhs == pytest.approx(rhs, abs=1e-9 * p ** 1.5 + 1e-12)
 
 
@@ -199,8 +199,6 @@ def test_s1_rejections():
         s1_sum(9, 1, 1, 0, 0, 1)
     with pytest.raises(ValueError):
         s1_sum(5, 5, 1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        s1_sum(5, 1, 1, 0, 0, 1, method="fft")
 
 
 # ---------------------------------------------------------------------------
