@@ -5,9 +5,10 @@ All sums are evaluated exactly (complex double accumulation over per-modulus
 root-of-unity tables).  K and K2 share one literal kernel.  S1 carries two
 independent paths — the Gauss-times-S2 factorization (s1_sum) and the
 literal triple sum (s1_literal) — and the CRT product identity over a
-composite modulus is checked against a literal evaluation of the full sum.
-Full-sweep helpers return (n, n, n) tables computed with FFTs so exhaustive
-bound checks over all multiplier triples stay cheap.
+composite modulus is checked against a direct, CRT-free evaluation of the
+full sum (full_sum_S), itself checked against the literal double loop in
+the tests.  Full-sweep helpers return (n, n, n) tables computed with FFTs
+so exhaustive bound checks over all multiplier triples stay cheap.
 """
 
 from __future__ import annotations
@@ -123,7 +124,10 @@ def gauss_sum(t: int, p: int) -> ExpSumValue:
 # S1 and S2
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _prime_power(n: int) -> tuple:
+    """(r, f) with n = r^f; cached because the bound sweeps ask for the same
+    few moduli many times (a ValueError is raised afresh on every call)."""
     fact = factorize(n).factors
     if len(fact) != 1:
         raise ValueError(f"{n} is not a prime power")
@@ -236,14 +240,20 @@ def _crt_multiplier(v: int, M: int, Mi: int) -> int:
 
 def full_sum_S(u: int, p1: int, p2: int, q: int, m2: int,
                lam: int, mu: int, nu: int) -> complex:
-    """Literal evaluation of S(u, p1 p2, q, m2; lam, mu, nu): the sum over
-    alpha, beta, gamma mod u p1 p2 with u | m2 alpha^2 beta - q gamma of
+    """Direct evaluation of S(u, p1 p2, q, m2; lam, mu, nu): the sum over
+    alpha, beta, gamma mod M = u p1 p2 with u | m2 alpha^2 beta - q gamma of
     ((m2 alpha^2 beta - q gamma)/(p1 p2)) e((lam alpha + mu beta + nu gamma)
-    / (u p1 p2)).
+    / M), without any CRT splitting of the modulus.
 
-    The congruence pins gamma mod u; the remaining gamma-progression is a
-    complete system mod p1 p2, where the Jacobi character's discrete Fourier
-    transform collapses it to one coefficient.  Cost O(M^2) for M = u p1 p2.
+    The congruence pins gamma mod u to gamma0; the remaining
+    gamma-progression is a complete system mod P = p1 p2, where the Jacobi
+    character's discrete Fourier transform collapses it to one coefficient
+    jhat.  Writing beta = b + u j (b < u, j < P), gamma0 depends on b only
+    and the sum over j is a complete geometric sum: P when
+    mu + k1 u m2 alpha^2 = 0 mod P, else 0.  Only those live alpha (at most
+    4u when jhat != 0) need a length-u sum over b.  Cost O(M + u^2); the
+    literal O(M^2) double loop is the test-only oracle in
+    tests/test_expsums.py.
     """
     _validate_crt_args(u, p1, p2, q, m2)
     P = p1 * p2
@@ -260,15 +270,18 @@ def full_sum_S(u: int, p1: int, p2: int, q: int, m2: int,
         return 0j
     qbar_u = pow(q % u, -1, u)  # 0 when u = 1, so gamma0 vanishes
     lam, mu, nu = lam % M, mu % M, nu % M
-    beta = np.arange(M, dtype=np.int64)
+    b = np.arange(u)
     total = 0j
-    for alpha in range(M):
+    # Liveness depends on alpha mod P only: each live residue r stands for
+    # the u values alpha = r + P i, one row each of a u x u block over b.
+    for r in t[(mu + (k1 * u * m2) % P * (t * t % P)) % P == 0]:
+        alpha = (r + P * b)[:, None]
         sq = alpha * alpha
-        gamma0 = (qbar_u * m2 * sq) % u * beta % u
-        W = (((m2 * sq) % P) * beta - (q % P) * gamma0) % P
-        idx = (lam * alpha + mu * beta + nu * gamma0) % M
+        gamma0 = (qbar_u * m2) % u * (sq % u) % u * b % u
+        W = ((m2 % P) * (sq % P) % P * b - (q % P) * gamma0) % P
+        idx = (lam * alpha + mu * b + nu * gamma0) % M
         total += complex(np.sum(EM[idx] * EP[(k1 * W) % P]))
-    return jhat * total
+    return jhat * P * total
 
 
 def crt_product(u: int, p1: int, p2: int, q: int, m2: int,
@@ -304,7 +317,8 @@ def _validate_crt_args(u: int, p1: int, p2: int, q: int, m2: int) -> None:
 
 def crt_factor_check(u: int, p1: int, p2: int, q: int, m2: int,
                      b: int, c: int, d: int) -> VerificationRecord:
-    """Compare the literal full sum against the factored product."""
+    """Compare the direct full sum (full_sum_S, no CRT) against the factored
+    product (crt_product); lhs is the residual |full - product|."""
     full = full_sum_S(u, p1, p2, q, m2, b, c, d)
     prod = crt_product(u, p1, p2, q, m2, b, c, d)
     tol = 1e-6 * max(1.0, abs(full))

@@ -469,20 +469,33 @@ def kappa_mu_products(m: int) -> tuple:
         return p_recip, p_plain, float(p_sqrt)
 
 
+_H_SERIES_D = 10**4
+
+
+@lru_cache(maxsize=1)
+def _h_table() -> tuple:
+    """(d, float d, float h(d)) over all squarefree d <= _H_SERIES_D, built
+    once; h(d) multiplies its prime factors' p^2/(p^2-2) in increasing p."""
+    d = squarefree_window(1, _H_SERIES_D + 1).squarefree_values()
+    d_float = d.astype(np.float64)
+    hv = np.ones_like(d_float)
+    for p in primes_up_to(_H_SERIES_D):
+        p = int(p)
+        sel = (d % p) == 0
+        if sel.any():
+            hv[sel] *= p * p / (p * p - 2.0)
+    for arr in (d, d_float, hv):
+        arr.flags.writeable = False
+    return d, d_float, hv
+
+
 def h_series_partials(r: int) -> tuple:
     """Partial sums over squarefree d <= D = 10^4, gcd(d,r)=1 of h(d)/d^2 and
     h(d)/d^4 (floats), with rigorous tail bounds for the two full series."""
-    D = 10**4
-    win = squarefree_window(1, D + 1)
-    d_vals = win.squarefree_values()
-    mask = np.gcd(d_vals, r) == 1
-    d_vals = d_vals[mask].astype(np.float64)
-    hv = np.ones_like(d_vals)
-    for p in primes_up_to(D):
-        p = int(p)
-        sel = (d_vals % p) == 0
-        if sel.any():
-            hv[sel] *= p * p / (p * p - 2.0)
+    D = _H_SERIES_D
+    d, d_float, hv = _h_table()
+    mask = np.gcd(d, r) == 1
+    d_vals, hv = d_float[mask], hv[mask]
     s2 = float(np.sum(hv / d_vals**2))
     s4 = float(np.sum(hv / d_vals**4))
     hmax = 1.0 / euler_constant("C2", 1e-13).value

@@ -4,13 +4,14 @@ exhaustive multiplier sweeps, and the CRT factorization identity."""
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqflab.arith import phi_of
+from sqflab.arith import jacobi_symbol, phi_of
 from sqflab.expsums import (ExpSumValue, crt_factor_check, crt_product,
                             full_sum_S, gauss_sum, k2_sum, kloosterman_K,
                             kloosterman_weil_report, s1_literal, s1_sum,
@@ -71,7 +72,6 @@ def test_gauss_values():
         assert gauss_sum(0, p).value == pytest.approx(0.0, abs=1e-12)
         assert gauss_sum(p, p).value == pytest.approx(0.0, abs=1e-12)
         for t in range(1, p):
-            from sqflab.arith import jacobi_symbol
             assert gauss_sum(t, p).value == pytest.approx(
                 jacobi_symbol(t, p) * g1.value, abs=1e-10)
 
@@ -213,6 +213,88 @@ def test_crt_identity_small_cases():
             rec = crt_factor_check(u, p1, p2, q, m2, b, c, d)
             assert rec.passed, rec.as_dict()
             assert rec.check_id == "expsums.crt"
+
+
+def _full_sum_literal(u, p1, p2, q, m2, lam, mu, nu):
+    """S(u, p1 p2, q, m2; lam, mu, nu) by the O(M^2) double loop over alpha,
+    beta mod M = u p1 p2: gamma0 mod u is pinned by the congruence and the
+    gamma-progression mod P = p1 p2 collapses to the Jacobi coefficient
+    jhat.  Test-only oracle for full_sum_S."""
+    P = p1 * p2
+    M = u * P
+    assert M <= 2500, "the literal oracle is O(M^2)"
+    EM = np.exp(2j * np.pi * np.arange(M) / M)
+    EP = np.exp(2j * np.pi * np.arange(P) / P)
+    J = np.array([jacobi_symbol(t, P) for t in range(P)], dtype=np.float64)
+    k1 = (nu * pow(u, -1, P) * pow(q % P, -1, P)) % P
+    jhat = complex(np.sum(J * EP[(-k1 * np.arange(P)) % P]))
+    qbar_u = pow(q % u, -1, u)
+    beta = np.arange(M, dtype=np.int64)
+    total = 0j
+    for alpha in range(M):
+        sq = alpha * alpha
+        gamma0 = (qbar_u * m2 * sq) % u * beta % u
+        W = (((m2 * sq) % P) * beta - (q % P) * gamma0) % P
+        idx = (lam * alpha + mu * beta + nu * gamma0) % M
+        total += complex(np.sum(EM[idx] * EP[(k1 * W) % P]))
+    return jhat * total
+
+
+def _live_tuple(u, p1, p2, q, m2, seed):
+    """(lam, mu, nu) with nu prime to p1 p2 and mu chosen so that a drawn
+    alpha0 is live (mu + k1 u m2 alpha0^2 = 0 mod p1 p2), redrawn until the
+    factored product is far from 0."""
+    rng = random.Random(seed)
+    P = p1 * p2
+    M = u * P
+    for _ in range(200):
+        nu = rng.choice([v for v in range(1, M) if math.gcd(v, P) == 1])
+        k1 = (nu * pow(u, -1, P) * pow(q % P, -1, P)) % P
+        alpha0 = rng.randrange(M)
+        mu = (-k1 * u * m2 * alpha0 * alpha0) % P + P * rng.randrange(u)
+        lam = rng.randrange(M)
+        if abs(crt_product(u, p1, p2, q, m2, lam, mu, nu)) > 1:
+            return lam, mu, nu
+    raise AssertionError("no tuple with a nonzero sum")
+
+
+@pytest.mark.parametrize("u,p1,p2,q,m2", [
+    (1, 3, 5, 1, 1), (1, 13, 19, 2, -1), (4, 3, 7, 5, 1), (8, 5, 11, 7, -3),
+    (9, 5, 7, 2, 1), (25, 3, 11, 2, -1), (27, 5, 7, 1, 2), (49, 3, 5, 2, -2),
+    (6, 5, 7, 1, -1), (30, 7, 11, 13, -1)])
+def test_full_sum_with_live_alpha(u, p1, p2, q, m2):
+    lam, mu, nu = _live_tuple(u, p1, p2, q, m2, seed=u * 1000 + p1 * p2)
+    got = full_sum_S(u, p1, p2, q, m2, lam, mu, nu)
+    want = _full_sum_literal(u, p1, p2, q, m2, lam, mu, nu)
+    prod = crt_product(u, p1, p2, q, m2, lam, mu, nu)
+    assert abs(got) > 1
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    assert abs(got - prod) <= 1e-6 * max(1.0, abs(got))
+
+
+def test_full_sum_matches_literal_on_random_tuples():
+    # criterion-4 style draws; every fourth puts p1 into both mu and nu,
+    # where jhat is zero only up to rounding and every alpha mod p1 is live
+    rng = random.Random(4)
+    checked = 0
+    while checked < 16:
+        u = rng.randrange(1, 51)
+        p1, p2 = rng.sample([3, 5, 7, 11, 13, 17, 19], 2)
+        q = rng.randrange(1, 30)
+        m2 = rng.choice([1, -1, 2, 3, 5, -2, 7])
+        M = u * p1 * p2
+        if M > 1500 or (m2 * q) % p1 == 0 or (m2 * q) % p2 == 0:
+            continue
+        if math.gcd(u, p1 * p2 * q * abs(m2)) != 1:
+            continue
+        lam, mu, nu = (rng.randrange(M) for _ in range(3))
+        if checked % 4 == 0:
+            mu, nu = mu * p1 % M, nu * p1 % M
+        got = full_sum_S(u, p1, p2, q, m2, lam, mu, nu)
+        want = _full_sum_literal(u, p1, p2, q, m2, lam, mu, nu)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), \
+            (u, p1, p2, q, m2, lam, mu, nu)
+        checked += 1
 
 
 def test_crt_zero_shortcut_consistent():

@@ -12,7 +12,7 @@ from sqflab.multiplicative import (LOCAL_FACTORS, beta_of, euler_constant,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
                                    gq_product, gq_sum, h_of, h_series_partials,
                                    identity_suite, kappa, kappa_mu_products,
-                                   kappa_mu_sums, zeta_em)
+                                   kappa_mu_sums, zeta_em, _h_table)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
 # by two independent extraction depths and a 2*10^6-prime direct log sum
@@ -192,6 +192,15 @@ def test_h_series_partials_bracket_euler_products():
         h4 = euler_constant("sum_h_d4", 1e-12, arg=r)
         assert abs(p2 - h2.value) <= tail2 + h2.abs_err
         assert abs(p4 - h4.value) <= tail4 + h4.abs_err
+
+
+def test_h_table_matches_exact_h():
+    d, d_float, hv = _h_table()
+    assert len(d) == sum(1 for n in range(1, 10**4 + 1) if mu_of(n) != 0)
+    assert list(d_float) == [float(n) for n in d]
+    for n, h in zip(d.tolist(), hv.tolist()):
+        exact = float(h_of(n))
+        assert abs(h - exact) <= 4 * math.ulp(exact), n
 
 
 def test_local_factor_tables_are_consistent():
