@@ -1,6 +1,10 @@
 """Exact integer arithmetic: factorization, multiplicative basics, Jacobi
 symbols, modular inverses, and a segmented squarefree sieve.
 
+Residue counts mod q come from q-aligned sieve segments: each segment is a
+whole number of periods q long, so the counts are column sums of the
+segment's flags, with no modulo and no bincount.
+
 All functions are pure; the shared prime table is immutable after first use.
 """
 
@@ -119,8 +123,9 @@ _TRIAL_LIMIT = 10**6
 def factorize(n: int) -> Factorization:
     """Canonical factorization of 1 <= n <= 2**63.
 
-    Trial division by primes up to 10**6, then deterministic primality
-    testing plus rho-style splitting for any remaining cofactor.
+    Trial division by primes up to 10**6. A remaining cofactor whose
+    square root is at most 10**6 is then prime; a larger one gets
+    deterministic primality testing plus rho-style splitting.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -135,6 +140,9 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    if n > 1 and math.isqrt(n) <= _TRIAL_LIMIT:
+        out[n] = 1  # every prime <= sqrt(n) is divided out, so n is prime
+        n = 1
     stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
@@ -281,14 +289,21 @@ def squarefree_count(X: int) -> int:
 
 
 def squarefree_counts_by_residue(X: int, q: int) -> np.ndarray:
-    """Entry a counts squarefree n <= X with n = a (mod q), 0 <= a < q."""
+    """Entry a counts squarefree n <= X with n = a (mod q), 0 <= a < q.
+
+    The sieve runs over [0, X] (0 is flagged as not squarefree) in segments
+    of a whole number of periods q, so every segment starts at a multiple of
+    q and the residue of n is its offset within the period.  Each segment's
+    flags, laid out as rows of length q, are added in as column sums; the
+    partial last period is added slice-wise.
+    """
     if q < 1 or q > X:
         raise ValueError("require 1 <= q <= X")
     counts = np.zeros(q, dtype=np.int64)
-    lo = 1
-    while lo <= X:
-        hi = min(lo + _SEGMENT, X + 1)
-        vals = squarefree_window(lo, hi).squarefree_values()
-        counts += np.bincount(vals % q, minlength=q)
-        lo = hi
+    step = q * max(1, _SEGMENT // q)
+    for lo in range(0, X + 1, step):
+        flags = squarefree_window(lo, min(lo + step, X + 1)).flags
+        full = len(flags) - len(flags) % q
+        counts += flags[:full].reshape(-1, q).sum(axis=0, dtype=np.int64)
+        counts[: len(flags) - full] += flags[full:]
     return counts

@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import (mod_inverse, mu_of, phi_of, prime_factors, require_mq,
-                    squarefree_counts_by_residue, squarefree_window)
+from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
+                    require_mq, squarefree_counts_by_residue,
+                    squarefree_window)
 from .multiplicative import euler_constant
 from .records import ApproxReal, VerificationRecord
 
@@ -26,9 +27,19 @@ from .records import ApproxReal, VerificationRecord
 # error vector and variance
 # ---------------------------------------------------------------------------
 
+def gcd_table(q: int) -> np.ndarray:
+    """gcd(a, q) for a = 0..q-1 as int64, built from the prime powers of q:
+    each p^k dividing q multiplies every p^k-th entry by p."""
+    g = np.ones(q, dtype=np.int64)
+    for p, e in factorize(q).factors:
+        for k in range(1, e + 1):
+            g[:: p**k] *= p
+    return g
+
+
 def _coprime_residues(q: int) -> np.ndarray:
     """The residues a mod q with gcd(a, q) = 1, ascending."""
-    return np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
+    return np.flatnonzero(gcd_table(q) == 1)
 
 
 @dataclass
@@ -171,7 +182,7 @@ def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
     base = six_over_pi2.value * hq * X / q
     base_err = six_over_pi2.abs_err * hq * X / q
 
-    g = np.gcd(np.arange(q, dtype=np.int64), q)
+    g = gcd_table(q)
     expected = np.zeros(q)
     for d in (int(x) for x in np.unique(g)):
         q0 = q // d

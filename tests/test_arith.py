@@ -1,12 +1,13 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqflab.arith import (factorize, is_prime, jacobi_symbol, mod_inverse,
-                          mu_of, multiplicative_profile, phi_of, prime_factors,
-                          primes_up_to, squarefree_count,
+from sqflab.arith import (_SEGMENT, factorize, is_prime, jacobi_symbol,
+                          mod_inverse, mu_of, multiplicative_profile, phi_of,
+                          prime_factors, primes_up_to, squarefree_count,
                           squarefree_counts_by_residue, squarefree_window,
                           tau_of)
 
@@ -52,6 +53,21 @@ def test_factorize_roundtrip(n):
         assert is_prime(p) and e >= 1
         prod *= p ** e
     assert prod == n
+
+
+@pytest.mark.parametrize("n, factors", [
+    (999983 ** 2, ((999983, 2),)),
+    (1000003 ** 2, ((1000003, 2),)),
+    (999983 * 1000003, ((999983, 1), (1000003, 1))),
+    (10 ** 12 + 39, ((10 ** 12 + 39, 1),)),
+    (2 ** 63, ((2, 63),)),
+])
+def test_factorize_around_trial_limit(n, factors):
+    # cofactors just inside and just past the square of the trial limit
+    fact = factorize(n)
+    assert fact.factors == factors
+    assert math.prod(p ** e for p, e in fact.factors) == n
+    assert all(is_prime(p) for p, _ in fact.factors)
 
 
 def test_profile_known_values():
@@ -124,3 +140,41 @@ def test_counts_by_residue_consistency():
     vals = squarefree_window(1, X + 1).squarefree_values()
     ref = np.bincount(vals % q, minlength=q)
     assert np.array_equal(counts, ref)
+
+
+@lru_cache(maxsize=None)
+def _squarefree_values(X):
+    return squarefree_window(1, X + 1).squarefree_values()
+
+
+def _residue_oracle(X, q):
+    return np.bincount(_squarefree_values(X) % q, minlength=q)
+
+
+def test_counts_by_residue_small_cases():
+    for X in (1, 2, 3, 10, 97, 1000, 12345):
+        for q in range(1, min(X, 60) + 1):
+            counts = squarefree_counts_by_residue(X, q)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _residue_oracle(X, q)), (X, q)
+
+
+_X3 = 3 * _SEGMENT + 5  # spans four segments for q <= _SEGMENT
+
+
+@pytest.mark.parametrize("X, q", [
+    (_X3, 1),
+    (_X3, _X3),
+    (_X3, 1000),
+    (_X3, 4096),                 # divides _SEGMENT
+    (_X3, _SEGMENT),
+    (_X3, _SEGMENT - 1),
+    (_X3, _SEGMENT + 3),
+    (_X3, 18),                   # 18 divides X + 1
+    (_X3, (_X3 + 1) // 2),       # X + 1 = 2q
+    (2 * _SEGMENT - 1, _SEGMENT),  # X + 1 = 2q = 2 segments exactly
+])
+def test_counts_by_residue_matches_bincount_oracle(X, q):
+    counts = squarefree_counts_by_residue(X, q)
+    assert counts.dtype == np.int64 and counts.shape == (q,)
+    assert np.array_equal(counts, _residue_oracle(X, q))

@@ -3,6 +3,7 @@ scan guard rails.  Everything goes through main(argv) so the argparse wiring
 is exercised end to end."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,30 @@ def test_scan_croft_and_hooley(tmp_path):
                  "--q", "13,101", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out, newline="")))
     assert all(0 < float(r["max_error_over_envelope"]) < 1.0 for r in rows)
+
+
+# sha256 of the scan CSV bytes as written before the residue counts moved to
+# q-aligned column sums; X spans four sieve segments and the moduli include
+# q = 1 and one above the 2^20 segment length.
+_SCAN_PIN_X = 3 * 2 ** 20 + 5
+_SCAN_PIN_Q = "1,1000,30030,1048579"
+
+
+@pytest.mark.parametrize("kind, extra, digest", [
+    ("variance", [],
+     "dc321c5ebbeb5c9fe5632f92d59d1035615547a77689e87c3e5fdf6c0414d044"),
+    ("correlation", ["--m", "-1"],
+     "c123ae1e2576adbd55f4a18bc979281298c14fe029330f85e289d6e34a52ba7c"),
+    ("croft", [],
+     "3199f0077b3cce96bba21114cede4dfc41ab6cd9c8b8097935c20a75d081c3ae"),
+    ("hooley", [],
+     "f9b5cc3bf3d85d43ef397fd1fa5eaf789821a627277b8cb86807998e4cd26cbc"),
+])
+def test_scan_bytes_pinned(tmp_path, kind, extra, digest):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--kind", kind, "--x", str(_SCAN_PIN_X),
+                 "--q", _SCAN_PIN_Q, "--out", str(out)] + extra) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_run_verify_all_suites_green():

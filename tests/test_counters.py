@@ -16,10 +16,10 @@ from sqflab.counters import (CorrelationResult, N_d_count, N_d_main_term,
                              N_d_report, U_d_of, croft_variance,
                              dispersion_check, divisor_triple_reference,
                              divisor_triple_sum, double_sum_S, error_vector,
-                             hooley_report, interval_I, lattice_count_N,
-                             lattice_count_brute, lattice_reference,
-                             pair_enumeration_S, u_p_brute, u_p_local,
-                             variance_M2)
+                             gcd_table, hooley_report, interval_I,
+                             lattice_count_N, lattice_count_brute,
+                             lattice_reference, pair_enumeration_S,
+                             u_p_brute, u_p_local, variance_M2)
 from sqflab.multiplicative import euler_constant
 
 
@@ -51,6 +51,13 @@ def test_error_vector_counts_and_errors():
     # errors over the coprime classes nearly cancel: their sum is
     # Q_coprime(X) - phi(q) C(q) X / q, which is O(sqrt X), not O(X)
     assert abs(math.fsum(arr.tolist())) < 4 * math.sqrt(X)
+
+
+def test_gcd_table_matches_np_gcd():
+    for q in list(range(1, 2000)) + [30030, 510510, 2 ** 20, 3 ** 12]:
+        g = gcd_table(q)
+        assert g.dtype == np.int64
+        assert np.array_equal(g, np.gcd(np.arange(q), q)), q
 
 
 def test_error_vector_rejections():
