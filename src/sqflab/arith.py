@@ -276,16 +276,11 @@ def squarefree_window(lo: int, hi: int) -> SieveWindow:
 
 
 def squarefree_count(X: int) -> int:
-    """Q(X) = number of squarefree integers in [1, X], segmented."""
+    """Q(X) = number of squarefree integers in [1, X]: the one residue
+    class count modulo 1."""
     if X < 1:
         return 0
-    total = 0
-    lo = 1
-    while lo <= X:
-        hi = min(lo + _SEGMENT, X + 1)
-        total += squarefree_window(lo, hi).count()
-        lo = hi
-    return total
+    return int(squarefree_counts_by_residue(X, 1)[0])
 
 
 def squarefree_counts_by_residue(X: int, q: int) -> np.ndarray:

@@ -8,9 +8,9 @@ ones that make the exact/decomposition identities hold to float precision;
 where a printed source formula disagrees with its own downstream algebra,
 the exact oracle decides.
 
-G(Y,r) and its unweighted companion share one split evaluator (exact head,
-closed-form tail); A_formula is the S_main of theorem_main_terms, so the
-main-term closed form exists once.
+G(Y,r) is evaluated at a split point (exact head, closed-form tail);
+A_formula is the S_main of theorem_main_terms, so the main-term closed form
+exists once.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def psi_mellin_limit(s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# G(Y, r) and its unweighted companion
+# G(Y, r)
 # ---------------------------------------------------------------------------
 
 def _psi1_mp(x):
@@ -94,12 +94,11 @@ def _psi1_mp(x):
     return (frac - frac * frac) / 2
 
 
-def _split_G(Y: float, r: int, eps: float, D, weight, full_sum) -> ApproxReal:
-    """sum over (d,r)=1 of weight(d) Psi_1(Y/d^2): exact head d <= D plus
-    the d > D tail Y/(2d^2) - Y^2/(2d^4) summed in closed form (full series
-    minus partial sum).  full_sum(k) is (sum over (d,r)=1 of weight(d)/d^k,
-    its relative truncation bound) for k = 2, 4.  Result is independent of
-    the split D."""
+def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
+    """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): exact head d <= D
+    (default ceil(Y^(2/3))) plus the d > D tail Y/(2d^2) - Y^2/(2d^4) summed
+    in closed form (the sum_h_d2 / sum_h_d4 Euler products minus their
+    partial sums).  Result is independent of the split D."""
     if Y <= 0:
         raise ValueError("require Y > 0")
     if r < 1:
@@ -111,19 +110,20 @@ def _split_G(Y: float, r: int, eps: float, D, weight, full_sum) -> ApproxReal:
     with mp.workprec(_WORK_PREC):
         Ym = mpf(Y)
         head = mpf(0)
-        p2 = mpf(0)  # partial sum of weight(d)/d^2, d <= D
+        p2 = mpf(0)  # partial sum of h(d)/d^2, d <= D
         p4 = mpf(0)
         for d in range(1, D + 1):
             if math.gcd(d, r) != 1:
                 continue
-            w = weight(d)
-            if w == 0:
+            h = h_of(d)
+            if h == 0:
                 continue
-            wm = mpf(w.numerator) / w.denominator
-            head += wm * _psi1_mp(Ym / (d * d))
-            p2 += wm / d ** 2
-            p4 += wm / d ** 4
-        (H2, t2), (H4, t4) = full_sum(2), full_sum(4)
+            hm = mpf(h.numerator) / h.denominator
+            head += hm * _psi1_mp(Ym / (d * d))
+            p2 += hm / d ** 2
+            p4 += hm / d ** 4
+        H2, t2 = euler_product_mp("sum_h_d2", r)
+        H4, t4 = euler_product_mp("sum_h_d4", r)
         tail = Ym / 2 * (H2 - p2) - Ym * Ym / 2 * (H4 - p4)
         value = head + tail
         err = float(Ym / 2 * H2 * t2 + Ym * Ym / 2 * H4 * t4
@@ -131,13 +131,6 @@ def _split_G(Y: float, r: int, eps: float, D, weight, full_sum) -> ApproxReal:
         if err > eps:
             raise ArithmeticError(f"G tail bound {err} exceeds eps={eps}")
         return ApproxReal(float(value), err)
-
-
-def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
-    """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2), split at D (default
-    ceil(Y^(2/3))); the tail uses the sum_h_d2 / sum_h_d4 Euler products."""
-    return _split_G(Y, r, eps, D, h_of,
-                    lambda k: euler_product_mp(f"sum_h_d{k}", r))
 
 
 def G_main_term(Y: float, r: int, eps: float = 1e-12) -> ApproxReal:
@@ -148,29 +141,6 @@ def G_main_term(Y: float, r: int, eps: float = 1e-12) -> ApproxReal:
         rat *= Fraction(p * p - 2, p * p + p - 2)
     scale = float(rat) * math.sqrt(Y)
     return ApproxReal(cp.value * scale, cp.abs_err * scale + abs(cp.value) * scale * 1e-15)
-
-
-def _coprime_zeta(k: int, r: int) -> tuple:
-    """(sum over (d,r)=1 of d^-k, 0): zeta(k) prod_{p|r} (1 - p^-k) has no
-    truncation error."""
-    z = zeta_em(k)
-    for p in prime_factors(r):
-        z *= 1 - mpf(p) ** -k
-    return z, 0
-
-
-def aux_G_unweighted(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
-    """G(Y,r) with h replaced by 1: the d-sum runs over all integers coprime
-    to r, and the tail sums are zeta(2), zeta(4) times finite local
-    corrections."""
-    return _split_G(Y, r, eps, D, lambda d: 1, lambda k: _coprime_zeta(k, r))
-
-
-def aux_G_main_term(Y: float, r: int) -> float:
-    """(phi(r)/r) (zeta(3/2)/(2 pi)) sqrt(Y)."""
-    with mp.workprec(_WORK_PREC):
-        z32 = zeta_em(Fraction(3, 2))
-        return float(phi_of(r) / r * z32 / (2 * mp.pi) * mp.sqrt(Y))
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,14 @@ def main(argv=None) -> int:
     if not (math.isfinite(args.precision) and args.precision > 0):
         parser.error("--precision must be a positive finite number")
     if args.command == "scan":
+        if args.x < 1:
+            parser.error("--x must be a positive integer")
         try:
             q_list = [int(tok) for tok in args.q.split(",") if tok.strip()]
         except ValueError:
             parser.error("--q must be a comma-separated list of integers")
+        if not q_list:
+            parser.error("--q must name at least one modulus")
         if any(q < 1 for q in q_list):
             parser.error("--q moduli must be positive")
 
@@ -314,7 +318,12 @@ def main(argv=None) -> int:
         return 2
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        try:
+            fh = open(args.out, "w", newline="")
+        except OSError as exc:
+            print(f"sqflab: error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
+        with fh:
             _emit_rows(rows, args.format, fh)
     else:
         _emit_rows(rows, args.format, sys.stdout)

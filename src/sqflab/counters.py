@@ -1,6 +1,6 @@
 """Exact enumerative quantities: per-residue error terms, the variance and
-correlation sums, the double sum S[m], interval geometry, local counts
-u_p / N_d, lattice counts, and the divisor triple sum.
+correlation sums, the double sum S[m], Croft's all-classes variance,
+interval geometry, the local counts u_p, and lattice counts.
 
 Everything here is either an exact integer count or a float built from exact
 counts plus one Euler-product constant; the dispersion identity ties the two
@@ -182,12 +182,15 @@ def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
     base = six_over_pi2.value * hq * X / q
     base_err = six_over_pi2.abs_err * hq * X / q
 
-    g = gcd_table(q)
-    expected = np.zeros(q)
-    for d in (int(x) for x in np.unique(g)):
+    # expected value per gcd d, nonzero only at the squarefree d | q
+    by_gcd = np.zeros(q + 1)
+    squarefree_divisors = [1]
+    for p in prime_factors(q):
+        squarefree_divisors += [d * p for d in squarefree_divisors]
+    for d in squarefree_divisors:
         q0 = q // d
-        if mu_of(d) != 0:
-            expected[g == d] = base * q0 / phi_of(q0)
+        by_gcd[d] = base * q0 / phi_of(q0)
+    expected = by_gcd[gcd_table(q)]
     diff = counts - expected
     value = math.fsum((diff * diff).tolist())
     err_e = np.abs(expected) * (base_err / base if base > 0 else 0.0) \
@@ -249,7 +252,7 @@ def interval_I(l: int, m: int, q: int, X: float) -> IntervalIL:
 
 
 # ---------------------------------------------------------------------------
-# local counts u_p and N_d
+# local counts u_p
 # ---------------------------------------------------------------------------
 
 def u_p_local(p: int, l: int, m: int, q: int) -> int:
@@ -277,50 +280,8 @@ def u_p_brute(p: int, l: int, m: int, q: int) -> int:
     return sum(1 for v in range(p2) if v % p2 == 0 or (m * v + l * q) % p2 == 0)
 
 
-def U_d_of(d: int, l: int, m: int, q: int) -> int:
-    """U_d(l) = prod_{p | d} u_p(l) for squarefree d coprime to q."""
-    out = 1
-    for p in prime_factors(d):
-        out *= u_p_local(p, l, m, q)
-    return out
-
-
-def N_d_count(d: int, l: int, m: int, q: int, X) -> int:
-    """#{n in I(l): gcd(n,q)=1 and d | sigma(n) sigma(mn+lq)} by direct
-    enumeration; for squarefree d the condition at p | d is
-    p^2 | n or p^2 | mn + lq."""
-    if math.gcd(d, q) != 1:
-        raise ValueError("require gcd(d, q) = 1")
-    if mu_of(d) == 0:
-        raise ValueError("N_d is used for squarefree d")
-    ps = [p * p for p in prime_factors(d)]
-    total = 0
-    n = 1
-    while n < X:
-        w = m * n + l * q
-        if 0 < w < X and math.gcd(n, q) == 1:
-            if all(n % p2 == 0 or w % p2 == 0 for p2 in ps):
-                total += 1
-        n += 1
-    return total
-
-
-def N_d_main_term(d: int, l: int, m: int, q: int, X) -> float:
-    """(phi(q)/q) U_d(l) |I(l)| / d^2, the main-term prediction for N_d."""
-    iv = interval_I(l, m, q, X)
-    return phi_of(q) / q * U_d_of(d, l, m, q) * iv.length / (d * d)
-
-
-def N_d_report(d: int, l: int, m: int, q: int, X) -> VerificationRecord:
-    exact = N_d_count(d, l, m, q, X)
-    main = N_d_main_term(d, l, m, q, X)
-    return VerificationRecord.report(
-        "counters.N_d", {"d": d, "l": l, "m": m, "q": q, "X": X},
-        float(exact), main)
-
-
 # ---------------------------------------------------------------------------
-# lattice counts and the divisor triple sum
+# lattice counts
 # ---------------------------------------------------------------------------
 
 def lattice_count_N(J: int, K: int, m1: int, m2: int, X: int, q: int) -> int:
@@ -373,47 +334,3 @@ def lattice_count_brute(J: int, K: int, m1: int, m2: int, X: int, q: int) -> int
                     v += 1
                 u += 1
     return total
-
-
-def lattice_reference(J: int, K: int, X: int, q: int) -> float:
-    """(X/q)(X/(JK) + X K / J^2); the comparison bound has an unspecified
-    constant, so it is reported, never asserted."""
-    return X / q * (X / (J * K) + X * K / (J * J))
-
-
-def divisor_triple_sum(K: int, S: int, X: int, q: int) -> int:
-    """sum over K<k<=2K, 1<=l<=X/q, 1<=v<=S with k^2 v - l q >= 1 of
-    d(k^2 v - l q), exact via a divisor-count table."""
-    if min(K, S, X, q) < 1:
-        raise ValueError("require K, S, X, q >= 1")
-    if S * K * K > X:
-        raise ValueError("require S <= X / K^2")
-    lmax = X // q
-    if lmax < 1:
-        return 0
-    nmax = (2 * K) ** 2 * S
-    dtab = _divisor_table(nmax)
-    total = 0
-    v = np.arange(1, S + 1, dtype=np.int64)
-    for k in range(K + 1, 2 * K + 1):
-        base = k * k * v
-        for l in range(1, lmax + 1):
-            args = base - l * q
-            good = args >= 1
-            if good.any():
-                total += int(dtab[args[good]].sum())
-    return total
-
-
-def _divisor_table(n: int) -> np.ndarray:
-    d = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        d[i::i] += 1
-    return d
-
-
-def divisor_triple_reference(K: int, S: int, X: int, q: int,
-                             eta: float = 0.1) -> float:
-    """(X/q)(X^(1/2+eta) + X L^3 / K), L = log X; report-only comparison."""
-    L = math.log(X)
-    return X / q * (X ** (0.5 + eta) + X * L ** 3 / K)

@@ -264,14 +264,12 @@ def _log_series(coeffs: list) -> list:
 
 @dataclass(frozen=True)
 class LocalFactorFn:
-    """Euler local factor p -> num(1/p)/den(1/p) with declared tail data:
-    |factor(p) - 1| <= tail_coef * p^(-tail_exponent)."""
+    """Euler local factor p -> num(1/p)/den(1/p); _accelerated_product
+    bounds the tail of its product from the log series of num/den."""
 
     name: str
     num: tuple
     den: tuple
-    tail_exponent: int
-    tail_coef: float
 
     def factor(self, p: int) -> Fraction:
         x = Fraction(1, p)
@@ -279,22 +277,18 @@ class LocalFactorFn:
         den = sum(Fraction(c) * x**i for i, c in enumerate(self.den))
         return num / den
 
-    def tail_ok(self, p: int) -> bool:
-        return float(abs(self.factor(p) - 1)) <= self.tail_coef / p**self.tail_exponent
 
-
-# (1-3x^2+2x^3)/(1-2x^2) - 1 = -x^2 (1-2x)/(1-2x^2), magnitude <= x^2
-_CPRIME = LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2), 2, 1.0)
+_CPRIME = LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2))
 
 LOCAL_FACTORS = {
     # (1-x)^2 (1+2x) = 1 - 3x^2 + 2x^3
-    "C": LocalFactorFn("C", (1, 0, -3, 2), (1,), 2, 3.0),
-    "C2": LocalFactorFn("C2", (1, 0, -2), (1,), 2, 2.0),
+    "C": LocalFactorFn("C", (1, 0, -3, 2), (1,)),
+    "C2": LocalFactorFn("C2", (1, 0, -2), (1,)),
     # C' and, restricted to p not dividing r, C_beta(r) share one factor
     "Cprime": _CPRIME,
     "C_beta": _CPRIME,
-    "sum_h_d2": LocalFactorFn("sum_h_d2", (1, 0, -1), (1, 0, -2), 2, 2.0),
-    "sum_h_d4": LocalFactorFn("sum_h_d4", (1, 0, -2, 0, 1), (1, 0, -2), 4, 2.0),
+    "sum_h_d2": LocalFactorFn("sum_h_d2", (1, 0, -1), (1, 0, -2)),
+    "sum_h_d4": LocalFactorFn("sum_h_d4", (1, 0, -2, 0, 1), (1, 0, -2)),
 }
 
 

@@ -13,8 +13,7 @@ from mpmath import mp, mpf
 from sqflab.arith import phi_of, tau_of
 from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 G_main_term, G_of, MainTermBreakdown,
-                                TheoremMainTerms, aux_G_main_term,
-                                aux_G_unweighted, calibration_constant,
+                                TheoremMainTerms, calibration_constant,
                                 frakS_exact, frakS_formula, psi,
                                 psi_antiderivative, psi_mellin_integral,
                                 psi_mellin_limit, theorem_main_terms)
@@ -108,19 +107,16 @@ def test_G_split_point_independence():
 
 @pytest.mark.parametrize("Y", [50.0, 487.25])
 @pytest.mark.parametrize("r", [1, 6])
-@pytest.mark.parametrize("weighted", [True, False])
-def test_G_split_sum_vs_literal_sum(Y, r, weighted):
-    # S_N = sum over d <= N, (d,r)=1 of w(d) Psi_1(Y/d^2).  Each term with
-    # d^2 > Y lies in [0, w_max Y/(2 d^2)], so the infinite sum exceeds S_N
-    # by at most w_max Y/(2N).
+def test_G_split_sum_vs_literal_sum(Y, r):
+    # S_N = sum over d <= N, (d,r)=1 of h(d) Psi_1(Y/d^2).  Each term with
+    # d^2 > Y lies in [0, h_max Y/(2 d^2)], so the infinite sum exceeds S_N
+    # by at most h_max Y/(2N), with h_max = 1/C_2.
     N = 20000
-    fn, weight = (G_of, lambda d: float(h_of(d))) if weighted \
-        else (aux_G_unweighted, lambda d: 1.0)
-    w_max = 1 / euler_constant("C2", 1e-12).value if weighted else 1.0
-    S_N = math.fsum(weight(d) * psi_antiderivative(Y / (d * d))
+    h_max = 1 / euler_constant("C2", 1e-12).value
+    S_N = math.fsum(float(h_of(d)) * psi_antiderivative(Y / (d * d))
                     for d in range(1, N + 1) if math.gcd(d, r) == 1)
-    gap = fn(Y, r).value - S_N
-    assert -1e-9 <= gap <= w_max * Y / (2 * N), (Y, r, gap)
+    gap = G_of(Y, r).value - S_N
+    assert -1e-9 <= gap <= h_max * Y / (2 * N), (Y, r, gap)
 
 
 def test_G_guards():
@@ -153,14 +149,6 @@ def test_G_main_term_shape():
     assert G_main_term(10000.0, 1).value == pytest.approx(cp.value * 100.0)
     # local factor at r = 2: (p^2-2)/(p^2+p-2) = 2/4
     assert G_main_term(10000.0, 2).value == pytest.approx(cp.value * 50.0)
-
-
-def test_aux_G_unweighted_paths():
-    for (Y, r) in [(1e4, 1), (1e5, 2), (1e5, 6)]:
-        g = aux_G_unweighted(Y, r)
-        alt = aux_G_unweighted(Y, r, D=2 * math.ceil(Y ** (2 / 3)))
-        assert g.value == pytest.approx(alt.value, rel=1e-13)
-        assert g.value / aux_G_main_term(Y, r) == pytest.approx(1.0, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ is exercised end to end."""
 
 import csv
 import hashlib
+import io
 import json
 
 import pytest
 
-from sqflab.cli import main, run_verify
+from sqflab.cli import _emit_rows, main, run_verify
 
 
 def test_verify_identities_exits_clean(tmp_path, capsys):
@@ -81,11 +82,14 @@ def test_bad_arguments_exit_2():
 @pytest.mark.parametrize("extra", [
     ["--q", "0"],
     ["--q=-7"],
+    ["--q", ","],
+    ["--q", "7", "--x=-5"],
     ["--q", "7", "--precision", "0"],
     ["--q", "7", "--precision", "1e-30"],
     ["--q", "7", "--precision", "nan"],
-], ids=["q-zero", "q-negative", "precision-zero", "precision-unreachable",
-        "precision-nan"])
+    ["--q", "7", "--out", "/nonexistent-dir/x.csv"],
+], ids=["q-zero", "q-negative", "q-empty", "x-negative", "precision-zero",
+        "precision-unreachable", "precision-nan", "out-unwritable"])
 def test_bad_input_exits_2_without_traceback(extra, capsys):
     argv = ["scan", "--kind", "variance", "--x", "1000"] + extra
     try:
@@ -182,7 +186,12 @@ def test_run_verify_all_suites_green():
     bad = [r for r in records if r.mode == "assert" and not r.passed]
     assert not bad, [r.as_dict() for r in bad[:3]]
     suites = {r.check_id.split(".")[0] for r in records}
-    assert {"identities", "counters", "expsums", "asymptotics"} & suites
+    assert {"products", "gq", "counters", "expsums", "asymptotics"} <= suites
+    # the bytes of `sqflab verify --suite all --seed 0 --format csv`
+    out = io.StringIO()
+    _emit_rows([r.as_dict() for r in records], "csv", out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "a5a6edd0c27a3374adb16d23a5028382614dabf2859889ab84a114d2612538f4"
 
 
 def test_stdout_default(capsys):

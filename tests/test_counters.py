@@ -1,6 +1,6 @@
 """Counter layer: error vectors, the dispersion identity, Croft's variance,
-interval geometry, the local counts u_p / N_d, lattice counts, and the
-divisor triple sum, each against an independent brute-force oracle."""
+interval geometry, the local counts u_p, and lattice counts, each against
+an independent brute-force oracle."""
 
 import math
 import random
@@ -12,14 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab.arith import mu_of, phi_of, prime_factors, squarefree_window
-from sqflab.counters import (CorrelationResult, N_d_count, N_d_main_term,
-                             N_d_report, U_d_of, croft_variance,
-                             dispersion_check, divisor_triple_reference,
-                             divisor_triple_sum, double_sum_S, error_vector,
+from sqflab.counters import (CorrelationResult, croft_variance,
+                             dispersion_check, double_sum_S, error_vector,
                              gcd_table, hooley_report, interval_I,
                              lattice_count_N, lattice_count_brute,
-                             lattice_reference, pair_enumeration_S,
-                             u_p_brute, u_p_local, variance_M2)
+                             pair_enumeration_S, u_p_brute, u_p_local,
+                             variance_M2)
 from sqflab.multiplicative import euler_constant
 
 
@@ -196,7 +194,7 @@ def test_interval_rejections():
 
 
 # ---------------------------------------------------------------------------
-# local counts u_p and N_d
+# local counts u_p
 # ---------------------------------------------------------------------------
 
 def test_u_p_local_vs_brute_exhaustive():
@@ -221,46 +219,8 @@ def test_u_p_rejections():
         u_p_local(3, 1, 4, 5)
 
 
-def test_U_d_multiplicative():
-    for d in (1, 2, 6, 15, 30):
-        for (l, m, q) in [(0, 1, 7), (3, 2, 7), (-4, -1, 11), (9, 3, 11)]:
-            expected = math.prod(u_p_local(p, l, m, q)
-                                 for p in prime_factors(d))
-            assert U_d_of(d, l, m, q) == expected
-
-
-def test_N_d_count_definition_and_main_term():
-    X = 20000
-    # long intervals: the density prediction is tight
-    for (d, l, m, q) in [(1, 1, 1, 5), (2, 1, 1, 5), (3, 2, 2, 5),
-                         (5, 1, 3, 7), (6, -1, 1, 5)]:
-        exact = N_d_count(d, l, m, q, X)
-        main = N_d_main_term(d, l, m, q, X)
-        assert exact == pytest.approx(main, rel=2e-2), (d, l, m, q)
-    # d = 1 counts every coprime integer in the interval
-    iv = interval_I(1, 1, 5, X)
-    direct = sum(1 for n in range(1, X) if iv.member(n)
-                 and math.gcd(n, 5) == 1)
-    assert N_d_count(1, 1, 1, 5, X) == direct
-
-
-def test_N_d_report_short_interval():
-    # |I| = 21 < d^2 here: the exact count is 0 while the main term is not;
-    # the record is report-only and must carry both without asserting
-    rec = N_d_report(10, 3, -1, 7, 20000)
-    assert rec.mode == "report_only" and rec.passed
-    assert rec.lhs == 0.0 and rec.rhs > 0.0
-
-
-def test_N_d_rejections():
-    with pytest.raises(ValueError):
-        N_d_count(4, 1, 1, 5, 100)
-    with pytest.raises(ValueError):
-        N_d_count(5, 1, 1, 5, 100)
-
-
 # ---------------------------------------------------------------------------
-# lattice counts and the divisor triple sum
+# lattice counts
 # ---------------------------------------------------------------------------
 
 def test_lattice_count_matches_brute():
@@ -275,38 +235,10 @@ def test_lattice_count_matches_brute():
                         (J, K, m1, m2, X, q)
 
 
-def test_lattice_rejections_and_reference():
+def test_lattice_rejections():
     with pytest.raises(ValueError):
         lattice_count_N(0, 1, 1, 1, 100, 3)
     with pytest.raises(ValueError):
         lattice_count_N(1, 1, 3, 1, 100, 6)
     with pytest.raises(ValueError):
         lattice_count_N(1, 1, 1, 1, 2 ** 62, 2)  # q X = 2^63 would wrap c v
-    # reference bound is a report quantity; just pin its shape
-    assert lattice_reference(10, 5, 1000, 7) == pytest.approx(
-        1000 / 7 * (1000 / 50 + 1000 * 5 / 100))
-
-
-def _divisors_brute(n):
-    return sum(1 for i in range(1, n + 1) if n % i == 0)
-
-
-def test_divisor_triple_sum_vs_brute():
-    for (K, S, X, q) in [(2, 3, 60, 5), (1, 5, 40, 3), (3, 1, 50, 7)]:
-        total = 0
-        for k in range(K + 1, 2 * K + 1):
-            for l in range(1, X // q + 1):
-                for v in range(1, S + 1):
-                    n = k * k * v - l * q
-                    if n >= 1:
-                        total += _divisors_brute(n)
-        assert divisor_triple_sum(K, S, X, q) == total, (K, S, X, q)
-    assert divisor_triple_sum(2, 1, 100, 200) == 0  # lmax = 0
-    assert divisor_triple_reference(4, 2, 100, 5) > 0
-
-
-def test_divisor_triple_rejections():
-    with pytest.raises(ValueError):
-        divisor_triple_sum(4, 10, 100, 5)  # S K^2 > X
-    with pytest.raises(ValueError):
-        divisor_triple_sum(0, 1, 100, 5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from sqflab.arith import mu_of, prime_factors, primes_up_to
-from sqflab.multiplicative import (LOCAL_FACTORS, beta_of, euler_constant,
+from sqflab.multiplicative import (beta_of, euler_constant,
                                    euler_product_mp, f_q_of,
                                    f_q_rational_part, f_q_zero,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
@@ -201,15 +201,6 @@ def test_h_table_matches_exact_h():
     for n, h in zip(d.tolist(), hv.tolist()):
         exact = float(h_of(n))
         assert abs(h - exact) <= 4 * math.ulp(exact), n
-
-
-def test_local_factor_tables_are_consistent():
-    # every registered local factor must stay within its stated tail envelope
-    for name, lf in LOCAL_FACTORS.items():
-        for p in (101, 1009, 9973):
-            resid = abs(lf.factor(p) - 1)
-            envelope = Fraction(lf.tail_coef) / Fraction(p) ** lf.tail_exponent
-            assert resid <= envelope, name
 
 
 def test_identity_suite_composition():
