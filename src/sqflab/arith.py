@@ -1,17 +1,22 @@
 """Exact integer arithmetic: factorization, multiplicative basics, Jacobi
 symbols, modular inverses, and a segmented squarefree sieve.
 
+factorize reads n <= 2^14 off a smallest-prime-factor table built on first
+use; larger n go through trial division, then Miller-Rabin and Pollard rho.
+
 Residue counts mod q come from q-aligned sieve segments: each segment is a
 whole number of periods q long, so the counts are column sums of the
 segment's flags, with no modulo and no bincount.
 
-All functions are pure; the shared prime table is immutable after first use.
+All functions are pure; the shared tables are immutable after first use.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,15 +123,39 @@ def _pollard_rho(n: int) -> int:
 
 
 _TRIAL_LIMIT = 10**6
+_SPF_LIMIT = 1 << 14  # factorize walks the smallest-prime-factor table up to here
+
+
+@lru_cache(maxsize=1)
+def _spf_table() -> array:
+    """Smallest prime factor of each 2 <= n <= _SPF_LIMIT: primes mark their
+    multiples largest first, so the smallest prime writes last."""
+    spf = np.zeros(_SPF_LIMIT + 1, dtype=np.uintc)
+    for p in primes_up_to(math.isqrt(_SPF_LIMIT))[::-1]:
+        spf[p * p :: p] = p
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    return array("I", spf.tobytes())
 
 
 def factorize(n: int) -> Factorization:
-    """Canonical factorization of 1 <= n <= 2**63.
+    """Canonical factorization of 1 <= n <= 2**63: n <= _SPF_LIMIT walks the
+    smallest-prime-factor table, larger n go through _factorize_trial."""
+    if not 1 <= n <= _SPF_LIMIT:
+        return _factorize_trial(n)
+    spf = _spf_table()
+    out = {}  # spf of the shrinking cofactor never decreases: primes ascend
+    m = n
+    while m > 1:
+        out[spf[m]] = out.get(spf[m], 0) + 1
+        m //= spf[m]
+    return Factorization(n, tuple(out.items()))
 
-    Trial division by primes up to 10**6. A remaining cofactor whose
-    square root is at most 10**6 is then prime; a larger one gets
-    deterministic primality testing plus rho-style splitting.
-    """
+
+def _factorize_trial(n: int) -> Factorization:
+    """factorize without the table: trial division by primes up to 10**6.
+    A remaining cofactor whose square root is at most 10**6 is then prime; a
+    larger one gets deterministic primality testing plus rho splitting."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > 1 << 63:
@@ -161,29 +190,18 @@ class MultiplicativeProfile:
     mu: int
     phi: int
     d: int
-    omega: int
-    sigma_core: int
-    squarefree_kernel: int
 
 
 def multiplicative_profile(f: Factorization) -> MultiplicativeProfile:
-    """Mobius, totient, divisor count, omega, and the two square/squarefree
-    cores: sigma_core = prod of p with p^2 | n, squarefree_kernel = prod of
-    p with p exactly dividing n."""
+    """Mobius, totient and divisor count."""
     mu = 1 if not f.factors else (0 if any(e > 1 for _, e in f.factors)
                                   else (-1) ** len(f.factors))
     phi = 1
     d = 1
-    sigma_core = 1
-    kernel = 1
     for p, e in f.factors:
         phi *= (p - 1) * p ** (e - 1)
         d *= e + 1
-        if e >= 2:
-            sigma_core *= p
-        else:
-            kernel *= p
-    return MultiplicativeProfile(mu, phi, d, len(f.factors), sigma_core, kernel)
+    return MultiplicativeProfile(mu, phi, d)
 
 
 def mu_of(n: int) -> int:

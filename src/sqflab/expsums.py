@@ -217,15 +217,16 @@ def s2_table(r_pow: int, q: int, m2: int) -> np.ndarray:
     return np.conj(np.fft.fftn(cube))
 
 
-def s2_gcd_bound(r_pow: int, m2: int, b: int, c: int, d: int) -> float:
+def s2_gcd_bound(r_pow: int, m2: int, b, c, d):
     """The explicit envelope: 2 r (r,b,c,d m2) at f=1, else
-    2 r^{3f/2} (r^f,b,c,d m2)^{1/2} for odd r and 4 2^{3f/2} (...)^{1/2}."""
+    2 r^{3f/2} (r^f,b,c,d m2)^{1/2} for odd r and 4 2^{3f/2} (...)^{1/2}.
+    b, c, d may be integers or integer arrays that broadcast together."""
     r, f = _prime_power(r_pow)
-    g = math.gcd(r_pow, math.gcd(b, math.gcd(c, d * m2)))
+    g = np.gcd(r_pow, np.gcd(b, np.gcd(c, d * m2)))
     if f == 1:
         return 2.0 * r * g
     lead = 4.0 if r == 2 else 2.0
-    return lead * r_pow ** 1.5 * math.sqrt(g)
+    return lead * r_pow ** 1.5 * np.sqrt(g)
 
 
 # ---------------------------------------------------------------------------

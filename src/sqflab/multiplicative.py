@@ -45,6 +45,7 @@ def kappa(l: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=1 << 14)  # bounded: G_of's head reads every d <= Y^(2/3)
 def h_of(d: int) -> Fraction:
     """h(d) = mu^2(d) * prod_{p|d} (1 - 2/p^2)^(-1), exact."""
     if d < 1:
@@ -77,11 +78,8 @@ def gq_sum(l: int, r: int) -> Fraction:
     """sum over d with d^2 | l, gcd(d,r)=1 of h(d)/d^2, exact."""
     if l == 0 or r == 0:
         raise ValueError("gq_sum requires nonzero l and r")
-    core = 1
-    for p, e in factorize(abs(l)).factors:
-        core *= p ** (e // 2)
     total = Fraction(0)
-    for d in _divisors(core):
+    for d in _divisors((p, e // 2) for p, e in factorize(abs(l)).factors):
         if math.gcd(d, r) == 1:
             total += h_of(d) / (d * d)
     return total
@@ -98,9 +96,10 @@ def gq_product(l: int, r: int) -> Fraction:
     return out
 
 
-def _divisors(n: int) -> list:
+def _divisors(factors) -> list:
+    """Sorted divisors of prod p^e over the (p, e) pairs."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -248,7 +247,8 @@ _ZETA_DEPTH = 8        # extract zeta(2)..zeta(8); residual is 1 + O(p^-9)
 _GROWTH_BASE = 2.5     # |series coeff k| <= D * 2.5^k (min root modulus 1/2)
 
 
-def _log_series(coeffs: list) -> list:
+@lru_cache(maxsize=None)
+def _log_series(coeffs: tuple) -> tuple:
     """Power-series log of 1 + a_1 x + ... (exact Fractions, _SERIES_ORDER)."""
     a = [Fraction(c) for c in coeffs] + [Fraction(0)] * _SERIES_ORDER
     if a[0] != 1:
@@ -259,7 +259,7 @@ def _log_series(coeffs: list) -> list:
         for j in range(1, k):
             acc -= j * ell[j] * a[k - j]
         ell[k] = Fraction(acc, k)
-    return ell
+    return tuple(ell)
 
 
 @dataclass(frozen=True)
@@ -300,8 +300,8 @@ def _accelerated_product(lf: LocalFactorFn, target_exp: int) -> tuple:
     truncation point chosen so the tail factor is below 10^-target_exp.
     """
     with mp.workprec(_WORK_PREC):
-        series = [x - y for x, y in zip(_log_series(list(lf.num)),
-                                        _log_series(list(lf.den)))]
+        series = [x - y for x, y in zip(_log_series(lf.num),
+                                        _log_series(lf.den))]
         if series[1] != 0:
             raise ArithmeticError("divergent product: x^1 term present")
         exponents = {}
@@ -427,7 +427,7 @@ def kappa_mu_sums(m: int) -> tuple:
     if mu_of(m_abs) == 0:
         raise ValueError("kappa_mu_sums requires squarefree m")
     m2 = m_abs * m_abs
-    divs = _divisors(m2)
+    divs = _divisors(factorize(m2).factors)
     s_recip = Fraction(0)
     s_plain = Fraction(0)
     with mp.workprec(_WORK_PREC):
@@ -436,7 +436,7 @@ def kappa_mu_sums(m: int) -> tuple:
             krho = kappa(rho)
             if krho == 0:
                 continue
-            for sigma in _divisors(m2 // rho):
+            for sigma in _divisors(factorize(m2 // rho).factors):
                 msig = mu_of(sigma)
                 if msig == 0:
                     continue

@@ -67,10 +67,6 @@ class ApproxReal:
     def contains(self, x: float) -> bool:
         return abs(x - self.value) <= self.abs_err
 
-    def overlaps(self, other: "ApproxReal | float") -> bool:
-        other = as_approx(other)
-        return abs(self.value - other.value) <= self.abs_err + other.abs_err
-
 
 def as_approx(x) -> ApproxReal:
     if isinstance(x, ApproxReal):

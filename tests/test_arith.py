@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqflab.arith import (_SEGMENT, factorize, is_prime, jacobi_symbol,
+from sqflab.arith import (_SEGMENT, _SPF_LIMIT, _factorize_trial,
+                          _spf_table, factorize, is_prime, jacobi_symbol,
                           mod_inverse, mu_of, multiplicative_profile, phi_of,
                           prime_factors, primes_up_to, squarefree_count,
                           squarefree_counts_by_residue, squarefree_window,
@@ -70,14 +74,41 @@ def test_factorize_around_trial_limit(n, factors):
     assert all(is_prime(p) for p, _ in fact.factors)
 
 
+def test_factorize_table_matches_trial_division():
+    # the trial path is the table's independent oracle, past the table too
+    for n in range(1, _SPF_LIMIT + 1001):
+        assert factorize(n) == _factorize_trial(n), n
+
+
+@pytest.mark.parametrize("n, factors", [
+    (_SPF_LIMIT - 1, ((3, 1), (43, 1), (127, 1))),
+    (_SPF_LIMIT, ((2, 14),)),
+    (_SPF_LIMIT + 1, ((5, 1), (29, 1), (113, 1))),
+    (127 ** 2, ((127, 2),)),             # largest prime square in the table
+    (131 ** 2, ((131, 2),)),             # smallest one past it
+    (16381, ((16381, 1),)),              # largest prime in the table
+])
+def test_factorize_at_table_limit(n, factors):
+    fact = factorize(n)
+    assert fact.factors == factors
+    assert all(type(p) is int and type(e) is int for p, e in fact.factors)
+
+
+def test_spf_table_is_built_lazily():
+    assert len(_spf_table()) == _SPF_LIMIT + 1
+    code = ("import sqflab, sqflab.cli, sqflab.arith as a; "
+            "assert a._spf_table.cache_info().currsize == 0; "
+            "a.factorize(12); "
+            "assert a._spf_table.cache_info().currsize == 1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_profile_known_values():
     prof = multiplicative_profile(factorize(360))  # 2^3 3^2 5
     assert prof.mu == 0
     assert prof.phi == 96
     assert prof.d == 24
-    assert prof.omega == 3
-    assert prof.sigma_core == 6       # primes with square dividing n
-    assert prof.squarefree_kernel == 5
     assert mu_of(1) == 1 and phi_of(1) == 1 and tau_of(1) == 1
     assert prime_factors(84) == (2, 3, 7)
 

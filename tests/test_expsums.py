@@ -142,6 +142,19 @@ def test_s2_bound_exhaustive():
                     assert abs(tab[b, c, d]) <= bound + 1e-9, (n, q, m2, b, c, d)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 9, 25, 27, 49, 4, 8, 16])
+def test_s2_gcd_bound_array_matches_scalar(n):
+    grid = np.arange(n)
+    for m2 in (1, 2, -2):
+        arr = s2_gcd_bound(n, m2, grid[:, None, None], grid[None, :, None],
+                           grid[None, None, :])
+        assert arr.shape == (n, n, n)
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    assert arr[b, c, d] == s2_gcd_bound(n, m2, b, c, d)
+
+
 def test_s2_rejections():
     with pytest.raises(ValueError):
         s2_sum(6, 1, 1, 0, 0, 0)  # not a prime power

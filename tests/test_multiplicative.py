@@ -50,6 +50,13 @@ def test_h_values():
         assert h_of(p) == Fraction(p * p, p * p - 2)
 
 
+def test_h_of_cache_still_rejects_zero():
+    assert h_of(30) == h_of(30) == Fraction(4 * 9 * 25, 2 * 7 * 23)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            h_of(0)
+
+
 @given(st.integers(min_value=1, max_value=10 ** 5),
        st.sampled_from([1, 2, 6, 30]))
 @settings(max_examples=300, deadline=None)
