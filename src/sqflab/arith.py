@@ -185,35 +185,17 @@ def _factorize_trial(n: int) -> Factorization:
     return Factorization(orig, tuple(sorted(out.items())))
 
 
-@dataclass(frozen=True)
-class MultiplicativeProfile:
-    mu: int
-    phi: int
-    d: int
-
-
-def multiplicative_profile(f: Factorization) -> MultiplicativeProfile:
-    """Mobius, totient and divisor count."""
-    mu = 1 if not f.factors else (0 if any(e > 1 for _, e in f.factors)
-                                  else (-1) ** len(f.factors))
-    phi = 1
-    d = 1
-    for p, e in f.factors:
-        phi *= (p - 1) * p ** (e - 1)
-        d *= e + 1
-    return MultiplicativeProfile(mu, phi, d)
-
-
 def mu_of(n: int) -> int:
-    return multiplicative_profile(factorize(n)).mu
+    factors = factorize(n).factors
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def phi_of(n: int) -> int:
-    return multiplicative_profile(factorize(n)).phi
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).factors)
 
 
 def tau_of(n: int) -> int:
-    return multiplicative_profile(factorize(n)).d
+    return math.prod(e + 1 for _, e in factorize(n).factors)
 
 
 def prime_factors(n: int) -> tuple:

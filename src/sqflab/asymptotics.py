@@ -194,16 +194,15 @@ def frakS_exact(Y: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
 @dataclass(frozen=True)
 class MainTermBreakdown:
     """Closed-form coefficients: value(Y) = quadratic Y^2 - linear Y
-    + half_power sqrt(Y) + remainder."""
+    + half_power sqrt(Y)."""
 
     quadratic: ApproxReal
     linear: ApproxReal
     half_power: ApproxReal
-    remainder: float = 0.0
 
     def at(self, Y: float) -> float:
         return (self.quadratic.value * Y * Y - self.linear.value * Y
-                + self.half_power.value * math.sqrt(Y) + self.remainder)
+                + self.half_power.value * math.sqrt(Y))
 
 
 def frakS_formula(Y: float, q: int, m: int, eps: float = 1e-12) -> MainTermBreakdown:

@@ -56,12 +56,6 @@ class ResidueErrorVector:
     def coprime_residues(self) -> np.ndarray:
         return _coprime_residues(self.q)
 
-    def error(self, a: int) -> ApproxReal:
-        if math.gcd(a, self.q) != 1:
-            raise ValueError("E(X,q,a) is defined for gcd(a,q)=1 only")
-        return ApproxReal(float(self.counts[a % self.q]) - self.main_term.value,
-                          self.main_term.abs_err)
-
     def errors_array(self) -> np.ndarray:
         """E over the coprime residues, float64, in residue order."""
         return self.counts[self.coprime_residues].astype(np.float64) \

@@ -1,10 +1,12 @@
-"""Complete exponential sums: Kloosterman-type sums, Gauss sums, and the
+"""Complete exponential sums: Kloosterman sums, Gauss sums, and the
 character sums S1, S2 whose explicit bounds power the large-modulus range.
 
 All sums are evaluated exactly (complex double accumulation over per-modulus
-root-of-unity tables).  K and K2 share one literal kernel.  S1 carries two
-independent paths — the Gauss-times-S2 factorization (s1_sum) and the
-literal triple sum (s1_literal) — and the CRT product identity over a
+root-of-unity tables) and returned as plain complex numbers.  The literal
+kloosterman_K is the oracle for the FFT table behind
+kloosterman_weil_report.  S1 carries two independent paths — the
+Gauss-times-S2 factorization (s1_sum) and the literal triple sum
+(s1_literal) — and the CRT product identity over a
 composite modulus is checked against a direct, CRT-free evaluation of the
 full sum (full_sum_S), itself checked against the literal double loop in
 the tests.  Full-sweep helpers return (n, n, n) tables computed with FFTs
@@ -14,43 +16,14 @@ so exhaustive bound checks over all multiplier triples stay cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, is_prime, jacobi_symbol, phi_of
+from .arith import factorize, is_prime, jacobi_symbol
 from .records import VerificationRecord
 
-_KINDS = ("K", "K2", "Gauss", "S1", "S2")
 _MAX_LITERAL_MODULUS = 10 ** 4
-
-
-@dataclass(frozen=True)
-class ExpSumValue:
-    """One exponential-sum value with its modulus and flavor tag."""
-
-    re: float
-    im: float
-    modulus: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        coarse = float(self.modulus) ** 3 * (1 + 1e-9) + 1e-9
-        if self.magnitude > coarse:
-            raise ValueError("value exceeds the coarse modulus^3 sanity bound")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
 
 
 @lru_cache(maxsize=64)
@@ -65,33 +38,20 @@ def _symbol_table(n: int) -> np.ndarray:
     return np.array([jacobi_symbol(h, n) for h in range(n)], dtype=np.float64)
 
 
-def _sum_value(kind: str, modulus: int, z: complex) -> ExpSumValue:
-    return ExpSumValue(float(z.real), float(z.imag), modulus, kind)
-
-
 # ---------------------------------------------------------------------------
 # classical sums
 # ---------------------------------------------------------------------------
 
-def _kloosterman_type(kind: str, a: int, b: int, q: int, k: int) -> ExpSumValue:
-    """sum over x coprime to q of e((a x + b xbar^k)/q), summed literally."""
+def kloosterman_K(a: int, b: int, q: int) -> complex:
+    """K(a,b;q) = sum over x coprime to q of e((a x + b xbar)/q), summed
+    literally: the oracle for kloosterman_weil_report's FFT table."""
     if q <= 1:
         raise ValueError("require q >= 2")
     if q > _MAX_LITERAL_MODULUS:
         raise ValueError("modulus too large for a literal sum")
     E = _phase_table(q)
-    idx = [(a * x + b * pow(x, -k, q)) % q for x in range(1, q) if math.gcd(x, q) == 1]
-    return _sum_value(kind, q, complex(np.sum(E[idx])) if idx else 0j)
-
-
-def kloosterman_K(a: int, b: int, q: int) -> ExpSumValue:
-    """K(a,b;q) = sum over x coprime to q of e((a x + b xbar)/q)."""
-    return _kloosterman_type("K", a, b, q, 1)
-
-
-def k2_sum(a: int, b: int, q: int) -> ExpSumValue:
-    """K2(a,b;q) = sum over x coprime to q of e((a x + b xbar^2)/q)."""
-    return _kloosterman_type("K2", a, b, q, 2)
+    idx = [(a * x + b * pow(x, -1, q)) % q for x in range(1, q) if math.gcd(x, q) == 1]
+    return complex(np.sum(E[idx]))
 
 
 def kloosterman_weil_report(p: int) -> VerificationRecord:
@@ -108,7 +68,7 @@ def kloosterman_weil_report(p: int) -> VerificationRecord:
                                      worst / (2 * math.sqrt(p)), 1.0)
 
 
-def gauss_sum(t: int, p: int) -> ExpSumValue:
+def gauss_sum(t: int, p: int) -> complex:
     """sum_{h=1}^{p-1} (h/p) e(t h / p); magnitude sqrt(p) for p not dividing
     t, zero otherwise."""
     if p == 2 or not is_prime(p):
@@ -116,8 +76,7 @@ def gauss_sum(t: int, p: int) -> ExpSumValue:
     E = _phase_table(p)
     sym = _symbol_table(p)
     h = np.arange(1, p)
-    z = complex(np.sum(sym[h] * E[(t * h) % p]))
-    return _sum_value("Gauss", p, z)
+    return complex(np.sum(sym[h] * E[(t * h) % p]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +101,7 @@ def _require_s2_args(r_pow: int, q: int, m2: int) -> None:
         raise ValueError("require r coprime to q")
 
 
-def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
+def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> complex:
     """S2(r^f, q, m2; b,c,d): the triple sum over alpha,beta,gamma mod r^f
     constrained by r^f | m2 alpha^2 beta - q gamma.  The constraint pins
     gamma, so the evaluation is a double sum."""
@@ -155,7 +114,7 @@ def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
     alpha = np.arange(n, dtype=np.int64)
     gamma = (coef * ((alpha * alpha) % n))[:, None] * alpha[None, :] % n
     idx = ((b % n) * alpha[:, None] + (c % n) * alpha[None, :] + (d % n) * gamma) % n
-    return _sum_value("S2", n, complex(np.sum(E[idx])))
+    return complex(np.sum(E[idx]))
 
 
 def _require_s1_args(p: int, q: int, m2: int) -> None:
@@ -176,26 +135,24 @@ def _s1_symbols(p: int, q: int, m2: int) -> np.ndarray:
     return sym[resid]
 
 
-def s1_sum(p: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
+def s1_sum(p: int, q: int, m2: int, b: int, c: int, d: int) -> complex:
     """S1(p, q, m2; b,c,d) = sum over alpha,beta,gamma mod p of
     ((m2 alpha^2 beta - q gamma)/p) e((b alpha + c beta + d gamma)/p),
     as gauss_sum(-d qbar, p) * S2(p, ...): an exact consequence of
     substituting h = m2 alpha^2 beta - q gamma.  s1_literal is the
     independent oracle."""
     _require_s1_args(p, q, m2)
-    g = gauss_sum((-d * pow(q, -1, p)) % p, p)
-    s2 = s2_sum(p, q, m2, b, c, d)
-    return _sum_value("S1", p, g.value * s2.value)
+    return gauss_sum((-d * pow(q, -1, p)) % p, p) * s2_sum(p, q, m2, b, c, d)
 
 
-def s1_literal(p: int, q: int, m2: int, b: int, c: int, d: int) -> ExpSumValue:
+def s1_literal(p: int, q: int, m2: int, b: int, c: int, d: int) -> complex:
     """S1(p, q, m2; b,c,d) by direct evaluation of the triple sum."""
     cube = _s1_symbols(p, q, m2)
     E = _phase_table(p)
     alpha = np.arange(p, dtype=np.int64)
     idx = ((b % p) * alpha[:, None, None] + (c % p) * alpha[None, :, None]
            + (d % p) * alpha[None, None, :]) % p
-    return _sum_value("S1", p, complex(np.sum(cube * E[idx])))
+    return complex(np.sum(cube * E[idx]))
 
 
 def s1_table(p: int, q: int, m2: int) -> np.ndarray:
@@ -297,9 +254,9 @@ def crt_product(u: int, p1: int, p2: int, q: int, m2: int,
 
     out = 1 + 0j
     for p in (p1, p2):
-        out *= s1_sum(p, q, m2, *local(p)).value
+        out *= s1_sum(p, q, m2, *local(p))
     for r, f in factorize(u).factors:
-        out *= s2_sum(r ** f, q, m2, *local(r ** f)).value
+        out *= s2_sum(r ** f, q, m2, *local(r ** f))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Multiplicative functions (kappa, h, beta, f_q), the Gamma factors, and
+"""Multiplicative functions (kappa, h, f_q), the Gamma factors, and
 Euler-product constants with rigorous truncation-error bounds.
 
 Infinite products over primes are evaluated by zeta-factor acceleration:
@@ -55,22 +55,6 @@ def h_of(d: int) -> Fraction:
         if e > 1:
             return Fraction(0)
         out *= Fraction(p * p, p * p - 2)
-    return out
-
-
-def beta_of(t: int) -> Fraction:
-    """Multiplicative: 2/(p^2-2) at p, -p^2/(p^2-2) at p^2, 0 for higher
-    powers; satisfies h = 1 * beta (Dirichlet convolution)."""
-    if t < 1:
-        raise ValueError("beta_of requires t >= 1")
-    out = Fraction(1)
-    for p, e in factorize(t).factors:
-        if e == 1:
-            out *= Fraction(2, p * p - 2)
-        elif e == 2:
-            out *= Fraction(-p * p, p * p - 2)
-        else:
-            return Fraction(0)
     return out
 
 
@@ -278,15 +262,11 @@ class LocalFactorFn:
         return num / den
 
 
-_CPRIME = LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2))
-
 LOCAL_FACTORS = {
     # (1-x)^2 (1+2x) = 1 - 3x^2 + 2x^3
     "C": LocalFactorFn("C", (1, 0, -3, 2), (1,)),
     "C2": LocalFactorFn("C2", (1, 0, -2), (1,)),
-    # C' and, restricted to p not dividing r, C_beta(r) share one factor
-    "Cprime": _CPRIME,
-    "C_beta": _CPRIME,
+    "Cprime": LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2)),
     "sum_h_d2": LocalFactorFn("sum_h_d2", (1, 0, -1), (1, 0, -2)),
     "sum_h_d4": LocalFactorFn("sum_h_d4", (1, 0, -2, 0, 1), (1, 0, -2)),
 }
@@ -371,7 +351,7 @@ def euler_constant(kind: str, eps: float = 1e-12, arg: int = None) -> ApproxReal
     """Named Euler-product constants with abs_err <= eps.
 
     Kinds: C, C2, Cprime, C_of_q (arg=q), sum_h_d2 (arg=r), sum_h_d4 (arg=r),
-    C_beta (arg=r), hall_factor (arg=q).
+    hall_factor (arg=q).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -393,7 +373,7 @@ def euler_constant(kind: str, eps: float = 1e-12, arg: int = None) -> ApproxReal
                 val = zeta_em(Fraction(3, 2)) / mp.pi * val
             elif kind == "Cprime":
                 val = zeta_em(Fraction(3, 2)) / (2 * mp.pi) * val
-        elif kind in ("C_beta", "sum_h_d2", "sum_h_d4"):
+        elif kind in ("sum_h_d2", "sum_h_d4"):
             r = _require_arg(arg if arg is not None else 1)
             val, tail = euler_product_mp(kind, r, target_exp)
         else:

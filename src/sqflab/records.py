@@ -31,9 +31,6 @@ class ApproxReal:
         other = as_approx(other)
         return ApproxReal(self.value - other.value, self.abs_err + other.abs_err)
 
-    def __rsub__(self, other: "ApproxReal | float") -> "ApproxReal":
-        return as_approx(other) - self
-
     def __mul__(self, other: "ApproxReal | float") -> "ApproxReal":
         other = as_approx(other)
         err = (abs(self.value) * other.abs_err
@@ -42,27 +39,6 @@ class ApproxReal:
         return ApproxReal(self.value * other.value, err)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "ApproxReal | float") -> "ApproxReal":
-        other = as_approx(other)
-        if abs(other.value) <= other.abs_err:
-            raise ZeroDivisionError("divisor interval contains zero")
-        val = self.value / other.value
-        # |a/b - a0/b0| <= (|a0|*eb + |b0|*ea) / (|b0| * (|b0|-eb))
-        err = ((abs(self.value) * other.abs_err + abs(other.value) * self.abs_err)
-               / (abs(other.value) * (abs(other.value) - other.abs_err)))
-        return ApproxReal(val, err)
-
-    def __neg__(self) -> "ApproxReal":
-        return ApproxReal(-self.value, self.abs_err)
-
-    def sqrt(self) -> "ApproxReal":
-        if self.value < 0:
-            raise ValueError("sqrt of negative value")
-        val = math.sqrt(self.value)
-        lo = max(self.value - self.abs_err, 0.0)
-        err = val - math.sqrt(lo) if self.abs_err else 0.0
-        return ApproxReal(val, err)
 
     def contains(self, x: float) -> bool:
         return abs(x - self.value) <= self.abs_err

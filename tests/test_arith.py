@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqflab.arith import (_SEGMENT, _SPF_LIMIT, _factorize_trial,
                           _spf_table, factorize, is_prime, jacobi_symbol,
-                          mod_inverse, mu_of, multiplicative_profile, phi_of,
+                          mod_inverse, mu_of, phi_of,
                           prime_factors, primes_up_to, squarefree_count,
                           squarefree_counts_by_residue, squarefree_window,
                           tau_of)
@@ -105,10 +105,9 @@ def test_spf_table_is_built_lazily():
 
 
 def test_profile_known_values():
-    prof = multiplicative_profile(factorize(360))  # 2^3 3^2 5
-    assert prof.mu == 0
-    assert prof.phi == 96
-    assert prof.d == 24
+    assert mu_of(360) == 0  # 360 = 2^3 3^2 5
+    assert phi_of(360) == 96
+    assert tau_of(360) == 24
     assert mu_of(1) == 1 and phi_of(1) == 1 and tau_of(1) == 1
     assert prime_factors(84) == (2, 3, 7)
 

@@ -58,7 +58,8 @@ def test_verify_seed_changes_sampled_cells(tmp_path):
                  "--out", str(b)]) == 0
     # sampled (q, m2) cells may differ in count; the fixed cells must agree
     def fixed_counts(path):
-        rows = list(csv.DictReader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert all(r["pass"] == "True" for r in rows if r["mode"] == "assert")
         fixed = ("expsums.gauss_magnitude", "expsums.gauss_zero",
                  "expsums.crt", "expsums.weil")
@@ -88,8 +89,12 @@ def test_bad_arguments_exit_2():
     ["--q", "7", "--precision", "1e-30"],
     ["--q", "7", "--precision", "nan"],
     ["--q", "7", "--out", "/nonexistent-dir/x.csv"],
+    # 10^17 int64 counts are 711 PiB, past any 64-bit address space, so
+    # the request fails without allocating
+    ["--x", "100000000000000000", "--q", "100000000000000000"],
 ], ids=["q-zero", "q-negative", "q-empty", "x-negative", "precision-zero",
-        "precision-unreachable", "precision-nan", "out-unwritable"])
+        "precision-unreachable", "precision-nan", "out-unwritable",
+        "q-unallocatable"])
 def test_bad_input_exits_2_without_traceback(extra, capsys):
     argv = ["scan", "--kind", "variance", "--x", "1000"] + extra
     try:
@@ -123,7 +128,8 @@ def test_scan_correlation_negative_m(tmp_path):
     rc = main(["scan", "--kind", "correlation", "--x", "20000",
                "--q", "97", "--m", "-1", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out, newline="")))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and int(rows[0]["m"]) == -1
     assert float(rows[0]["main_term"]) < 0  # Gamma_an(-1) < 0
 
@@ -135,7 +141,8 @@ def test_scan_skips_bad_moduli(tmp_path, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert "skipping q=500" in err
-    rows = list(csv.DictReader(open(out, newline="")))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [int(r["q"]) for r in rows] == [7]
     # gcd(m, q) > 1 cells are skipped too
     rc = main(["scan", "--kind", "correlation", "--x", "1000",
@@ -148,11 +155,13 @@ def test_scan_croft_and_hooley(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--kind", "croft", "--x", "4000",
                  "--q", "12,30", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out, newline="")))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert all(float(r["ratio"]) > 0 for r in rows)
     assert main(["scan", "--kind", "hooley", "--x", "20000",
                  "--q", "13,101", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out, newline="")))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert all(0 < float(r["max_error_over_envelope"]) < 1.0 for r in rows)
 
 

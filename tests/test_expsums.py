@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab.arith import jacobi_symbol, phi_of
-from sqflab.expsums import (ExpSumValue, crt_factor_check, crt_product,
-                            full_sum_S, gauss_sum, k2_sum, kloosterman_K,
-                            kloosterman_weil_report, s1_literal, s1_sum,
-                            s1_table, s2_gcd_bound, s2_sum, s2_table)
+from sqflab.expsums import (crt_factor_check, crt_product, full_sum_S,
+                            gauss_sum, kloosterman_K, kloosterman_weil_report,
+                            s1_literal, s1_sum, s1_table, s2_gcd_bound, s2_sum,
+                            s2_table)
 
 
 def _e(k, n):
@@ -28,17 +28,16 @@ def _e(k, n):
 
 def test_kloosterman_values_and_symmetry():
     for q in (2, 3, 5, 12, 30):
-        assert kloosterman_K(0, 0, q).value == pytest.approx(phi_of(q))
+        assert kloosterman_K(0, 0, q) == pytest.approx(phi_of(q))
     # x + xbar runs over {2, 0, 0, 3} mod 5
     want = 2 + 2 * math.cos(4 * math.pi / 5)
     got = kloosterman_K(1, 1, 5)
-    assert got.value == pytest.approx(want, abs=1e-12)
-    assert got.kind == "K" and got.modulus == 5
+    assert got == pytest.approx(want, abs=1e-12)
     for (a, b, q) in [(1, 2, 7), (3, 5, 11), (2, 9, 15)]:
         # x -> xbar swaps the roles of a and b; x -> -x conjugates
-        assert kloosterman_K(a, b, q).value == pytest.approx(
-            kloosterman_K(b, a, q).value, abs=1e-10)
-        assert abs(kloosterman_K(a, b, q).im) < 1e-10
+        assert kloosterman_K(a, b, q) == pytest.approx(
+            kloosterman_K(b, a, q), abs=1e-10)
+        assert abs(kloosterman_K(a, b, q).imag) < 1e-10
 
 
 def test_kloosterman_rejections():
@@ -48,32 +47,20 @@ def test_kloosterman_rejections():
         kloosterman_K(1, 1, 10 ** 4 + 1)
 
 
-def test_k2_values():
-    for q in (3, 5, 14):
-        assert k2_sum(0, 0, q).value == pytest.approx(phi_of(q))
-    # x = 1: e((1+1)/3); x = 2: xbar^2 = 1, e((2+1)/3) = 1
-    want = 1 + _e(2, 3)
-    assert k2_sum(1, 1, 3).value == pytest.approx(want, abs=1e-12)
-    for (a, b, q) in [(1, 1, 7), (2, 3, 11), (1, 4, 9)]:
-        lhs = k2_sum(a, b, q).value.conjugate()
-        rhs = k2_sum(-a, -b, q).value
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
 def test_gauss_values():
     for p in (3, 5, 7, 11, 19, 31):
         g1 = gauss_sum(1, p)
-        assert abs(g1.value) == pytest.approx(math.sqrt(p), rel=1e-12)
+        assert abs(g1) == pytest.approx(math.sqrt(p), rel=1e-12)
         # classical evaluation: sqrt(p) or i sqrt(p) by p mod 4
         if p % 4 == 1:
-            assert g1.value == pytest.approx(math.sqrt(p), abs=1e-10)
+            assert g1 == pytest.approx(math.sqrt(p), abs=1e-10)
         else:
-            assert g1.value == pytest.approx(1j * math.sqrt(p), abs=1e-10)
-        assert gauss_sum(0, p).value == pytest.approx(0.0, abs=1e-12)
-        assert gauss_sum(p, p).value == pytest.approx(0.0, abs=1e-12)
+            assert g1 == pytest.approx(1j * math.sqrt(p), abs=1e-10)
+        assert gauss_sum(0, p) == pytest.approx(0.0, abs=1e-12)
+        assert gauss_sum(p, p) == pytest.approx(0.0, abs=1e-12)
         for t in range(1, p):
-            assert gauss_sum(t, p).value == pytest.approx(
-                jacobi_symbol(t, p) * g1.value, abs=1e-10)
+            assert gauss_sum(t, p) == pytest.approx(
+                jacobi_symbol(t, p) * g1, abs=1e-10)
 
 
 def test_gauss_rejections():
@@ -89,6 +76,15 @@ def test_weil_report():
     assert 0.0 < rec.lhs <= 1.0 + 1e-9
     with pytest.raises(ValueError):
         kloosterman_weil_report(10)
+
+
+@pytest.mark.parametrize("p", [13, 53])
+def test_weil_report_matches_literal_kloosterman(p):
+    # the FFT table against the literal sums it stands for
+    worst = max(abs(kloosterman_K(a, b, p))
+                for a in range(1, p) for b in range(1, p))
+    rec = kloosterman_weil_report(p)
+    assert rec.lhs == pytest.approx(worst / (2 * math.sqrt(p)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +110,7 @@ def test_s2_vs_brute():
         for (b, c, d) in [(0, 0, 0), (1, 0, 0), (1, 2, 1), (n - 1, 1, 2)]:
             got = s2_sum(n, q, m2, b, c, d)
             want = _s2_brute(n, q, m2, b, c, d)
-            assert got.value == pytest.approx(want, abs=1e-9), (n, q, m2, b, c, d)
-            assert got.kind == "S2"
+            assert got == pytest.approx(want, abs=1e-9), (n, q, m2, b, c, d)
 
 
 def test_s2_reflection_and_reality():
@@ -125,9 +120,9 @@ def test_s2_reflection_and_reality():
         assert float(np.max(np.abs(tab.imag))) < 1e-9
         for (b, c, d) in [(1, 2, 3), (0, 1, n - 1), (2, 2, 2)]:
             assert tab[b, c, d] == pytest.approx(
-                s2_sum(n, q, m2, b, c, d).value, abs=1e-9)
-            lhs = s2_sum(n, q, m2, b, c, d).value.conjugate()
-            rhs = s2_sum(n, q, m2, -b, -c, -d).value
+                s2_sum(n, q, m2, b, c, d), abs=1e-9)
+            lhs = s2_sum(n, q, m2, b, c, d).conjugate()
+            rhs = s2_sum(n, q, m2, -b, -c, -d)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -142,13 +137,28 @@ def test_s2_bound_exhaustive():
                     assert abs(tab[b, c, d]) <= bound + 1e-9, (n, q, m2, b, c, d)
 
 
+def _s2_envelope(n, m2):
+    """s2_gcd_bound's docstring formula over the whole (b, c, d) cube for
+    n = r^f, cell by cell from math.gcd and math.sqrt."""
+    r = next(k for k in range(2, n + 1) if n % k == 0)
+
+    def cell(g):
+        if n == r:
+            return 2.0 * r * g
+        return (4.0 if r == 2 else 2.0) * n ** 1.5 * math.sqrt(g)
+
+    return np.array([[[cell(math.gcd(n, b, c, d * m2)) for d in range(n)]
+                      for c in range(n)] for b in range(n)])
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 11, 9, 25, 27, 49, 4, 8, 16])
 def test_s2_gcd_bound_array_matches_scalar(n):
     grid = np.arange(n)
-    for m2 in (1, 2, -2):
+    for m2 in (1, 2, -2, 3):
         arr = s2_gcd_bound(n, m2, grid[:, None, None], grid[None, :, None],
                            grid[None, None, :])
         assert arr.shape == (n, n, n)
+        np.testing.assert_allclose(arr, _s2_envelope(n, m2), rtol=1e-12)
         for b in range(n):
             for c in range(n):
                 for d in range(n):
@@ -175,8 +185,8 @@ def test_s2_rejections():
 def test_s1_factored_matches_literal(p, q, m2, b, c, d):
     if m2 == 0 or (m2 * q) % p == 0:
         return
-    lhs = s1_sum(p, q, m2, b, c, d).value
-    rhs = s1_literal(p, q, m2, b, c, d).value
+    lhs = s1_sum(p, q, m2, b, c, d)
+    rhs = s1_literal(p, q, m2, b, c, d)
     assert lhs == pytest.approx(rhs, abs=1e-9 * p ** 1.5 + 1e-12)
 
 
@@ -186,8 +196,8 @@ def test_s1_vanishes_without_gamma_twist():
         for (q, m2, b, c) in [(1, 1, 0, 0), (2, 3, 1, 2), (5, -2, 4, 1)]:
             if (m2 * q) % p == 0:
                 continue
-            assert s1_sum(p, q, m2, b, c, 0).value == pytest.approx(0, abs=1e-10)
-            assert s1_sum(p, q, m2, b, c, p).value == pytest.approx(0, abs=1e-10)
+            assert s1_sum(p, q, m2, b, c, 0) == pytest.approx(0, abs=1e-10)
+            assert s1_sum(p, q, m2, b, c, p) == pytest.approx(0, abs=1e-10)
 
 
 def test_s1_table_and_weil_style_bound():
@@ -197,7 +207,7 @@ def test_s1_table_and_weil_style_bound():
         assert worst <= 2 * p ** 1.5 + 1e-9, (p, q, m2, worst)
         for (b, c, d) in [(0, 0, 1), (1, 2 % p, 3 % p), (p - 1, 0, 2)]:
             assert tab[b, c, d] == pytest.approx(
-                s1_sum(p, q, m2, b, c, d).value, abs=1e-9)
+                s1_sum(p, q, m2, b, c, d), abs=1e-9)
         # parity of the Gauss factor: real for p = 1 (4), imaginary else
         if p % 4 == 1:
             assert float(np.max(np.abs(tab.imag))) < 1e-9
@@ -333,18 +343,3 @@ def test_crt_precondition_rejections():
         full_sum_S(1, 3, 5, 3, 1, 0, 0, 1)  # p1 | q
     with pytest.raises(ValueError):
         full_sum_S(1, 3, 5, 1, 0, 0, 0, 1)  # m2 = 0
-
-
-# ---------------------------------------------------------------------------
-# value container
-# ---------------------------------------------------------------------------
-
-def test_expsumvalue_validation():
-    v = ExpSumValue(3.0, -4.0, 7, "K")
-    assert v.value == 3 - 4j and v.magnitude == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        ExpSumValue(0.0, 0.0, 7, "weird")
-    with pytest.raises(ValueError):
-        ExpSumValue(0.0, 0.0, 1, "K")
-    with pytest.raises(ValueError):
-        ExpSumValue(400.0, 0.0, 7, "K")  # exceeds modulus^3

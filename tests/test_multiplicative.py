@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from sqflab.arith import mu_of, prime_factors, primes_up_to
-from sqflab.multiplicative import (beta_of, euler_constant,
-                                   euler_product_mp, f_q_of,
+from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_of,
                                    f_q_rational_part, f_q_zero,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
                                    gq_product, gq_sum, h_of, h_series_partials,
@@ -19,14 +18,6 @@ from sqflab.multiplicative import (beta_of, euler_constant,
 C_REF = 0.238443361676831696
 
 
-def _divisors(n):
-    out = [1]
-    for p, e in [(p, max(k for k in range(1, 40) if n % p ** k == 0))
-                 for p in prime_factors(n)]:
-        out = [d * p ** j for d in out for j in range(e + 1)]
-    return sorted(out)
-
-
 def test_kappa_values():
     assert kappa(1) == 1
     for p in (2, 3, 5, 13):
@@ -35,12 +26,6 @@ def test_kappa_values():
         assert kappa(p ** 3) == 0
     assert kappa(6) == kappa(2) * kappa(3)
     assert kappa(12) == kappa(4) * kappa(3)
-
-
-def test_h_is_one_convolved_with_beta():
-    for n in range(1, 401):
-        conv = sum(beta_of(d) for d in _divisors(n))
-        assert conv == h_of(n), n
 
 
 def test_h_values():
@@ -184,10 +169,9 @@ def test_euler_constant_reference_values():
 
 
 def test_euler_product_mp_agrees_with_float_path():
-    for kind in ("sum_h_d2", "sum_h_d4", "C_beta"):
+    for kind in ("sum_h_d2", "sum_h_d4"):
         hi, tail = euler_product_mp(kind, r=1)
-        lo = euler_constant(kind if kind != "C_beta" else "C_beta", 1e-12,
-                            arg=1 if kind == "C_beta" else None)
+        lo = euler_constant(kind, 1e-12)
         assert float(hi) == pytest.approx(lo.value, abs=1e-14)
         assert tail < mpf(10) ** -24
 
