@@ -4,9 +4,17 @@ symbols, modular inverses, and a segmented squarefree sieve.
 factorize reads n <= 2^14 off a smallest-prime-factor table built on first
 use; larger n go through trial division, then Miller-Rabin and Pollard rho.
 
+Each sieve segment starts as a rotated copy of a wheel of period
+2^2 3^2 5^2 7^2 = 44,100 with the multiples of those four squares already
+cleared (built on first use).  Primes 11 <= p with p^2 shorter than the
+segment clear their squares' multiples by strided writes; the larger ones hit
+a segment at most once, so their offsets are cleared in one vectorized step.
+
 Residue counts mod q come from q-aligned sieve segments: each segment is a
 whole number of periods q long, so the counts are column sums of the
-segment's flags, with no modulo and no bincount.
+segment's flags, with no modulo and no bincount.  A segment's flags are
+summed as uint8 into int32 column sums (it has at most 2^20 rows, so they
+cannot wrap), which are then added to the int64 counts.
 
 All functions are pure; the shared tables are immutable after first use.
 """
@@ -21,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 _SEGMENT = 1 << 20  # numbers per sieve segment, sized to stay cache-friendly
+_WHEEL = 4 * 9 * 25 * 49  # period of the pre-sieved squares of 2, 3, 5, 7
 
 _prime_table = None  # primes up to _prime_table_limit, grown lazily
 _prime_table_limit = 0
@@ -261,17 +270,38 @@ class SieveWindow:
         return self.lo + np.flatnonzero(self.flags)
 
 
+@lru_cache(maxsize=1)
+def _wheel() -> np.ndarray:
+    """Read-only squarefree flags of 0 <= n < 2 _WHEEL with the multiples of
+    4, 9, 25 and 49 cleared: two periods, so every rotation is one slice."""
+    flags = np.ones(2 * _WHEEL, dtype=bool)
+    for p2 in (4, 9, 25, 49):
+        flags[::p2] = False
+    flags.flags.writeable = False
+    return flags
+
+
 def squarefree_window(lo: int, hi: int) -> SieveWindow:
-    """Sieve the window [lo, hi) by clearing multiples of p^2, p <= sqrt(hi)."""
+    """Sieve the window [lo, hi) by clearing multiples of p^2, p <= sqrt(hi).
+
+    The wheel, rotated to lo mod _WHEEL and tiled, clears p <= 7 (and 0, a
+    multiple of 4).  Primes with p^2 < hi - lo clear by strided writes;
+    every larger p^2 hits the window at most once, at offset (-lo) mod p^2,
+    and all of those offsets are cleared in one fancy-index assignment.
+    """
     if hi <= lo or lo < 0:
         raise ValueError("require 0 <= lo < hi")
-    flags = np.ones(hi - lo, dtype=bool)
-    if lo == 0:
-        flags[0] = False
-    for p in primes_up_to(math.isqrt(max(hi - 1, 0))):
-        p2 = int(p) * int(p)
-        start = (-lo) % p2
-        flags[start::p2] = False
+    length = hi - lo
+    r = lo % _WHEEL
+    flags = np.resize(_wheel()[r : r + _WHEEL], length)
+    primes = primes_up_to(math.isqrt(hi - 1))[4:]  # 2, 3, 5, 7: the wheel
+    split = int(np.searchsorted(primes, math.isqrt(length - 1), side="right"))
+    for p in primes[:split].tolist():
+        p2 = p * p
+        flags[(-lo) % p2 :: p2] = False
+    single = primes[split:]
+    offsets = (-lo) % (single * single)
+    flags[offsets[offsets < length]] = False
     return SieveWindow(lo, hi, flags)
 
 
@@ -289,7 +319,8 @@ def squarefree_counts_by_residue(X: int, q: int) -> np.ndarray:
     The sieve runs over [0, X] (0 is flagged as not squarefree) in segments
     of a whole number of periods q, so every segment starts at a multiple of
     q and the residue of n is its offset within the period.  Each segment's
-    flags, laid out as rows of length q, are added in as column sums; the
+    flags, laid out as rows of length q, are added in as column sums of
+    their uint8 view into int32 (at most _SEGMENT rows, so no wrap); the
     partial last period is added slice-wise.
     """
     if q < 1 or q > X:
@@ -299,6 +330,7 @@ def squarefree_counts_by_residue(X: int, q: int) -> np.ndarray:
     for lo in range(0, X + 1, step):
         flags = squarefree_window(lo, min(lo + step, X + 1)).flags
         full = len(flags) - len(flags) % q
-        counts += flags[:full].reshape(-1, q).sum(axis=0, dtype=np.int64)
+        rows = flags[:full].view(np.uint8).reshape(-1, q)
+        counts += rows.sum(axis=0, dtype=np.int32)
         counts[: len(flags) - full] += flags[full:]
     return counts

@@ -110,7 +110,7 @@ def _dispersion_parts(X: int, q: int, m: int, eps: float):
     M = vec.main_term.value
     E = vec.counts.astype(np.float64) - M
     terms = E[a] * E[partner]
-    direct = math.fsum(terms.tolist())
+    direct = math.fsum(memoryview(terms))
 
     err_m = vec.main_term.abs_err
     err = err_m * float(np.sum(np.abs(E[a]) + np.abs(E[partner]))) \
@@ -186,7 +186,7 @@ def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
         by_gcd[d] = base * q0 / phi_of(q0)
     expected = by_gcd[gcd_table(q)]
     diff = counts - expected
-    value = math.fsum((diff * diff).tolist())
+    value = math.fsum(memoryview(diff * diff))
     err_e = np.abs(expected) * (base_err / base if base > 0 else 0.0) \
         + np.abs(expected) * 3e-16
     err = float(np.sum(2 * np.abs(diff) * err_e + err_e * err_e)) \

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -104,6 +105,15 @@ def test_spf_table_is_built_lazily():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_wheel_is_built_lazily():
+    code = ("import sqflab, sqflab.cli, sqflab.arith as a; "
+            "assert a._wheel.cache_info().currsize == 0; "
+            "a.squarefree_window(0, 10); "
+            "assert a._wheel.cache_info().currsize == 1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_profile_known_values():
     assert mu_of(360) == 0  # 360 = 2^3 3^2 5
     assert phi_of(360) == 96
@@ -156,6 +166,45 @@ def test_squarefree_window_matches_mu():
     assert vals[0] == 1 and vals[-1] <= 2000
 
 
+def _window_oracle(lo, hi):
+    """Squarefree flags of [lo, hi) by clearing every p^2 in turn."""
+    flags = np.ones(hi - lo, dtype=bool)
+    if lo == 0:
+        flags[0] = False
+    for p in primes_up_to(math.isqrt(hi - 1)).tolist():
+        flags[(-lo) % (p * p) :: p * p] = False
+    return flags
+
+
+_PERIOD = 4 * 9 * 25 * 49
+
+
+@pytest.mark.parametrize("length", [1, _PERIOD - 1, _PERIOD, _PERIOD + 1,
+                                    211 ** 2 + 1, _SEGMENT, 2 * _SEGMENT + 3])
+def test_squarefree_window_matches_per_prime_oracle(length):
+    # runs (first lo, last lo), each checked against one oracle window:
+    # lo = 0, 1; m - 1, m, m + 1 for multiples m of the period up to about
+    # 10^12; a random lo; windows that start or end on p^2 for the least
+    # prime that hits at most once and for 999983.  A window of 211^2 + 1
+    # holds two multiples of 211^2, where strided and single-hit clearing meet
+    rng = random.Random(length)
+    multiples = [_PERIOD, _PERIOD * rng.randrange(2, 10 ** 4),
+                 _PERIOD * rng.randrange(10 ** 7, 10 ** 12 // _PERIOD)]
+    runs = [(0, 1), (rng.randrange(10 ** 12),) * 2]
+    runs += [(m - 1, m + 1) for m in multiples]
+    p = math.isqrt(length - 1) + 1
+    while not is_prime(p):
+        p += 1
+    for sq in (p * p, 999983 ** 2):
+        runs += [(sq,) * 2, (sq - length + 1,) * 2]
+    for first, last in runs:
+        ref = _window_oracle(first, last + length)
+        for lo in range(first, last + 1):
+            win = squarefree_window(lo, lo + length)
+            assert np.array_equal(win.flags, ref[lo - first :][:length]), lo
+    assert not squarefree_window(0, length).flags[0]
+
+
 def test_squarefree_count_known_values():
     assert squarefree_count(1) == 1
     assert squarefree_count(10) == 7
@@ -203,6 +252,10 @@ _X3 = 3 * _SEGMENT + 5  # spans four segments for q <= _SEGMENT
     (_X3, 18),                   # 18 divides X + 1
     (_X3, (_X3 + 1) // 2),       # X + 1 = 2q
     (2 * _SEGMENT - 1, _SEGMENT),  # X + 1 = 2q = 2 segments exactly
+    (_X3, 2),                    # divides the wheel period 44100
+    (_X3, 900),                  # divides it
+    (_X3, 44100),                # equals it
+    (_X3, 44101),                # coprime to it
 ])
 def test_counts_by_residue_matches_bincount_oracle(X, q):
     counts = squarefree_counts_by_residue(X, q)

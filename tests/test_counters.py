@@ -155,6 +155,20 @@ def test_croft_variance_vs_brute():
         croft_variance(10, 11)
 
 
+def test_fsum_of_memoryview_equals_fsum_of_list():
+    # the dispersion and Croft sums pass fsum a memoryview of a float64
+    # array instead of its tolist(); fsum is correctly rounded either way
+    rng = np.random.default_rng(8)
+    n = 10 ** 5
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.integers(-30, 31, n) \
+        * rng.random(n)
+    x[::1000] = 1e300
+    x[1::1000] = -1e300
+    exact = math.fsum(x.tolist())
+    assert exact != float(np.sum(x))  # naive summation loses this one
+    assert math.fsum(memoryview(x)) == exact
+
+
 def test_hooley_report_magnitude():
     # report quantity: no theorem constant to assert, but the normalised
     # max error should be order one, not growing
