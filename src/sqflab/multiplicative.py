@@ -58,26 +58,47 @@ def h_of(d: int) -> Fraction:
     return out
 
 
-def gq_sum(l: int, r: int) -> Fraction:
-    """sum over d with d^2 | l, gcd(d,r)=1 of h(d)/d^2, exact."""
-    if l == 0 or r == 0:
-        raise ValueError("gq_sum requires nonzero l and r")
-    total = Fraction(0)
-    for d in _divisors((p, e // 2) for p, e in factorize(abs(l)).factors):
-        if math.gcd(d, r) == 1:
-            total += h_of(d) / (d * d)
-    return total
+def gq_sum(l_max: int, r: int) -> tuple:
+    """Table of sum over d with d^2 | l, gcd(d,r)=1 of h(d)/d^2 for
+    l = 1..l_max, exact: returns (D, num) with value num[l]/D (num[0] is
+    unused).  Built in the dual order: each d <= isqrt(l_max) with
+    gcd(d,r)=1 and h(d) != 0 adds h(d)/d^2, scaled to the common denominator
+    D, to every multiple of d^2.  It reads only h_of, never a prime list, so
+    it stays independent of gq_product, the other side of the identity."""
+    _require_table_args(l_max, r)
+    terms = [(d, h_of(d) / (d * d)) for d in range(1, math.isqrt(l_max) + 1)
+             if math.gcd(d, r) == 1 and h_of(d)]
+    D = math.lcm(*(t.denominator for _, t in terms))
+    num = [0] * (l_max + 1)
+    for d, t in terms:
+        c = t.numerator * (D // t.denominator)
+        for l in range(d * d, l_max + 1, d * d):
+            num[l] += c
+    return D, num
 
 
-def gq_product(l: int, r: int) -> Fraction:
-    """prod over p with p^2 | l, p not dividing r of (p^2-1)/(p^2-2), exact."""
-    if l == 0 or r == 0:
-        raise ValueError("gq_product requires nonzero l and r")
-    out = Fraction(1)
-    for p, e in factorize(abs(l)).factors:
-        if e >= 2 and r % p != 0:
-            out *= Fraction(p * p - 1, p * p - 2)
-    return out
+def gq_product(l_max: int, r: int) -> tuple:
+    """Table of prod over p with p^2 | l, p not dividing r of
+    (p^2-1)/(p^2-2) for l = 1..l_max, exact: returns (num, den) with value
+    num[l]/den[l] (index 0 is unused).  Each prime p <= isqrt(l_max) with
+    p not dividing r multiplies its factor into every multiple of p^2.  It
+    walks primes_up_to and never h(d) or square divisors, so it stays
+    independent of gq_sum, the other side of the identity."""
+    _require_table_args(l_max, r)
+    num = [1] * (l_max + 1)
+    den = [1] * (l_max + 1)
+    for p in primes_up_to(math.isqrt(l_max)).tolist():
+        if r % p:
+            p2 = p * p
+            for l in range(p2, l_max + 1, p2):
+                num[l] *= p2 - 1
+                den[l] *= p2 - 2
+    return num, den
+
+
+def _require_table_args(l_max: int, r: int) -> None:
+    if l_max < 1 or r == 0:
+        raise ValueError("gq tables require l_max >= 1 and nonzero r")
 
 
 def _divisors(factors) -> list:
@@ -233,17 +254,20 @@ _GROWTH_BASE = 2.5     # |series coeff k| <= D * 2.5^k (min root modulus 1/2)
 
 @lru_cache(maxsize=None)
 def _log_series(coeffs: tuple) -> tuple:
-    """Power-series log of 1 + a_1 x + ... (exact Fractions, _SERIES_ORDER)."""
-    a = [Fraction(c) for c in coeffs] + [Fraction(0)] * _SERIES_ORDER
-    if a[0] != 1:
+    """Power-series log of 1 + a_1 x + ... with integer a_i (exact
+    Fractions, _SERIES_ORDER).  With s_k = k * [x^k] log, the Newton
+    recurrence s_k = k a_k - sum_{j>=1} a_j s_(k-j) stays in the integers."""
+    if any(not isinstance(c, int) for c in coeffs):
+        raise ValueError("local factor coefficients must be integers")
+    if not coeffs or coeffs[0] != 1:
         raise ValueError("local factor must have constant term 1")
-    ell = [Fraction(0)] * (_SERIES_ORDER + 1)
+    n = len(coeffs)
+    s = [0] * (_SERIES_ORDER + 1)
     for k in range(1, _SERIES_ORDER + 1):
-        acc = k * a[k]
-        for j in range(1, k):
-            acc -= j * ell[j] * a[k - j]
-        ell[k] = Fraction(acc, k)
-    return tuple(ell)
+        s[k] = (k * coeffs[k] if k < n else 0) \
+            - sum(coeffs[j] * s[k - j] for j in range(1, min(k, n)))
+    return (Fraction(0),) + tuple(Fraction(s[k], k)
+                                  for k in range(1, _SERIES_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -256,10 +280,15 @@ class LocalFactorFn:
     den: tuple
 
     def factor(self, p: int) -> Fraction:
-        x = Fraction(1, p)
-        num = sum(Fraction(c) * x**i for i, c in enumerate(self.num))
-        den = sum(Fraction(c) * x**i for i, c in enumerate(self.den))
-        return num / den
+        """num(1/p)/den(1/p), each polynomial evaluated by integer Horner
+        as p^-deg times an integer."""
+        num = den = 0
+        for c in self.num:
+            num = num * p + c
+        for c in self.den:
+            den = den * p + c
+        return Fraction(num * p ** (len(self.den) - 1),
+                        den * p ** (len(self.num) - 1))
 
 
 LOCAL_FACTORS = {
@@ -481,7 +510,15 @@ def h_series_partials(r: int) -> tuple:
 def identity_suite(m_max: int, r_max: int) -> list:
     """Exact identity battery: the three kappa-mu sums against their product
     forms for squarefree m <= m_max; the two h-series against their Euler
-    products for r <= r_max; and the gcd-restricted h(d)/d^2 identity."""
+    products for r <= r_max; and the gcd-restricted h(d)/d^2 identity.
+
+    The last is checked for r in (1, 2, 6, 30) at every l <= 10^4, squarefree
+    l included, from one gq_sum and one gq_product table per r: l passes
+    when num[l] * den[l] == D * num'[l] in integers.  The sum table is the
+    literal divisor sum and the product table the literal Euler product, so
+    a fault in one side cannot hide in the other.  A "gq.exact" record
+    counts the failing l and names the smallest as first_failure (0 if
+    none)."""
     if m_max < 1 or r_max < 1:
         raise ValueError("m_max and r_max must be >= 1")
     records = []
@@ -506,15 +543,15 @@ def identity_suite(m_max: int, r_max: int) -> list:
             "products.h_d2", {"r": r}, s2, p2.value, tail2 + p2.abs_err + 1e-12))
         records.append(VerificationRecord.checked(
             "products.h_d4", {"r": r}, s4, p4.value, tail4 + p4.abs_err + 1e-12))
+    l_max = 10**4
     for r in (1, 2, 6, 30):
-        bad = 0
-        first_bad = 0
-        for l in range(1, 10**4 + 1):
-            if gq_sum(l, r) != gq_product(l, r):
-                bad += 1
-                if not first_bad:
-                    first_bad = l
+        D, sum_num = gq_sum(l_max, r)
+        prod_num, prod_den = gq_product(l_max, r)
+        bad = [l for l in range(1, l_max + 1)
+               if sum_num[l] * prod_den[l] != D * prod_num[l]]
+        del sum_num, prod_num, prod_den  # one r's big-int lists at a time
         records.append(VerificationRecord(
-            "gq.exact", {"r": r, "l_max": 10**4, "first_failure": first_bad},
-            float(bad), 0.0, 0.0, "assert", bad == 0))
+            "gq.exact", {"r": r, "l_max": l_max,
+                         "first_failure": bad[0] if bad else 0},
+            float(len(bad)), 0.0, 0.0, "assert", not bad))
     return records

@@ -1,17 +1,21 @@
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from sqflab.arith import mu_of, prime_factors, primes_up_to
-from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_of,
+from sqflab import multiplicative
+from sqflab.arith import factorize, mu_of, prime_factors, primes_up_to
+from sqflab.multiplicative import (LOCAL_FACTORS, euler_constant,
+                                   euler_product_mp, f_q_of,
                                    f_q_rational_part, f_q_zero,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
                                    gq_product, gq_sum, h_of, h_series_partials,
                                    identity_suite, kappa, kappa_mu_products,
-                                   kappa_mu_sums, zeta_em, _h_table)
+                                   kappa_mu_sums, zeta_em, _divisors, _h_table,
+                                   _log_series, _SERIES_ORDER)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
 # by two independent extraction depths and a 2*10^6-prime direct log sum
@@ -42,11 +46,131 @@ def test_h_of_cache_still_rejects_zero():
             h_of(0)
 
 
-@given(st.integers(min_value=1, max_value=10 ** 5),
-       st.sampled_from([1, 2, 6, 30]))
-@settings(max_examples=300, deadline=None)
-def test_gq_sum_equals_product(l, r):
-    assert gq_sum(l, r) == gq_product(l, r)
+# literal scalar oracles of the gq tables: one l at a time, from l's
+# factorization
+
+def _gq_sum_oracle(l, r):
+    """sum over d with d^2 | l, gcd(d,r)=1 of h(d)/d^2, exact."""
+    total = Fraction(0)
+    for d in _divisors((p, e // 2) for p, e in factorize(l).factors):
+        if math.gcd(d, r) == 1:
+            total += h_of(d) / (d * d)
+    return total
+
+
+def _gq_product_oracle(l, r):
+    """prod over p with p^2 | l, p not dividing r of (p^2-1)/(p^2-2), exact."""
+    out = Fraction(1)
+    for p, e in factorize(l).factors:
+        if e >= 2 and r % p != 0:
+            out *= Fraction(p * p - 1, p * p - 2)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gq_oracle_values(l_max, r):
+    return ([_gq_sum_oracle(l, r) for l in range(1, l_max + 1)],
+            [_gq_product_oracle(l, r) for l in range(1, l_max + 1)])
+
+
+def _gq_table_values(l_max, r):
+    """Both tables as exact values for l = 1..l_max."""
+    D, sum_num = gq_sum(l_max, r)
+    prod_num, prod_den = gq_product(l_max, r)
+    assert len(sum_num) == len(prod_num) == len(prod_den) == l_max + 1
+    return ([Fraction(n, D) for n in sum_num[1:]],
+            [Fraction(n, d) for n, d in zip(prod_num[1:], prod_den[1:])])
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 6, 12, 30, 49])
+def test_gq_tables_match_scalar_oracles(r):
+    sums, prods = _gq_table_values(3000, r)
+    oracle_sums, oracle_prods = _gq_oracle_values(3000, r)
+    assert sums == oracle_sums
+    assert prods == oracle_prods
+
+
+@pytest.mark.parametrize("l_max", [1, 3, 4, 99, 100, 101, 10**4])
+@pytest.mark.parametrize("r", [1, 6])
+def test_gq_tables_at_boundary_l_max(l_max, r):
+    sums, prods = _gq_table_values(l_max, r)
+    oracle_sums, oracle_prods = _gq_oracle_values(10**4, r)
+    assert sums == oracle_sums[:l_max]
+    assert prods == oracle_prods[:l_max]
+
+
+@pytest.mark.parametrize("table", [gq_sum, gq_product])
+@pytest.mark.parametrize("l_max, r", [(0, 1), (-5, 6), (10, 0), (0, 0)])
+def test_gq_tables_reject_bad_arguments(table, l_max, r):
+    with pytest.raises(ValueError):
+        table(l_max, r)
+
+
+def test_gq_sum_equals_product():
+    l_max = 10**5
+    for r in (1, 2, 6, 30):
+        D, sum_num = gq_sum(l_max, r)
+        prod_num, prod_den = gq_product(l_max, r)
+        bad = [l for l in range(1, l_max + 1)
+               if sum_num[l] * prod_den[l] != D * prod_num[l]]
+        assert bad == [], r
+
+
+@pytest.mark.parametrize("side", ["gq_sum", "gq_product"])
+def test_gq_exact_record_reports_injected_faults(monkeypatch, side):
+    table = getattr(multiplicative, side)
+
+    def faulty(l_max, r):
+        out = table(l_max, r)
+        if r == 6:  # out[1]: the sum's numerators or the product's denominators
+            for l in (50, 7, 9999):
+                out[1][l] += 1
+        return out
+
+    monkeypatch.setattr(multiplicative, side, faulty)
+    records = [rec for rec in identity_suite(m_max=1, r_max=1)
+               if rec.check_id == "gq.exact"]
+    assert [rec.params["r"] for rec in records] == [1, 2, 6, 30]
+    for rec in records:
+        if rec.params["r"] == 6:
+            assert (rec.lhs, rec.params["first_failure"], rec.passed) \
+                == (3.0, 7, False)
+        else:
+            assert (rec.lhs, rec.params["first_failure"], rec.passed) \
+                == (0.0, 0, True)
+
+
+def _log_series_oracle(coeffs):
+    """The Fraction form of the log-series recurrence."""
+    a = [Fraction(c) for c in coeffs] + [Fraction(0)] * _SERIES_ORDER
+    ell = [Fraction(0)] * (_SERIES_ORDER + 1)
+    for k in range(1, _SERIES_ORDER + 1):
+        acc = k * a[k]
+        for j in range(1, k):
+            acc -= j * ell[j] * a[k - j]
+        ell[k] = Fraction(acc, k)
+    return tuple(ell)
+
+
+def test_log_series_matches_fraction_recurrence():
+    rng = random.Random(20141)
+    polys = [poly for lf in LOCAL_FACTORS.values() for poly in (lf.num, lf.den)]
+    polys += [(1,) + tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
+              for _ in range(8)]
+    for poly in polys:
+        assert _log_series(poly) == _log_series_oracle(poly), poly
+    for bad in [(), (2, 1), (0, 1), (1, Fraction(1, 2)), (1, 0.5)]:
+        with pytest.raises(ValueError):
+            _log_series(bad)
+
+
+def test_local_factor_matches_fraction_evaluation():
+    for lf in LOCAL_FACTORS.values():
+        for p in primes_up_to(10**4).tolist():
+            x = Fraction(1, p)
+            num = sum(Fraction(c) * x**i for i, c in enumerate(lf.num))
+            den = sum(Fraction(c) * x**i for i, c in enumerate(lf.den))
+            assert lf.factor(p) == num / den, (lf.name, p)
 
 
 def test_gamma_an_values():
