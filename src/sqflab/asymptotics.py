@@ -23,8 +23,9 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .arith import phi_of, prime_factors, primes_up_to, require_mq
-from .multiplicative import (_WORK_PREC, euler_constant, euler_product_mp,
-                             f_q_zero, gamma_an, gamma_ar, h_of, zeta_em)
+from .multiplicative import (MAX_ABS_ERR, _WORK_PREC, _local_product,
+                             euler_constant, euler_product_mp, f_q_zero,
+                             gamma_an, gamma_ar, h_of, zeta_em)
 from .records import ApproxReal
 
 
@@ -94,7 +95,7 @@ def _psi1_mp(x):
     return (frac - frac * frac) / 2
 
 
-def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
+def G_of(Y: float, r: int, D: int = None) -> ApproxReal:
     """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): exact head d <= D
     (default ceil(Y^(2/3))) plus the d > D tail Y/(2d^2) - Y^2/(2d^4) summed
     in closed form (the sum_h_d2 / sum_h_d4 Euler products minus their
@@ -128,17 +129,15 @@ def G_of(Y: float, r: int, eps: float = 1e-12, D: int = None) -> ApproxReal:
         value = head + tail
         err = float(Ym / 2 * H2 * t2 + Ym * Ym / 2 * H4 * t4
                     + (abs(value) + Ym * Ym) * mpf(2) ** (40 - _WORK_PREC))
-        if err > eps:
-            raise ArithmeticError(f"G tail bound {err} exceeds eps={eps}")
+        if err > MAX_ABS_ERR:
+            raise ArithmeticError(f"G tail bound {err} exceeds {MAX_ABS_ERR}")
         return ApproxReal(float(value), err)
 
 
-def G_main_term(Y: float, r: int, eps: float = 1e-12) -> ApproxReal:
+def G_main_term(Y: float, r: int) -> ApproxReal:
     """C' prod_{p|r} (1 + p/(p^2-2))^(-1) sqrt(Y)."""
-    cp = euler_constant("Cprime", eps)
-    rat = Fraction(1)
-    for p in prime_factors(r):
-        rat *= Fraction(p * p - 2, p * p + p - 2)
+    cp = euler_constant("Cprime")
+    rat = _local_product(r, lambda p: Fraction(p * p - 2, p * p + p - 2))
     scale = float(rat) * math.sqrt(Y)
     return ApproxReal(cp.value * scale, cp.abs_err * scale + abs(cp.value) * scale * 1e-15)
 
@@ -173,7 +172,7 @@ def _f_rational_array(N: int, m: int, q: int) -> np.ndarray:
     return arr
 
 
-def frakS_exact(Y: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
+def frakS_exact(Y: float, q: int, m: int) -> ApproxReal:
     """frakS[m](Y,q) = sum_{0 < l <= Y} f_q(l,m) (Y - l), by direct
     summation of the vectorized f_q values."""
     require_mq(m, q)
@@ -182,7 +181,7 @@ def frakS_exact(Y: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     N = int(math.floor(Y))
     if N < 1:
         return ApproxReal(0.0, 0.0)
-    c2 = euler_constant("C2", eps)
+    c2 = euler_constant("C2")
     arr = _f_rational_array(N, m, q)
     l = np.arange(N + 1, dtype=np.float64)
     weighted = float(np.sum(arr * (Y - l)))
@@ -205,7 +204,7 @@ class MainTermBreakdown:
                 + self.half_power.value * math.sqrt(Y))
 
 
-def frakS_formula(Y: float, q: int, m: int, eps: float = 1e-12) -> MainTermBreakdown:
+def frakS_formula(Y: float, q: int, m: int) -> MainTermBreakdown:
     """Main-term coefficients for frakS[m](Y,q):
     (1/2)(phi(q)/q) C(q)^2, (1/2)(phi(|m|q)/(|m|q)) C(|m|q) (entering with a
     minus sign), and (C/2) Gamma_ar(m) prod_{p|q}(1+2/p)^(-1).  The halves
@@ -213,13 +212,13 @@ def frakS_formula(Y: float, q: int, m: int, eps: float = 1e-12) -> MainTermBreak
     what the decomposition identity and the remainder scaling require.
     gamma_ar rejects m that is not squarefree."""
     require_mq(m, q)
-    cq = euler_constant("C_of_q", eps, arg=q)
+    cq = euler_constant("C_of_q", arg=q)
     quadratic = cq * cq * float(Fraction(phi_of(q), 2 * q))
     mq = abs(m) * q
-    cmq = euler_constant("C_of_q", eps, arg=mq)
+    cmq = euler_constant("C_of_q", arg=mq)
     linear = cmq * float(Fraction(phi_of(mq), 2 * mq))
-    c_half = euler_constant("C", eps) * 0.5
-    hall = euler_constant("hall_factor", eps, arg=q)
+    c_half = euler_constant("C") * 0.5
+    hall = euler_constant("hall_factor", arg=q)
     half_power = c_half * gamma_ar(m) * hall
     return MainTermBreakdown(quadratic, linear, half_power)
 
@@ -228,7 +227,7 @@ def frakS_formula(Y: float, q: int, m: int, eps: float = 1e-12) -> MainTermBreak
 # A[m](X, q)
 # ---------------------------------------------------------------------------
 
-def A_exact(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
+def A_exact(X: float, q: int, m: int) -> ApproxReal:
     """A[m](X,q) = sum over l of f_q(l,m) |I(l)|, summed directly over the
     support |l| <= (|m|+1) X / q, using f_q(-l) = f_q(l)."""
     require_mq(m, q, X)
@@ -251,15 +250,15 @@ def A_exact(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
         lengths = len_pos
         lengths[0] = 0.0
         zero_len = 0.0
-    c2 = euler_constant("C2", eps)
+    c2 = euler_constant("C2")
     weighted = float(np.sum(arr * lengths))
-    f0 = f_q_zero(m, q, eps)
+    f0 = f_q_zero(m, q)
     value = c2.value * weighted + f0.value * zero_len
     err = c2.abs_err * weighted + f0.abs_err * zero_len + abs(value) * 2e-14
     return ApproxReal(value, err)
 
 
-def A_decomposition(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
+def A_decomposition(X: float, q: int, m: int) -> ApproxReal:
     """The frakS-decomposition path for A[m](X,q): an exact algebraic
     rearrangement of A_exact, evaluated independently."""
     require_mq(m, q, X)
@@ -267,10 +266,10 @@ def A_decomposition(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     def S(Y: float) -> ApproxReal:
         if Y <= 0:
             return ApproxReal(0.0, 0.0)
-        return frakS_exact(Y, q, m, eps)
+        return frakS_exact(Y, q, m)
 
     if m > 0:
-        f0 = f_q_zero(m, q, eps)
+        f0 = f_q_zero(m, q)
         bracket = S(X / q) - S((m - 1) * X / q) + S(m * X / q)
         term0 = ApproxReal(f0.value * X / m, f0.abs_err * X / m)
         return term0 + bracket * (q / m)
@@ -278,10 +277,10 @@ def A_decomposition(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
     return bracket * (q / m)
 
 
-def A_formula(X: float, q: int, m: int, eps: float = 1e-12) -> ApproxReal:
+def A_formula(X: float, q: int, m: int) -> ApproxReal:
     """phi(q) (C(q) X/q)^2 + (C/2) Gamma_an(m) Gamma_ar(m)
     prod_{p|q}(1+2/p)^(-1) sqrt(Xq): the S_main of theorem_main_terms."""
-    return theorem_main_terms(X, q, m, eps).S_main
+    return theorem_main_terms(X, q, m).S_main
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +293,16 @@ class TheoremMainTerms:
     M2_main: ApproxReal
 
 
-def theorem_main_terms(X: float, q: int, m: int, eps: float = 1e-12) -> TheoremMainTerms:
+def theorem_main_terms(X: float, q: int, m: int) -> TheoremMainTerms:
     """Main terms of the correlation and double-sum asymptotics:
     M2_main = (C/2) Gamma_an Gamma_ar prod_{p|q}(1+2/p)^(-1) sqrt(Xq) and
     S_main = phi(q) (C(q) X/q)^2 + M2_main.  The quadratic coefficient
     phi(q) (not phi(q)/2) is the one the dispersion identity and the exact
     S oracle confirm.  gamma_ar rejects m that is not squarefree."""
     require_mq(m, q, X)
-    m2 = euler_constant("C", eps) * 0.5 * gamma_an(m) * gamma_ar(m) \
-        * euler_constant("hall_factor", eps, arg=q) * math.sqrt(X * q)
-    cq = euler_constant("C_of_q", eps, arg=q)
+    m2 = euler_constant("C") * 0.5 * gamma_an(m) * gamma_ar(m) \
+        * euler_constant("hall_factor", arg=q) * math.sqrt(X * q)
+    cq = euler_constant("C_of_q", arg=q)
     s_main = cq * cq * (phi_of(q) * (X / q) ** 2) + m2
     return TheoremMainTerms(s_main, m2)
 

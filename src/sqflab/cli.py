@@ -26,18 +26,18 @@ _FLOAT_FMT = "%.17g"
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _suite_identities(seed: int, eps: float) -> list:
+def _suite_identities(seed: int) -> list:
     records = multiplicative.identity_suite(m_max=80, r_max=40)
     X = 20000
     for q in (7, 97, 100, 1009):
         for m in (1, -1, 2, 3, -5):
             if math.gcd(abs(m), q) != 1:
                 continue
-            records.append(counters.dispersion_check(X, q, m, eps))
+            records.append(counters.dispersion_check(X, q, m))
     return records
 
 
-def _suite_expsums(seed: int, eps: float) -> list:
+def _suite_expsums(seed: int) -> list:
     rng = random.Random(seed)
     records = []
     qm_pool = [(1, 1), (2, 3), (5, -2), (12, 7), (4, -6)]
@@ -103,7 +103,7 @@ def _suite_expsums(seed: int, eps: float) -> list:
     return records
 
 
-def _suite_asymptotics(seed: int, eps: float) -> list:
+def _suite_asymptotics(seed: int) -> list:
     records = []
     for s in (0.5, 1.0, 1.5):
         lim = asymptotics.psi_mellin_limit(s)
@@ -118,23 +118,23 @@ def _suite_asymptotics(seed: int, eps: float) -> list:
 
     ratios = []
     for (m, q) in mq:
-        bd = asymptotics.frakS_formula(1.0, q, m, eps)
+        bd = asymptotics.frakS_formula(1.0, q, m)
         for Y in (100.0, 300.0, 1000.0):
-            ex = asymptotics.frakS_exact(Y, q, m, eps).value
+            ex = asymptotics.frakS_exact(Y, q, m).value
             ratios.append(abs(ex - bd.at(Y)) / (tau_of(q) * Y ** (1 / 3)))
     c_s = asymptotics.calibration_constant(ratios)
     for (m, q) in mq:
-        bd = asymptotics.frakS_formula(1.0, q, m, eps)
+        bd = asymptotics.frakS_formula(1.0, q, m)
         for Y in (1e4, 1e5):
-            ex = asymptotics.frakS_exact(Y, q, m, eps).value
+            ex = asymptotics.frakS_exact(Y, q, m).value
             records.append(VerificationRecord.checked(
                 "asymptotics.frakS_envelope", {"m": m, "q": q, "Y": Y, "c": c_s},
                 abs(ex - bd.at(Y)), 0.0, c_s * tau_of(q) * Y ** (1 / 3)))
 
     for (m, q) in mq:
         for X in (2000.0, 10000.0):
-            a = asymptotics.A_exact(X, q, m, eps)
-            d = asymptotics.A_decomposition(X, q, m, eps)
+            a = asymptotics.A_exact(X, q, m)
+            d = asymptotics.A_decomposition(X, q, m)
             records.append(VerificationRecord.checked(
                 "asymptotics.A_decomposition", {"m": m, "q": q, "X": X},
                 a.value, d.value, 1e-9 * abs(a.value)))
@@ -142,14 +142,14 @@ def _suite_asymptotics(seed: int, eps: float) -> list:
     ratios = []
     for (m, q) in mq:
         for X in (1000.0, 10000.0):
-            a = asymptotics.A_exact(X, q, m, eps).value
-            f = asymptotics.A_formula(X, q, m, eps).value
+            a = asymptotics.A_exact(X, q, m).value
+            f = asymptotics.A_formula(X, q, m).value
             ratios.append(abs(a - f) / (tau_of(q) * X ** (1 / 3) * q ** (2 / 3)))
     c_a = asymptotics.calibration_constant(ratios)
     for (m, q) in mq:
         X = 1e5
-        a = asymptotics.A_exact(X, q, m, eps).value
-        f = asymptotics.A_formula(X, q, m, eps).value
+        a = asymptotics.A_exact(X, q, m).value
+        f = asymptotics.A_formula(X, q, m).value
         records.append(VerificationRecord.checked(
             "asymptotics.A_envelope", {"m": m, "q": q, "X": X, "c": c_a},
             abs(a - f), 0.0, c_a * tau_of(q) * X ** (1 / 3) * q ** (2 / 3)))
@@ -157,14 +157,14 @@ def _suite_asymptotics(seed: int, eps: float) -> list:
     ratios = []
     for r in (1, 2, 6, 15):
         for Y in (100.0, 300.0, 1000.0):
-            g = asymptotics.G_of(Y, r, eps)
-            main = asymptotics.G_main_term(Y, r, eps)
+            g = asymptotics.G_of(Y, r)
+            main = asymptotics.G_main_term(Y, r)
             ratios.append(abs(g.value - main.value) / (tau_of(r) * Y ** (1 / 3)))
     c_g = asymptotics.calibration_constant(ratios)
     for r in (1, 2, 6, 15):
         for Y in (1e4, 1e5):
-            g = asymptotics.G_of(Y, r, eps)
-            main = asymptotics.G_main_term(Y, r, eps)
+            g = asymptotics.G_of(Y, r)
+            main = asymptotics.G_main_term(Y, r)
             records.append(VerificationRecord.checked(
                 "asymptotics.G_envelope", {"r": r, "Y": Y, "c": c_g},
                 abs(g.value - main.value), 0.0, c_g * tau_of(r) * Y ** (1 / 3)))
@@ -178,14 +178,14 @@ _SUITES = {
 }
 
 
-def run_verify(suite: str, seed: int, eps: float) -> list:
+def run_verify(suite: str, seed: int) -> list:
     if suite == "all":
         names = list(_SUITES)
     else:
         names = [suite]
     records = []
     for name in names:
-        records.extend(_SUITES[name](seed, eps))
+        records.extend(_SUITES[name](seed))
     return records
 
 
@@ -193,7 +193,7 @@ def run_verify(suite: str, seed: int, eps: float) -> list:
 # scans
 # ---------------------------------------------------------------------------
 
-def _scan_rows(kind: str, X: int, q_list: list, m: int, eps: float) -> list:
+def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
     rows = []
     for q in sorted(q_list):
         if q > X:
@@ -204,8 +204,8 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int, eps: float) -> list:
             if math.gcd(abs(mm), q) != 1:
                 print(f"warning: skipping q={q}, gcd(m,q)>1", file=sys.stderr)
                 continue
-            res = counters.variance_M2(X, q, mm, eps)
-            main = asymptotics.theorem_main_terms(float(X), q, mm, eps)
+            res = counters.variance_M2(X, q, mm)
+            main = asymptotics.theorem_main_terms(float(X), q, mm)
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": mm,
                 "exact": res.M2_exact.value, "abs_err": res.M2_exact.abs_err,
@@ -215,7 +215,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int, eps: float) -> list:
                 "dispersion_residual": res.decomposition_residual,
             })
         elif kind == "croft":
-            v = counters.croft_variance(X, q, eps)
+            v = counters.croft_variance(X, q)
             scale = X * math.sqrt(q)
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
@@ -225,7 +225,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int, eps: float) -> list:
         elif kind == "hooley":
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
-                "max_error_over_envelope": counters.hooley_report(X, q, eps),
+                "max_error_over_envelope": counters.hooley_report(X, q),
             })
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
@@ -272,7 +272,6 @@ def main(argv=None) -> int:
     pv.add_argument("--suite", choices=["identities", "expsums", "asymptotics", "all"],
                     default="all")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--precision", type=float, default=1e-12)
     pv.add_argument("--format", choices=["csv", "json"], default="csv")
     pv.add_argument("--out", default=None)
 
@@ -283,13 +282,10 @@ def main(argv=None) -> int:
     ps.add_argument("--q", required=True,
                     help="comma-separated list of moduli")
     ps.add_argument("--m", type=int, default=1)
-    ps.add_argument("--precision", type=float, default=1e-12)
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
     ps.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if not (math.isfinite(args.precision) and args.precision > 0):
-        parser.error("--precision must be a positive finite number")
     if args.command == "scan":
         if args.x < 1:
             parser.error("--x must be a positive integer")
@@ -304,14 +300,14 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            records = run_verify(args.suite, args.seed, args.precision)
+            records = run_verify(args.suite, args.seed)
             rows = [r.as_dict() for r in records]
             failures = [r for r in records if r.mode == "assert" and not r.passed]
             status = 1 if failures else 0
             summary = (f"suite={args.suite} records={len(records)} "
                        f"failures={len(failures)}")
         else:
-            rows = _scan_rows(args.kind, args.x, q_list, args.m, args.precision)
+            rows = _scan_rows(args.kind, args.x, q_list, args.m)
             status = 0
             summary = f"kind={args.kind} rows={len(rows)}"
     except (ValueError, ArithmeticError, MemoryError) as exc:

@@ -62,10 +62,10 @@ class ResidueErrorVector:
             - self.main_term.value
 
 
-def error_vector(X: int, q: int, eps: float = 1e-12) -> ResidueErrorVector:
+def error_vector(X: int, q: int) -> ResidueErrorVector:
     """Counts from the segmented sieve plus the main term C(q) X/q."""
     counts = squarefree_counts_by_residue(X, q)
-    cq = euler_constant("C_of_q", eps, arg=q)
+    cq = euler_constant("C_of_q", arg=q)
     main = ApproxReal(cq.value * X / q, cq.abs_err * X / q)
     return ResidueErrorVector(X, q, counts, main)
 
@@ -80,7 +80,7 @@ class CorrelationResult:
     decomposition_residual: float
 
 
-def double_sum_S(X: int, q: int, m: int, eps: float = 1e-12) -> int:
+def double_sum_S(X: int, q: int, m: int) -> int:
     """S[m](X,q) = #{(n1,n2) <= X squarefree, coprime to q, m n1 = n2 (q)},
     via the residue-count reindexing sum_a* cnt(a) cnt(ma mod q)."""
     require_mq(m, q)
@@ -100,11 +100,11 @@ def _double_sum_from_counts(c: np.ndarray, c_partner: np.ndarray) -> int:
     return sum(x * y for x, y in zip(c.tolist(), c_partner.tolist()))
 
 
-def _dispersion_parts(X: int, q: int, m: int, eps: float):
+def _dispersion_parts(X: int, q: int, m: int):
     """(direct M2 as ApproxReal, reassembled M2, exact S, comparison scale)
     for one cell."""
     require_mq(m, q)
-    vec = error_vector(X, q, eps)
+    vec = error_vector(X, q)
     a = vec.coprime_residues
     partner = (m * a) % q
     M = vec.main_term.value
@@ -125,10 +125,10 @@ def _dispersion_parts(X: int, q: int, m: int, eps: float):
     return m2, reassembled, S, scale
 
 
-def variance_M2(X: int, q: int, m: int, eps: float = 1e-12) -> CorrelationResult:
+def variance_M2(X: int, q: int, m: int) -> CorrelationResult:
     """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma), together with
     the exact double sum and the dispersion-identity residual."""
-    m2, reassembled, S, scale = _dispersion_parts(X, q, m, eps)
+    m2, reassembled, S, scale = _dispersion_parts(X, q, m)
     residual = abs(m2.value - reassembled) / scale
     return CorrelationResult(X, q, m, S, m2, residual)
 
@@ -140,9 +140,9 @@ def _reassemble_m2(S: int, coprime_count: int, phi: int, M: float) -> float:
     return float(S - 2 * fm * coprime_count + phi * fm * fm)
 
 
-def dispersion_check(X: int, q: int, m: int, eps: float = 1e-12) -> VerificationRecord:
+def dispersion_check(X: int, q: int, m: int) -> VerificationRecord:
     """The dispersion identity: direct M2 against S - 2 C(q)(X/q) Q + phi M^2."""
-    m2, reassembled, S, scale = _dispersion_parts(X, q, m, eps)
+    m2, reassembled, S, scale = _dispersion_parts(X, q, m)
     return VerificationRecord.checked(
         "counters.dispersion", {"X": X, "q": q, "m": m, "S": S},
         m2.value, reassembled, 1e-8 * scale)
@@ -163,13 +163,13 @@ def pair_enumeration_S(X: int, q: int, m: int) -> int:
 # Croft's all-classes variance and the Hooley envelope report
 # ---------------------------------------------------------------------------
 
-def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
+def croft_variance(X: int, q: int) -> ApproxReal:
     """Sum over all residues a mod q of (count(a) - expected(a))^2 with the
     class-dependent expected value
     mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
     d = gcd(a,q), q0 = q/d."""
     counts = squarefree_counts_by_residue(X, q).astype(np.float64)
-    six_over_pi2 = euler_constant("C_of_q", eps, arg=1)
+    six_over_pi2 = euler_constant("C_of_q", arg=1)
     hq = 1.0
     for p in prime_factors(q):
         hq *= p / (p + 1.0)
@@ -194,10 +194,10 @@ def croft_variance(X: int, q: int, eps: float = 1e-12) -> ApproxReal:
     return ApproxReal(value, err)
 
 
-def hooley_report(X: int, q: int, eps: float = 1e-12) -> float:
+def hooley_report(X: int, q: int) -> float:
     """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)); the bound's constant is
     unspecified, so this is a report quantity, never asserted."""
-    vec = error_vector(X, q, eps)
+    vec = error_vector(X, q)
     emax = float(np.max(np.abs(vec.errors_array())))
     return emax / (math.sqrt(X / q) + math.sqrt(q))
 

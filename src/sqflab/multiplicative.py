@@ -4,8 +4,9 @@ Euler-product constants with rigorous truncation-error bounds.
 Infinite products over primes are evaluated by zeta-factor acceleration:
 the local factor f(p) = num(1/p)/den(1/p) is rewritten as
 prod_k zeta(k)^{-e_k} times a residual local factor r(p) = 1 + O(p^-(J+1)),
-so a short truncated product meets a 1e-12 error target.  zeta itself is
-computed in-house by Euler-Maclaurin summation in extended precision.
+so the product truncated at the fixed P = 1000 carries a rigorous tail
+bound far below double precision.  zeta itself is computed in-house by
+Euler-Maclaurin summation in extended precision.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .arith import (factorize, mu_of, phi_of, prime_factors, primes_up_to,
                     require_mq, squarefree_window)
 from .records import ApproxReal, VerificationRecord
 
-_WORK_PREC = 180  # bits; leaves ~40 guard digits below the 1e-12 default eps
+_WORK_PREC = 180  # bits; leaves ~40 guard digits below MAX_ABS_ERR
+MAX_ABS_ERR = 1e-13  # a constant or G value whose error bound exceeds this raises
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +161,22 @@ def f_q_rational_part(l: int, m: int, q: int) -> Fraction:
     return out
 
 
-def f_q_of(l: int, m: int, q: int, eps: float = 1e-12) -> ApproxReal:
+def f_q_of(l: int, m: int, q: int) -> ApproxReal:
     """f_q(l, m) for l != 0: C_2 times an exact rational local product;
     the error bound comes only from the C_2 truncation."""
     rat = f_q_rational_part(l, m, q)
-    c2 = euler_constant("C2", eps)
+    c2 = euler_constant("C2")
     val = c2.value * float(rat)
     err = c2.abs_err * float(abs(rat)) + abs(val) * 1e-15
     return ApproxReal(val, err)
 
 
-def f_q_zero(m: int, q: int, eps: float = 1e-12) -> ApproxReal:
+def f_q_zero(m: int, q: int) -> ApproxReal:
     """f_q(0, m) via the closed form phi(|m|q)/(|m|q) * C(|m|q)."""
     require_mq(m, q)
     mq = abs(m) * q
     rat = Fraction(phi_of(mq), mq)
-    c = euler_constant("C_of_q", eps, arg=mq)
+    c = euler_constant("C_of_q", arg=mq)
     val = c.value * float(rat)
     return ApproxReal(val, c.abs_err * float(rat) + abs(val) * 1e-15)
 
@@ -250,6 +252,7 @@ def zeta_em(s, N: int = 128, M: int = 24):
 _SERIES_ORDER = 64
 _ZETA_DEPTH = 8        # extract zeta(2)..zeta(8); residual is 1 + O(p^-9)
 _GROWTH_BASE = 2.5     # |series coeff k| <= D * 2.5^k (min root modulus 1/2)
+_EULER_P = 1000        # truncation point of every accelerated product
 
 
 @lru_cache(maxsize=None)
@@ -302,11 +305,11 @@ LOCAL_FACTORS = {
 
 
 @lru_cache(maxsize=None)
-def _accelerated_product(lf: LocalFactorFn, target_exp: int) -> tuple:
+def _accelerated_product(lf: LocalFactorFn) -> tuple:
     """prod over all primes of the local factor lf, with zeta acceleration.
 
     Returns (mpf value, float tail bound) computed at _WORK_PREC with the
-    truncation point chosen so the tail factor is below 10^-target_exp.
+    product truncated at p <= _EULER_P; the bound covers every p > _EULER_P.
     """
     with mp.workprec(_WORK_PREC):
         series = [x - y for x, y in zip(_log_series(lf.num),
@@ -327,21 +330,16 @@ def _accelerated_product(lf: LocalFactorFn, target_exp: int) -> tuple:
         growth = max((abs(series[k]) / Fraction(5, 2) ** k
                       for k in range(2, _SERIES_ORDER + 1) if series[k] != 0),
                      default=Fraction(0))
-        # choose truncation P so sum_{p>P} |log r(p)| < 10^-target_exp
-        P = 1000
-        while True:
-            tail = mpf(0)
-            for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1):
-                if series[k]:
-                    # sum_{p>P} p^-k <= P^(1-k)/(k-1)
-                    tail += abs(mpf(series[k].numerator) / series[k].denominator) \
-                        * mpf(P) ** (1 - k) / (k - 1)
-            tail += mpf(float(growth)) * (mpf(_GROWTH_BASE) / P) ** (_SERIES_ORDER + 1) \
-                / (1 - mpf(_GROWTH_BASE) / P) * 2
-            tail_factor = mp.expm1(tail)
-            if tail_factor < mpf(10) ** (-target_exp) or P >= 10**7:
-                break
-            P *= 4
+        # bound sum_{p>P} |log r(p)|
+        P = _EULER_P
+        tail = mpf(0)
+        for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1):
+            if series[k]:
+                # sum_{p>P} p^-k <= P^(1-k)/(k-1)
+                tail += abs(mpf(series[k].numerator) / series[k].denominator) \
+                    * mpf(P) ** (1 - k) / (k - 1)
+        tail += mpf(float(growth)) * (mpf(_GROWTH_BASE) / P) ** (_SERIES_ORDER + 1) \
+            / (1 - mpf(_GROWTH_BASE) / P) * 2
         value = mpf(1)
         for k, e_k in exponents.items():
             zk = zeta_em(k)
@@ -353,7 +351,7 @@ def _accelerated_product(lf: LocalFactorFn, target_exp: int) -> tuple:
             for k, e_k in exponents.items():
                 rp *= (1 - mpf(p) ** (-k)) ** (mpf(e_k.numerator) / e_k.denominator)
             value *= rp
-        return value, float(tail_factor)
+        return value, float(mp.expm1(tail))
 
 
 def _local_product(n: int, factor) -> Fraction:
@@ -364,51 +362,48 @@ def _local_product(n: int, factor) -> Fraction:
     return out
 
 
-def euler_product_mp(kind: str, r: int = 1, target_exp: int = 26):
+def euler_product_mp(kind: str, r: int = 1):
     """(mpf value, tail-factor bound) for the LOCAL_FACTORS product `kind`
     over primes not dividing r, at full working precision; used directly
     where a float-rounded constant would lose too much in downstream
     cancellation."""
     lf = LOCAL_FACTORS[kind]
     with mp.workprec(_WORK_PREC):
-        base, tail = _accelerated_product(lf, target_exp)
+        base, tail = _accelerated_product(lf)
         rat = _local_product(r, lf.factor)
         return base / (mpf(rat.numerator) / rat.denominator), tail
 
 
-def euler_constant(kind: str, eps: float = 1e-12, arg: int = None) -> ApproxReal:
-    """Named Euler-product constants with abs_err <= eps.
+def euler_constant(kind: str, arg: int = None) -> ApproxReal:
+    """Named Euler-product constants with abs_err <= MAX_ABS_ERR.
 
     Kinds: C, C2, Cprime, C_of_q (arg=q), sum_h_d2 (arg=r), sum_h_d4 (arg=r),
     hall_factor (arg=q).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    target_exp = max(14, int(-math.log10(eps)) + 2)
     with mp.workprec(_WORK_PREC):
         if kind == "C_of_q":
             q = _require_arg(arg)
             val = 1 / zeta_em(2)
             rat = _local_product(q, lambda p: Fraction(p * p, p * p - 1))
             val *= mpf(rat.numerator) / rat.denominator
-            return _to_approx(val, mpf(2) ** (60 - _WORK_PREC) * abs(val), eps, kind)
+            return _to_approx(val, mpf(2) ** (60 - _WORK_PREC) * abs(val), kind)
         if kind == "hall_factor":
             rat = _local_product(_require_arg(arg), lambda p: Fraction(p, p + 2))
             val = mpf(rat.numerator) / rat.denominator
-            return _to_approx(val, mpf(0), eps, kind)
+            return _to_approx(val, mpf(0), kind)
         if kind in ("C", "C2", "Cprime"):
-            val, tail = euler_product_mp(kind, 1, target_exp)
+            val, tail = euler_product_mp(kind)
             if kind == "C":
                 val = zeta_em(Fraction(3, 2)) / mp.pi * val
             elif kind == "Cprime":
                 val = zeta_em(Fraction(3, 2)) / (2 * mp.pi) * val
         elif kind in ("sum_h_d2", "sum_h_d4"):
             r = _require_arg(arg if arg is not None else 1)
-            val, tail = euler_product_mp(kind, r, target_exp)
+            val, tail = euler_product_mp(kind, r)
         else:
             raise ValueError(f"unknown euler_constant kind: {kind}")
         err = abs(val) * (mpf(tail) + mpf(2) ** (60 - _WORK_PREC))
-        return _to_approx(val, err, eps, kind)
+        return _to_approx(val, err, kind)
 
 
 def _require_arg(arg) -> int:
@@ -417,10 +412,11 @@ def _require_arg(arg) -> int:
     return int(arg)
 
 
-def _to_approx(val, err, eps: float, kind: str) -> ApproxReal:
+def _to_approx(val, err, kind: str) -> ApproxReal:
     err_f = float(err) + abs(float(val)) * 2e-16
-    if err_f > eps:
-        raise ArithmeticError(f"cannot reach eps={eps} for kind {kind}")
+    if err_f > MAX_ABS_ERR:
+        raise ArithmeticError(
+            f"{kind} error bound {err_f} exceeds {MAX_ABS_ERR}")
     return ApproxReal(float(val), err_f)
 
 
@@ -501,7 +497,7 @@ def h_series_partials(r: int) -> tuple:
     d_vals, hv = d_float[mask], hv[mask]
     s2 = float(np.sum(hv / d_vals**2))
     s4 = float(np.sum(hv / d_vals**4))
-    hmax = 1.0 / euler_constant("C2", 1e-13).value
+    hmax = 1.0 / euler_constant("C2").value
     tail2 = hmax / D
     tail4 = hmax / (3 * D**3)
     return s2, s4, tail2, tail4
@@ -537,8 +533,8 @@ def identity_suite(m_max: int, r_max: int) -> list:
             "products.kmu_sqrt", {"m": m}, s3, q3, 1e-12 * max(1.0, abs(q3))))
     for r in range(1, r_max + 1):
         s2, s4, tail2, tail4 = h_series_partials(r)
-        p2 = euler_constant("sum_h_d2", 1e-13, arg=r)
-        p4 = euler_constant("sum_h_d4", 1e-13, arg=r)
+        p2 = euler_constant("sum_h_d2", arg=r)
+        p4 = euler_constant("sum_h_d4", arg=r)
         records.append(VerificationRecord.checked(
             "products.h_d2", {"r": r}, s2, p2.value, tail2 + p2.abs_err + 1e-12))
         records.append(VerificationRecord.checked(

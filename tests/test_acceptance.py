@@ -235,18 +235,18 @@ def test_criterion_8_desk_scale():
             counts[q] += np.bincount(vals % q, minlength=q)
         lo = hi
 
-    C = euler_constant("C", 1e-12).value
+    C = euler_constant("C").value
     printed = 0.167
     parts = []
     derived_hits = printed_hits = 0
     for q in qs:
-        cq = euler_constant("C_of_q", 1e-12, arg=q).value
+        cq = euler_constant("C_of_q", arg=q).value
         M = cq * X / q
         E = counts[q].astype(np.float64) - M
         # 63013 = 61 * 1033, so sum over the coprime classes, not 1..q-1
         a = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
         m2 = math.fsum((E[a] * E[a]).tolist())
-        hall = euler_constant("hall_factor", 1e-12, arg=q).value
+        hall = euler_constant("hall_factor", arg=q).value
         scale = hall * math.sqrt(X * q)
         ratio = m2 / (C * scale)
         ratio_printed = m2 / (printed * scale)

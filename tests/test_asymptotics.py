@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from sqflab import asymptotics
 from sqflab.arith import phi_of, tau_of
 from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 G_main_term, G_of, MainTermBreakdown,
@@ -112,7 +113,7 @@ def test_G_split_sum_vs_literal_sum(Y, r):
     # d^2 > Y lies in [0, h_max Y/(2 d^2)], so the infinite sum exceeds S_N
     # by at most h_max Y/(2N), with h_max = 1/C_2.
     N = 20000
-    h_max = 1 / euler_constant("C2", 1e-12).value
+    h_max = 1 / euler_constant("C2").value
     S_N = math.fsum(float(h_of(d)) * psi_antiderivative(Y / (d * d))
                     for d in range(1, N + 1) if math.gcd(d, r) == 1)
     gap = G_of(Y, r).value - S_N
@@ -126,8 +127,14 @@ def test_G_guards():
         G_of(100.0, 0)
     with pytest.raises(ValueError):
         G_of(100.0, 1, D=5)  # D^2 < Y
+
+
+def test_G_error_guard(monkeypatch):
+    # the tail bound grows like Y^2 times the Euler-product tails
+    assert G_of(1e4, 1).abs_err <= asymptotics.MAX_ABS_ERR
+    monkeypatch.setattr(asymptotics, "MAX_ABS_ERR", 1e-40)
     with pytest.raises(ArithmeticError):
-        G_of(1e6, 1, eps=1e-40)
+        G_of(1e4, 1)
 
 
 def test_G_envelope_calibrated():
@@ -145,7 +152,7 @@ def test_G_envelope_calibrated():
 
 
 def test_G_main_term_shape():
-    cp = euler_constant("Cprime", 1e-12)
+    cp = euler_constant("Cprime")
     assert G_main_term(10000.0, 1).value == pytest.approx(cp.value * 100.0)
     # local factor at r = 2: (p^2-2)/(p^2+p-2) = 2/4
     assert G_main_term(10000.0, 2).value == pytest.approx(cp.value * 50.0)
@@ -168,14 +175,14 @@ def test_frakS_exact_vs_per_l_oracle():
 def test_frakS_formula_coefficients():
     bd = frakS_formula(1.0, 12, 1)
     assert isinstance(bd, MainTermBreakdown)
-    cq = euler_constant("C_of_q", 1e-12, arg=12)
+    cq = euler_constant("C_of_q", arg=12)
     assert bd.quadratic.value == pytest.approx(
         cq.value ** 2 * phi_of(12) / (2 * 12), rel=1e-13)
-    c12 = euler_constant("C_of_q", 1e-12, arg=12)
+    c12 = euler_constant("C_of_q", arg=12)
     assert bd.linear.value == pytest.approx(
         c12.value * phi_of(12) / (2 * 12), rel=1e-13)
-    c = euler_constant("C", 1e-12)
-    hall = euler_constant("hall_factor", 1e-12, arg=12)
+    c = euler_constant("C")
+    hall = euler_constant("hall_factor", arg=12)
     assert bd.half_power.value == pytest.approx(
         c.value / 2 * gamma_ar(1) * hall.value, rel=1e-13)
     # at() pins the sign convention
@@ -247,7 +254,7 @@ def test_theorem_main_terms_structure():
     for (m, q) in [(1, 12), (-1, 12), (2, 5), (3, 5)]:
         tm = theorem_main_terms(X, q, m)
         assert isinstance(tm, TheoremMainTerms)
-        cq = euler_constant("C_of_q", 1e-12, arg=q)
+        cq = euler_constant("C_of_q", arg=q)
         quad = cq.value ** 2 * phi_of(q) * (X / q) ** 2
         # S_main - M2_main is the pure quadratic term
         assert tm.S_main.value - tm.M2_main.value == pytest.approx(

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from sqflab import multiplicative
 from sqflab.cli import _emit_rows, main, run_verify
 
 
@@ -78,6 +79,9 @@ def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--precision", "1e-12"])  # the removed option
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("extra", [
@@ -88,12 +92,14 @@ def test_bad_arguments_exit_2():
     ["--q", "7", "--precision", "0"],
     ["--q", "7", "--precision", "1e-30"],
     ["--q", "7", "--precision", "nan"],
+    ["--q", "7", "--precision", "1e-12"],
     ["--q", "7", "--out", "/nonexistent-dir/x.csv"],
     # 10^17 int64 counts are 711 PiB, past any 64-bit address space, so
     # the request fails without allocating
     ["--x", "100000000000000000", "--q", "100000000000000000"],
 ], ids=["q-zero", "q-negative", "q-empty", "x-negative", "precision-zero",
-        "precision-unreachable", "precision-nan", "out-unwritable",
+        "precision-unreachable", "precision-nan", "precision-removed",
+        "out-unwritable",
         "q-unallocatable"])
 def test_bad_input_exits_2_without_traceback(extra, capsys):
     argv = ["scan", "--kind", "variance", "--x", "1000"] + extra
@@ -190,7 +196,7 @@ def test_scan_bytes_pinned(tmp_path, kind, extra, digest):
 
 
 def test_run_verify_all_suites_green():
-    records = run_verify("all", 0, 1e-12)
+    records = run_verify("all", 0)
     assert len(records) > 300
     bad = [r for r in records if r.mode == "assert" and not r.passed]
     assert not bad, [r.as_dict() for r in bad[:3]]
@@ -201,6 +207,13 @@ def test_run_verify_all_suites_green():
     _emit_rows([r.as_dict() for r in records], "csv", out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         "a5a6edd0c27a3374adb16d23a5028382614dabf2859889ab84a114d2612538f4"
+
+
+def test_verify_all_builds_each_product_once():
+    # five local factors, each truncated at one P: one build apiece
+    multiplicative._accelerated_product.cache_clear()
+    run_verify("all", 0)
+    assert multiplicative._accelerated_product.cache_info().misses == 5
 
 
 def test_stdout_default(capsys):

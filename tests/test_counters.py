@@ -35,7 +35,7 @@ def test_error_vector_counts_and_errors():
     vec = error_vector(X, q)
     assert np.array_equal(vec.counts, _brute_counts(X, q))
     # main term = C(q) X / q
-    cq = euler_constant("C_of_q", 1e-12, arg=q)
+    cq = euler_constant("C_of_q", arg=q)
     assert math.isclose(vec.main_term.value, cq.value * X / q, rel_tol=1e-14)
     # coprime classes and the error split
     assert list(vec.coprime_residues) == [a for a in range(q)
@@ -108,7 +108,7 @@ def test_variance_m2_direct_and_reassembled():
 
     # independent direct path: brute counts, float main term, fsum
     counts = _brute_counts(X, q)
-    M = euler_constant("C_of_q", 1e-12, arg=q).value * X / q
+    M = euler_constant("C_of_q", arg=q).value * X / q
     a = np.array([r for r in range(q) if math.gcd(r, q) == 1])
     E = counts.astype(float) - M
     direct = math.fsum((E[a] * E[(m * a) % q]).tolist())

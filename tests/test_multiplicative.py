@@ -228,7 +228,7 @@ def test_f_q_rational_part_matches_local_product():
 
 
 def test_f_q_of_scales_rational_by_c2():
-    c2 = euler_constant("C2", 1e-12)
+    c2 = euler_constant("C2")
     for (l, m, q) in [(1, 1, 1), (30, -1, 7), (49, 3, 5)]:
         v = f_q_of(l, m, q)
         assert v.value == pytest.approx(c2.value * float(f_q_rational_part(l, m, q)),
@@ -250,7 +250,7 @@ def test_f_q_zero_matches_phi_over_mq_times_c():
     for (m, q) in [(1, 1), (2, 5), (-5, 12)]:
         from sqflab.arith import phi_of
         mq = abs(m) * q
-        cmq = euler_constant("C_of_q", 1e-12, arg=mq)
+        cmq = euler_constant("C_of_q", arg=mq)
         v = f_q_zero(m, q)
         assert v.value == pytest.approx(phi_of(mq) / mq * cmq.value, rel=1e-13)
 
@@ -271,31 +271,41 @@ def test_zeta_em_depth_guard():
 
 
 def test_euler_constant_reference_values():
-    c = euler_constant("C", 1e-12)
+    c = euler_constant("C")
     assert abs(c.value - C_REF) <= 2e-16
     assert c.abs_err < 1e-14
-    c2 = euler_constant("C2", 1e-12)
-    cp = euler_constant("Cprime", 1e-12)
+    c2 = euler_constant("C2")
+    cp = euler_constant("Cprime")
     # C2 * C' = C / 2 (the two products share the same numerator polynomial)
     assert c2.value * cp.value == pytest.approx(c.value / 2, abs=1e-15)
-    six_pi2 = euler_constant("C_of_q", 1e-12, arg=1)
+    six_pi2 = euler_constant("C_of_q", arg=1)
     with mp.workprec(120):
         assert six_pi2.value == pytest.approx(float(6 / mp.pi ** 2), abs=1e-15)
     # C(q) rescales by p^2/(p^2-1) at p | q
-    c12 = euler_constant("C_of_q", 1e-12, arg=12)
+    c12 = euler_constant("C_of_q", arg=12)
     assert c12.value == pytest.approx(six_pi2.value * 4 / 3 * 9 / 8, rel=1e-14)
-    assert euler_constant("hall_factor", 1e-12, arg=12).value == pytest.approx(
+    assert euler_constant("hall_factor", arg=12).value == pytest.approx(
         (2 / 4) * (3 / 5), rel=1e-15)
     with pytest.raises(ValueError):
-        euler_constant("nope", 1e-12)
+        euler_constant("nope")
+
+
+@pytest.mark.parametrize("kind, arg", [
+    ("C", None), ("C2", None), ("Cprime", None), ("C_of_q", 12),
+    ("sum_h_d2", 6), ("sum_h_d4", 6), ("hall_factor", 12)])
+def test_euler_constant_error_guard(kind, arg, monkeypatch):
+    # every kind carries at least the 2e-16 relative float rounding, so a
+    # bound below that must raise instead of returning a wider error bar
+    assert euler_constant(kind, arg=arg).abs_err <= multiplicative.MAX_ABS_ERR
+    monkeypatch.setattr(multiplicative, "MAX_ABS_ERR", 1e-30)
     with pytest.raises(ArithmeticError):
-        euler_constant("C", 1e-30)
+        euler_constant(kind, arg=arg)
 
 
 def test_euler_product_mp_agrees_with_float_path():
     for kind in ("sum_h_d2", "sum_h_d4"):
         hi, tail = euler_product_mp(kind, r=1)
-        lo = euler_constant(kind, 1e-12)
+        lo = euler_constant(kind)
         assert float(hi) == pytest.approx(lo.value, abs=1e-14)
         assert tail < mpf(10) ** -24
 
@@ -303,8 +313,8 @@ def test_euler_product_mp_agrees_with_float_path():
 def test_h_series_partials_bracket_euler_products():
     for r in (1, 2, 6, 15):
         p2, p4, tail2, tail4 = h_series_partials(r)
-        h2 = euler_constant("sum_h_d2", 1e-12, arg=r)
-        h4 = euler_constant("sum_h_d4", 1e-12, arg=r)
+        h2 = euler_constant("sum_h_d2", arg=r)
+        h4 = euler_constant("sum_h_d4", arg=r)
         assert abs(p2 - h2.value) <= tail2 + h2.abs_err
         assert abs(p4 - h4.value) <= tail4 + h4.abs_err
 
