@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .arith import phi_of, prime_factors, primes_up_to, require_mq
-from .multiplicative import (MAX_ABS_ERR, _WORK_PREC, _local_product,
-                             euler_constant, euler_product_mp, f_q_zero,
-                             gamma_an, gamma_ar, h_of, zeta_em)
+from .multiplicative import (MAX_ABS_ERR, _CTX, _WORK_PREC, _dec,
+                             _local_product, euler_constant, euler_product_mp,
+                             f_q_zero, gamma_an, gamma_ar, h_of, zeta_em)
 from .records import ApproxReal
 
 
@@ -82,18 +82,13 @@ def psi_mellin_limit(s: float) -> float:
     """zeta(s/2-1)/(s/2-1), the X -> infinity limit of the integral."""
     if not (0 < s < 2):
         raise ValueError("require 0 < s < 2")
-    with mp.workprec(_WORK_PREC):
-        return float(zeta_em(mpf(s) / 2 - 1) / (mpf(s) / 2 - 1))
+    a = Fraction(s) / 2 - 1
+    return float(Fraction(zeta_em(a)) / a)
 
 
 # ---------------------------------------------------------------------------
 # G(Y, r)
 # ---------------------------------------------------------------------------
-
-def _psi1_mp(x):
-    frac = x - mp.floor(x)
-    return (frac - frac * frac) / 2
-
 
 def G_of(Y: float, r: int, D: int = None) -> ApproxReal:
     """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): exact head d <= D
@@ -108,27 +103,26 @@ def G_of(Y: float, r: int, D: int = None) -> ApproxReal:
         D = math.ceil(Y ** (2 / 3))
     if D * D < Y:
         raise ValueError("split point must satisfy D^2 >= Y")
-    with mp.workprec(_WORK_PREC):
-        Ym = mpf(Y)
-        head = mpf(0)
-        p2 = mpf(0)  # partial sum of h(d)/d^2, d <= D
-        p4 = mpf(0)
+    with localcontext(_CTX):
+        Ym = Decimal(Y)
+        head = p2 = p4 = Decimal(0)  # p2, p4: partial sums of h(d)/d^2, /d^4
         for d in range(1, D + 1):
             if math.gcd(d, r) != 1:
                 continue
             h = h_of(d)
             if h == 0:
                 continue
-            hm = mpf(h.numerator) / h.denominator
-            head += hm * _psi1_mp(Ym / (d * d))
+            hm = _dec(h)
+            frac = Ym / (d * d) % 1  # Psi_1 = ({x} - {x}^2)/2
+            head += hm * ((frac - frac * frac) / 2)
             p2 += hm / d ** 2
             p4 += hm / d ** 4
         H2, t2 = euler_product_mp("sum_h_d2", r)
         H4, t4 = euler_product_mp("sum_h_d4", r)
         tail = Ym / 2 * (H2 - p2) - Ym * Ym / 2 * (H4 - p4)
         value = head + tail
-        err = float(Ym / 2 * H2 * t2 + Ym * Ym / 2 * H4 * t4
-                    + (abs(value) + Ym * Ym) * mpf(2) ** (40 - _WORK_PREC))
+        err = float(Ym / 2 * H2 * Decimal(t2) + Ym * Ym / 2 * H4 * Decimal(t4)
+                    + (abs(value) + Ym * Ym) * Decimal(2) ** (40 - _WORK_PREC))
         if err > MAX_ABS_ERR:
             raise ArithmeticError(f"G tail bound {err} exceeds {MAX_ABS_ERR}")
         return ApproxReal(float(value), err)

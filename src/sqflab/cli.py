@@ -262,8 +262,13 @@ def _emit_rows(rows: list, fmt: str, out) -> None:
         writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage; subcommands inherit it
+        self.exit(2, f"sqflab: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqflab",
         description="verification suites and scans for squarefree counting")
     sub = parser.add_subparsers(dest="command", required=True)

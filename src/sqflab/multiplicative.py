@@ -6,25 +6,31 @@ the local factor f(p) = num(1/p)/den(1/p) is rewritten as
 prod_k zeta(k)^{-e_k} times a residual local factor r(p) = 1 + O(p^-(J+1)),
 so the product truncated at the fixed P = 1000 carries a rigorous tail
 bound far below double precision.  zeta itself is computed in-house by
-Euler-Maclaurin summation in extended precision.
+Euler-Maclaurin summation; every extended-precision value is a Decimal in _CTX.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpf, bernoulli
 
 from .arith import (factorize, mu_of, phi_of, prime_factors, primes_up_to,
                     require_mq, squarefree_window)
 from .records import ApproxReal, VerificationRecord
 
 _WORK_PREC = 180  # bits; leaves ~40 guard digits below MAX_ABS_ERR
+_CTX = Context(prec=56)  # 56 digits carry at least _WORK_PREC bits
 MAX_ABS_ERR = 1e-13  # a constant or G value whose error bound exceeds this raises
+
+
+def _dec(f: Fraction) -> Decimal:
+    """f rounded to a Decimal in the current context."""
+    return Decimal(f.numerator) / f.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +139,10 @@ def gamma_ar(m: int) -> float:
     fac = factorize(abs(m))
     if any(e > 1 for _, e in fac.factors):
         raise ValueError("gamma_ar is only defined here for squarefree m")
-    with mp.workprec(_WORK_PREC):
-        out = mpf(1)
+    with localcontext(_CTX):
+        out = Decimal(1)
         for p, _ in fac.factors:
-            sp = mp.sqrt(p)
+            sp = Decimal(p).sqrt()
             out /= 1 + (p + sp + 1) / (p * sp + sp + 1)
         return float(out)
 
@@ -207,42 +213,47 @@ def f_q_zero_local_factors(p: int, m: int, q: int) -> tuple:
 # zeta by Euler-Maclaurin
 # ---------------------------------------------------------------------------
 
-_zeta_cache = {}
+@lru_cache(maxsize=None)
+def _bernoulli_even(n: int) -> tuple:
+    """(B_0, B_2, ..., B_2n) as exact Fractions, B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)), from the tangent numbers T_k by Brent-Harvey."""
+    t = [0] + [math.factorial(k - 1) for k in range(1, n + 1)]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return (Fraction(1),) + tuple(
+        Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+        for k in range(1, n + 1))
 
 
-def zeta_em(s, N: int = 128, M: int = 24):
+@lru_cache(maxsize=None)
+def zeta_em(s, N: int = 128, M: int = 24) -> Decimal:
     """zeta(s) for real s != 1 (s > -(2M-1)) by Euler-Maclaurin:
 
         zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
                   + sum_{i=1..M} B_2i/(2i)! * (s)_(2i-1) * N^(-s-2i+1) + R,
 
-    with |R| below the working precision for the default N, M.  Returns an
-    mpf at the caller's precision.
+    with |R| below the working precision for the default N, M.  It sums with
+    12 guard digits beyond _CTX, whatever the caller's context.
     """
-    key = (str(s), N, M, mp.prec)
-    if key in _zeta_cache:
-        return _zeta_cache[key]
-    with mp.workprec(mp.prec + 40):
-        if isinstance(s, Fraction):
-            s = mpf(s.numerator) / s.denominator
-        s = mpf(s)
+    bern = _bernoulli_even(M + 1)
+    with localcontext(Context(prec=_CTX.prec + 12)) as ctx:  # ~40 bits more
+        s = _dec(Fraction(s))  # s: int, float, Fraction or Decimal
         if s == 1:
             raise ValueError("zeta pole at s = 1")
-        total = mp.fsum(mpf(n) ** (-s) for n in range(1, N + 1))
-        total += mpf(N) ** (1 - s) / (s - 1)
-        total -= mpf(N) ** (-s) / 2
+        total = sum(Decimal(n) ** -s for n in range(1, N + 1)) \
+            + Decimal(N) ** (1 - s) / (s - 1) - Decimal(N) ** -s / 2
         rising = s  # (s)_(2i-1) = s (s+1) ... (s+2i-2)
         for i in range(1, M + 1):
-            total += (bernoulli(2 * i) / mp.factorial(2 * i)) * rising \
-                * mpf(N) ** (-s - 2 * i + 1)
+            total += _dec(bern[i] / math.factorial(2 * i)) * rising \
+                * Decimal(N) ** (-s - 2 * i + 1)
             rising *= (s + 2 * i - 1) * (s + 2 * i)
         # remainder <= |B_(2M+2)/(2M+2)! * (s)_(2M+1) * N^(-s-2M-1)|
-        rem = abs(bernoulli(2 * M + 2) / mp.factorial(2 * M + 2)
-                  * rising * mpf(N) ** (-s - 2 * M - 1))
-        if rem > mpf(2) ** (-mp.prec) * (abs(total) + 1):
+        rem = abs(_dec(bern[M + 1] / math.factorial(2 * M + 2))
+                  * rising * Decimal(N) ** (-s - 2 * M - 1))
+        if rem > Decimal(10) ** -ctx.prec * (abs(total) + 1):
             raise ArithmeticError("Euler-Maclaurin depth insufficient")
-    _zeta_cache[key] = total
-    return total
+    return _CTX.plus(total)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +319,10 @@ LOCAL_FACTORS = {
 def _accelerated_product(lf: LocalFactorFn) -> tuple:
     """prod over all primes of the local factor lf, with zeta acceleration.
 
-    Returns (mpf value, float tail bound) computed at _WORK_PREC with the
+    Returns (Decimal value, float tail bound) computed in _CTX with the
     product truncated at p <= _EULER_P; the bound covers every p > _EULER_P.
     """
-    with mp.workprec(_WORK_PREC):
+    with localcontext(_CTX):
         series = [x - y for x, y in zip(_log_series(lf.num),
                                         _log_series(lf.den))]
         if series[1] != 0:
@@ -321,7 +332,7 @@ def _accelerated_product(lf: LocalFactorFn) -> tuple:
             e_k = series[k]
             if e_k == 0:
                 continue
-            exponents[k] = e_k
+            exponents[k] = _dec(e_k)
             # subtract e_k * -log(1 - x^k) = e_k * sum_j x^(kj)/j
             for j in range(1, _SERIES_ORDER // k + 1):
                 series[k * j] -= e_k / j
@@ -330,28 +341,21 @@ def _accelerated_product(lf: LocalFactorFn) -> tuple:
         growth = max((abs(series[k]) / Fraction(5, 2) ** k
                       for k in range(2, _SERIES_ORDER + 1) if series[k] != 0),
                      default=Fraction(0))
-        # bound sum_{p>P} |log r(p)|
+        # bound sum_{p>P} |log r(p)| by sum_{p>P} p^-k <= P^(1-k)/(k-1)
         P = _EULER_P
-        tail = mpf(0)
-        for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1):
-            if series[k]:
-                # sum_{p>P} p^-k <= P^(1-k)/(k-1)
-                tail += abs(mpf(series[k].numerator) / series[k].denominator) \
-                    * mpf(P) ** (1 - k) / (k - 1)
-        tail += mpf(float(growth)) * (mpf(_GROWTH_BASE) / P) ** (_SERIES_ORDER + 1) \
-            / (1 - mpf(_GROWTH_BASE) / P) * 2
-        value = mpf(1)
+        tail = sum(abs(_dec(series[k])) * Decimal(P) ** (1 - k) / (k - 1)
+                   for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1))
+        tail += Decimal(float(growth)) * (Decimal(_GROWTH_BASE) / P) \
+            ** (_SERIES_ORDER + 1) / (1 - Decimal(_GROWTH_BASE) / P) * 2
+        value = Decimal(1)
         for k, e_k in exponents.items():
-            zk = zeta_em(k)
-            value *= zk ** (mpf(e_k.numerator) / e_k.denominator)
-        for p in primes_up_to(P):
-            p = int(p)
-            r = lf.factor(p)
-            rp = mpf(r.numerator) / r.denominator
+            value *= zeta_em(k) ** e_k
+        for p in primes_up_to(P).tolist():
+            rp = _dec(lf.factor(p))
             for k, e_k in exponents.items():
-                rp *= (1 - mpf(p) ** (-k)) ** (mpf(e_k.numerator) / e_k.denominator)
+                rp *= (1 - Decimal(p) ** -k) ** e_k
             value *= rp
-        return value, float(mp.expm1(tail))
+        return value, float(tail.exp() - 1)
 
 
 def _local_product(n: int, factor) -> Fraction:
@@ -363,15 +367,14 @@ def _local_product(n: int, factor) -> Fraction:
 
 
 def euler_product_mp(kind: str, r: int = 1):
-    """(mpf value, tail-factor bound) for the LOCAL_FACTORS product `kind`
-    over primes not dividing r, at full working precision; used directly
-    where a float-rounded constant would lose too much in downstream
-    cancellation."""
+    """(Decimal value, float tail-factor bound) for the LOCAL_FACTORS
+    product `kind` over primes not dividing r, at full working precision;
+    used directly where a float-rounded constant would lose too much in
+    downstream cancellation."""
     lf = LOCAL_FACTORS[kind]
-    with mp.workprec(_WORK_PREC):
+    with localcontext(_CTX):
         base, tail = _accelerated_product(lf)
-        rat = _local_product(r, lf.factor)
-        return base / (mpf(rat.numerator) / rat.denominator), tail
+        return base / _dec(_local_product(r, lf.factor)), tail
 
 
 def euler_constant(kind: str, arg: int = None) -> ApproxReal:
@@ -380,29 +383,28 @@ def euler_constant(kind: str, arg: int = None) -> ApproxReal:
     Kinds: C, C2, Cprime, C_of_q (arg=q), sum_h_d2 (arg=r), sum_h_d4 (arg=r),
     hall_factor (arg=q).
     """
-    with mp.workprec(_WORK_PREC):
+    with localcontext(_CTX):
         if kind == "C_of_q":
             q = _require_arg(arg)
             val = 1 / zeta_em(2)
-            rat = _local_product(q, lambda p: Fraction(p * p, p * p - 1))
-            val *= mpf(rat.numerator) / rat.denominator
-            return _to_approx(val, mpf(2) ** (60 - _WORK_PREC) * abs(val), kind)
+            val *= _dec(_local_product(q, lambda p: Fraction(p * p, p * p - 1)))
+            return _to_approx(val, Decimal(2) ** (60 - _WORK_PREC) * abs(val), kind)
         if kind == "hall_factor":
             rat = _local_product(_require_arg(arg), lambda p: Fraction(p, p + 2))
-            val = mpf(rat.numerator) / rat.denominator
-            return _to_approx(val, mpf(0), kind)
+            return _to_approx(_dec(rat), 0, kind)
         if kind in ("C", "C2", "Cprime"):
             val, tail = euler_product_mp(kind)
+            pi = (6 * zeta_em(2)).sqrt()
             if kind == "C":
-                val = zeta_em(Fraction(3, 2)) / mp.pi * val
+                val = zeta_em(Fraction(3, 2)) / pi * val
             elif kind == "Cprime":
-                val = zeta_em(Fraction(3, 2)) / (2 * mp.pi) * val
+                val = zeta_em(Fraction(3, 2)) / (2 * pi) * val
         elif kind in ("sum_h_d2", "sum_h_d4"):
             r = _require_arg(arg if arg is not None else 1)
             val, tail = euler_product_mp(kind, r)
         else:
             raise ValueError(f"unknown euler_constant kind: {kind}")
-        err = abs(val) * (mpf(tail) + mpf(2) ** (60 - _WORK_PREC))
+        err = abs(val) * (Decimal(tail) + Decimal(2) ** (60 - _WORK_PREC))
         return _to_approx(val, err, kind)
 
 
@@ -435,8 +437,8 @@ def kappa_mu_sums(m: int) -> tuple:
     divs = _divisors(factorize(m2).factors)
     s_recip = Fraction(0)
     s_plain = Fraction(0)
-    with mp.workprec(_WORK_PREC):
-        s_sqrt = mpf(0)
+    with localcontext(_CTX):
+        s_sqrt = Decimal(0)
         for rho in divs:
             krho = kappa(rho)
             if krho == 0:
@@ -448,8 +450,7 @@ def kappa_mu_sums(m: int) -> tuple:
                 term = krho * msig
                 s_recip += term / (rho * sigma)
                 s_plain += term
-                s_sqrt += (mpf(term.numerator) / term.denominator) \
-                    * mp.sqrt(rho * sigma)
+                s_sqrt += _dec(term) * Decimal(rho * sigma).sqrt()
         return s_recip, s_plain, float(s_sqrt)
 
 
@@ -459,12 +460,12 @@ def kappa_mu_products(m: int) -> tuple:
     m_abs = abs(m)
     p_recip = Fraction(1)
     p_plain = Fraction(1)
-    with mp.workprec(_WORK_PREC):
-        p_sqrt = mpf(1)
+    with localcontext(_CTX):
+        p_sqrt = Decimal(1)
         for p in prime_factors(m_abs):
             p_recip *= Fraction(p * p - 1, p * p)
             p_plain *= Fraction(p * p - p, p * p - 1)
-            p_sqrt *= (p * p - p * mp.sqrt(p) + p - 1) / (p * p - 1)
+            p_sqrt *= (p * p - p * Decimal(p).sqrt() + p - 1) / (p * p - 1)
         return p_recip, p_plain, float(p_sqrt)
 
 

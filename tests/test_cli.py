@@ -6,11 +6,18 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from sqflab import multiplicative
 from sqflab.cli import _emit_rows, main, run_verify
+
+# sha256 of the bytes of `sqflab verify --suite all --seed 0 --format csv`
+VERIFY_ALL_SHA256 = \
+    "a5a6edd0c27a3374adb16d23a5028382614dabf2859889ab84a114d2612538f4"
 
 
 def test_verify_identities_exits_clean(tmp_path, capsys):
@@ -69,19 +76,19 @@ def test_verify_seed_changes_sampled_cells(tmp_path):
     assert fixed_counts(a) == fixed_counts(b)
 
 
-def test_bad_arguments_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--kind", "variance", "--x", "1000", "--q", "7,ab"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--precision", "1e-12"])  # the removed option
-    assert exc.value.code == 2
+def test_bad_arguments_exit_2(capsys):
+    # argparse errors, the subcommands' included, print one line, no usage
+    for argv in (["verify", "--suite", "nope"],
+                 ["scan", "--kind", "variance", "--x", "1000", "--q", "7,ab"],
+                 ["scan", "--kind", "croft", "--x", "100", "--q", "abc"],
+                 [],
+                 ["verify", "--precision", "1e-12"]):  # the removed option
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, argv
+        assert err.startswith("sqflab: error: "), argv
 
 
 @pytest.mark.parametrize("extra", [
@@ -202,11 +209,23 @@ def test_run_verify_all_suites_green():
     assert not bad, [r.as_dict() for r in bad[:3]]
     suites = {r.check_id.split(".")[0] for r in records}
     assert {"products", "gq", "counters", "expsums", "asymptotics"} <= suites
-    # the bytes of `sqflab verify --suite all --seed 0 --format csv`
     out = io.StringIO()
     _emit_rows([r.as_dict() for r in records], "csv", out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
-        "a5a6edd0c27a3374adb16d23a5028382614dabf2859889ab84a114d2612538f4"
+        VERIFY_ALL_SHA256
+
+
+def test_verify_runs_without_mpmath():
+    # mpmath is a test-only oracle: a fresh interpreter that cannot import
+    # it still writes the pinned verify bytes
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "from sqflab import cli; "
+            "sys.exit(cli.main(['verify', '--suite', 'all', '--seed', '0', "
+            "'--format', 'csv']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True).stdout
+    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_all_builds_each_product_once():

@@ -1,10 +1,11 @@
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import bernfrac, mp, mpf
 
 from sqflab import multiplicative
 from sqflab.arith import factorize, mu_of, prime_factors, primes_up_to
@@ -14,8 +15,9 @@ from sqflab.multiplicative import (LOCAL_FACTORS, euler_constant,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
                                    gq_product, gq_sum, h_of, h_series_partials,
                                    identity_suite, kappa, kappa_mu_products,
-                                   kappa_mu_sums, zeta_em, _divisors, _h_table,
-                                   _log_series, _SERIES_ORDER)
+                                   kappa_mu_sums, zeta_em, _bernoulli_even,
+                                   _divisors, _h_table, _log_series,
+                                   _SERIES_ORDER)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
 # by two independent extraction depths and a 2*10^6-prime direct log sum
@@ -256,18 +258,38 @@ def test_f_q_zero_matches_phi_over_mq_times_c():
 
 
 def test_zeta_em_matches_mpmath():
-    with mp.workprec(180):
-        for s in (Fraction(3, 2), 2, 4, mpf("0.75"), mpf("-0.5"), mpf("3.25")):
-            ours = zeta_em(s)
+    for s in (Fraction(3, 2), 2, 4, Decimal("0.75"), Decimal("-0.5"),
+              Decimal("3.25")):
+        ours = zeta_em(s)
+        assert isinstance(ours, Decimal)
+        with mp.workprec(180):
             ref = mp.zeta(mpf(s.numerator) / s.denominator
-                          if isinstance(s, Fraction) else mpf(s))
-            assert abs(ours - ref) < mpf(10) ** -50, s
+                          if isinstance(s, Fraction) else mpf(str(s)))
+            assert abs(mpf(str(ours)) - ref) < mpf(10) ** -50, s
+
+
+def test_zeta_em_ignores_caller_context():
+    for s in (Fraction(3, 2), 2, Fraction(-3, 4)):
+        with localcontext(Context(prec=10)):
+            low = zeta_em.__wrapped__(s)  # bypass the cache
+        with localcontext(Context(prec=100)):
+            high = zeta_em.__wrapped__(s)
+        assert str(low) == str(high) == str(zeta_em(s)), s
 
 
 def test_zeta_em_depth_guard():
-    with mp.workprec(180):
-        with pytest.raises(ArithmeticError):
-            zeta_em(Fraction(3, 2), N=2, M=2)
+    with pytest.raises(ArithmeticError):
+        zeta_em(Fraction(3, 2), N=2, M=2)
+
+
+def test_bernoulli_table():
+    assert _bernoulli_even(6) == (
+        1, Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+        Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730))
+    table = _bernoulli_even(26)
+    assert len(table) == 27
+    for k, b in enumerate(table):
+        assert b == Fraction(*bernfrac(2 * k)), 2 * k
 
 
 def test_euler_constant_reference_values():
