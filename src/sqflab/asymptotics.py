@@ -8,7 +8,7 @@ ones that make the exact/decomposition identities hold to float precision;
 where a printed source formula disagrees with its own downstream algebra,
 the exact oracle decides.
 
-G(Y,r) is evaluated at a split point (exact head, closed-form tail);
+G(Y,r) is an exact head over d <= ceil(sqrt(Y)) plus a closed-form tail;
 A_formula is the S_main of theorem_main_terms, so the main-term closed form
 exists once.
 """
@@ -90,19 +90,16 @@ def psi_mellin_limit(s: float) -> float:
 # G(Y, r)
 # ---------------------------------------------------------------------------
 
-def G_of(Y: float, r: int, D: int = None) -> ApproxReal:
-    """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): exact head d <= D
-    (default ceil(Y^(2/3))) plus the d > D tail Y/(2d^2) - Y^2/(2d^4) summed
-    in closed form (the sum_h_d2 / sum_h_d4 Euler products minus their
-    partial sums).  Result is independent of the split D."""
+def G_of(Y: float, r: int) -> ApproxReal:
+    """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): an exact head d <= D,
+    the least D with D^2 >= Y, plus the d > D tail, where Psi_1(Y/d^2) =
+    Y/(2d^2) - Y^2/(2d^4) exactly, summed in closed form (the sum_h_d2 /
+    sum_h_d4 Euler products minus their partial sums)."""
     if Y <= 0:
         raise ValueError("require Y > 0")
     if r < 1:
         raise ValueError("require r >= 1")
-    if D is None:
-        D = math.ceil(Y ** (2 / 3))
-    if D * D < Y:
-        raise ValueError("split point must satisfy D^2 >= Y")
+    D = math.isqrt(math.ceil(Y) - 1) + 1
     with localcontext(_CTX):
         Ym = Decimal(Y)
         head = p2 = p4 = Decimal(0)  # p2, p4: partial sums of h(d)/d^2, /d^4
@@ -198,7 +195,7 @@ class MainTermBreakdown:
                 + self.half_power.value * math.sqrt(Y))
 
 
-def frakS_formula(Y: float, q: int, m: int) -> MainTermBreakdown:
+def frakS_formula(q: int, m: int) -> MainTermBreakdown:
     """Main-term coefficients for frakS[m](Y,q):
     (1/2)(phi(q)/q) C(q)^2, (1/2)(phi(|m|q)/(|m|q)) C(|m|q) (entering with a
     minus sign), and (C/2) Gamma_ar(m) prod_{p|q}(1+2/p)^(-1).  The halves

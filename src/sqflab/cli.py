@@ -118,13 +118,13 @@ def _suite_asymptotics(seed: int) -> list:
 
     ratios = []
     for (m, q) in mq:
-        bd = asymptotics.frakS_formula(1.0, q, m)
+        bd = asymptotics.frakS_formula(q, m)
         for Y in (100.0, 300.0, 1000.0):
             ex = asymptotics.frakS_exact(Y, q, m).value
             ratios.append(abs(ex - bd.at(Y)) / (tau_of(q) * Y ** (1 / 3)))
     c_s = asymptotics.calibration_constant(ratios)
     for (m, q) in mq:
-        bd = asymptotics.frakS_formula(1.0, q, m)
+        bd = asymptotics.frakS_formula(q, m)
         for Y in (1e4, 1e5):
             ex = asymptotics.frakS_exact(Y, q, m).value
             records.append(VerificationRecord.checked(

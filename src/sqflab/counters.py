@@ -17,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
-                    require_mq, squarefree_counts_by_residue,
-                    squarefree_window)
+                    require_mq, squarefree_counts_by_residue)
 from .multiplicative import euler_constant
 from .records import ApproxReal, VerificationRecord
 
@@ -149,11 +148,11 @@ def dispersion_check(X: int, q: int, m: int) -> VerificationRecord:
 
 
 def pair_enumeration_S(X: int, q: int, m: int) -> int:
-    """Literal O(X^2)-pair oracle for double_sum_S (test use; X <= a few 10^3)."""
+    """Literal O(X^2)-pair oracle for double_sum_S (test use; X <= a few 10^3).
+    It lists squarefree n by mu_of, never through the sieve double_sum_S reads."""
     require_mq(m, q)
-    win = squarefree_window(1, X + 1)
-    vals = win.squarefree_values()
-    vals = vals[np.gcd(vals, q) == 1]
+    vals = np.array([n for n in range(1, X + 1)
+                     if mu_of(n) != 0 and math.gcd(n, q) == 1], dtype=np.int64)
     lhs = (m * vals) % q
     rhs = vals % q
     return int(np.sum(lhs[:, None] == rhs[None, :]))

@@ -26,6 +26,7 @@ from .records import ApproxReal, VerificationRecord
 _WORK_PREC = 180  # bits; leaves ~40 guard digits below MAX_ABS_ERR
 _CTX = Context(prec=56)  # 56 digits carry at least _WORK_PREC bits
 MAX_ABS_ERR = 1e-13  # a constant or G value whose error bound exceeds this raises
+_EM_N, _EM_M = 128, 24  # zeta_em: terms summed directly, Bernoulli corrections
 
 
 def _dec(f: Fraction) -> Decimal:
@@ -53,7 +54,7 @@ def kappa(l: int) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=1 << 14)  # bounded: G_of's head reads every d <= Y^(2/3)
+@lru_cache(maxsize=1 << 14)  # bounded: G_of's head reads d <= ceil(sqrt(Y))
 def h_of(d: int) -> Fraction:
     """h(d) = mu^2(d) * prod_{p|d} (1 - 2/p^2)^(-1), exact."""
     if d < 1:
@@ -227,15 +228,17 @@ def _bernoulli_even(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def zeta_em(s, N: int = 128, M: int = 24) -> Decimal:
+def zeta_em(s) -> Decimal:
     """zeta(s) for real s != 1 (s > -(2M-1)) by Euler-Maclaurin:
 
         zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
                   + sum_{i=1..M} B_2i/(2i)! * (s)_(2i-1) * N^(-s-2i+1) + R,
 
-    with |R| below the working precision for the default N, M.  It sums with
-    12 guard digits beyond _CTX, whatever the caller's context.
+    at N = _EM_N, M = _EM_M, raising unless |R| is below the working
+    precision.  It sums with 12 guard digits beyond _CTX, whatever the
+    caller's context.
     """
+    N, M = _EM_N, _EM_M
     bern = _bernoulli_even(M + 1)
     with localcontext(Context(prec=_CTX.prec + 12)) as ctx:  # ~40 bits more
         s = _dec(Fraction(s))  # s: int, float, Fraction or Decimal
@@ -347,14 +350,15 @@ def _accelerated_product(lf: LocalFactorFn) -> tuple:
                    for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1))
         tail += Decimal(float(growth)) * (Decimal(_GROWTH_BASE) / P) \
             ** (_SERIES_ORDER + 1) / (1 - Decimal(_GROWTH_BASE) / P) * 2
+        primes = primes_up_to(P).tolist()
         value = Decimal(1)
-        for k, e_k in exponents.items():
-            value *= zeta_em(k) ** e_k
-        for p in primes_up_to(P).tolist():
-            rp = _dec(lf.factor(p))
-            for k, e_k in exponents.items():
-                rp *= (1 - Decimal(p) ** -k) ** e_k
-            value *= rp
+        for k, e_k in exponents.items():  # (zeta(k) prod_{p<=P} (1-p^-k))^e_k
+            zk = zeta_em(k)
+            for p in primes:
+                zk *= 1 - Decimal(p) ** -k
+            value *= zk ** e_k
+        for p in primes:
+            value *= _dec(lf.factor(p))
         return value, float(tail.exp() - 1)
 
 

@@ -167,13 +167,13 @@ def test_criterion_6_envelopes():
 
     ratios = []
     for (m, q) in mq:
-        bd = frakS_formula(1.0, q, m)
+        bd = frakS_formula(q, m)
         for Y in (100.0, 300.0, 1000.0):
             resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
             ratios.append(resid / (tau_of(q) * Y ** (1 / 3)))
     c_s = calibration_constant(ratios)
     for (m, q) in mq:
-        bd = frakS_formula(1.0, q, m)
+        bd = frakS_formula(q, m)
         for Y in (1e4, 1e5, 1e6):
             resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
             assert resid <= c_s * tau_of(q) * Y ** (1 / 3), \
@@ -226,26 +226,13 @@ def test_criterion_8_desk_scale():
     t0 = time.time()
     X = 10 ** 7
     qs = (63013, 249989, 999983)
-    counts = {q: np.zeros(q, dtype=np.int64) for q in qs}
-    lo = 1
-    while lo <= X:
-        hi = min(lo + (1 << 20), X + 1)
-        vals = squarefree_window(lo, hi).squarefree_values()
-        for q in qs:
-            counts[q] += np.bincount(vals % q, minlength=q)
-        lo = hi
-
     C = euler_constant("C").value
     printed = 0.167
     parts = []
     derived_hits = printed_hits = 0
     for q in qs:
-        cq = euler_constant("C_of_q", arg=q).value
-        M = cq * X / q
-        E = counts[q].astype(np.float64) - M
-        # 63013 = 61 * 1033, so sum over the coprime classes, not 1..q-1
-        a = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
-        m2 = math.fsum((E[a] * E[a]).tolist())
+        # sums over the coprime classes (63013 = 61 * 1033), not 1..q-1
+        m2 = variance_M2(X, q, 1).M2_exact.value
         hall = euler_constant("hall_factor", arg=q).value
         scale = hall * math.sqrt(X * q)
         ratio = m2 / (C * scale)

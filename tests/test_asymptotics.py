@@ -19,8 +19,8 @@ from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 psi_antiderivative, psi_mellin_integral,
                                 psi_mellin_limit, theorem_main_terms)
 from sqflab.counters import interval_I
-from sqflab.multiplicative import (euler_constant, f_q_of, f_q_zero, gamma_an,
-                                   gamma_ar, h_of)
+from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_of,
+                                   f_q_zero, gamma_an, gamma_ar, h_of)
 from sqflab.records import ApproxReal
 
 
@@ -98,12 +98,40 @@ def test_psi_mellin_rejections():
 # G(Y, r)
 # ---------------------------------------------------------------------------
 
+def _G_mp(Y, r, D):
+    """G(Y, r) from an mpmath head over d <= D plus the closed-form tail
+    Y/2 (H2 - p2) - Y^2/2 (H4 - p4), at 180 bits; D^2 >= Y."""
+    with mp.workprec(180):
+        # mpf(str(.)) inside workprec, else H2, H4 round to 53 bits
+        H2 = mpf(str(euler_product_mp("sum_h_d2", r)[0]))
+        H4 = mpf(str(euler_product_mp("sum_h_d4", r)[0]))
+        Ym = mpf(Y)
+        head = p2 = p4 = mpf(0)
+        for d in range(1, D + 1):
+            h = h_of(d)
+            if math.gcd(d, r) != 1 or h == 0:
+                continue
+            hm = mpf(h.numerator) / h.denominator
+            x = Ym / (d * d)
+            frac = x - mp.floor(x)
+            head += hm * (frac - frac * frac) / 2
+            p2 += hm / d ** 2
+            p4 += hm / d ** 4
+        return float(head + Ym / 2 * (H2 - p2) - Ym * Ym / 2 * (H4 - p4))
+
+
 def test_G_split_point_independence():
-    for (Y, r) in [(50.0, 1), (487.25, 2), (1000.0, 6)]:
-        d0 = math.ceil(Y ** 0.5)
-        vals = [G_of(Y, r, D=d).value for d in (d0, 2 * d0, 5 * d0 + 3)]
-        for v in vals[1:]:
-            assert v == pytest.approx(vals[0], rel=1e-13), (Y, r)
+    # G_of splits at the least D0 with D0^2 >= Y; later splits agree.  The
+    # grid after the first three cells covers Y < 1, perfect squares and just
+    # past them.
+    cells = [(50.0, 1), (487.25, 2), (1000.0, 6)] + [
+        (Y, r) for Y in (0.3, 1.0, 2.5, 99.999, 100.0, 100.5, 1e6)
+        for r in (1, 6)]
+    for (Y, r) in cells:
+        d0 = math.ceil(math.sqrt(Y))
+        got = G_of(Y, r).value
+        for D in (2 * d0, 5 * d0 + 3):
+            assert got == pytest.approx(_G_mp(Y, r, D), rel=1e-13), (Y, r, D)
 
 
 @pytest.mark.parametrize("Y", [50.0, 487.25])
@@ -125,8 +153,6 @@ def test_G_guards():
         G_of(0.0, 1)
     with pytest.raises(ValueError):
         G_of(100.0, 0)
-    with pytest.raises(ValueError):
-        G_of(100.0, 1, D=5)  # D^2 < Y
 
 
 def test_G_error_guard(monkeypatch):
@@ -173,7 +199,7 @@ def test_frakS_exact_vs_per_l_oracle():
 
 
 def test_frakS_formula_coefficients():
-    bd = frakS_formula(1.0, 12, 1)
+    bd = frakS_formula(12, 1)
     assert isinstance(bd, MainTermBreakdown)
     cq = euler_constant("C_of_q", arg=12)
     assert bd.quadratic.value == pytest.approx(
@@ -190,22 +216,22 @@ def test_frakS_formula_coefficients():
         bd.quadratic.value * 1e4 - bd.linear.value * 100.0
         + bd.half_power.value * 10.0)
     with pytest.raises(ValueError):
-        frakS_formula(1.0, 5, 4)  # m not squarefree
+        frakS_formula(5, 4)  # m not squarefree
     with pytest.raises(ValueError):
-        frakS_formula(1.0, 6, 2)  # gcd(m, q) > 1
+        frakS_formula(6, 2)  # gcd(m, q) > 1
 
 
 def test_frakS_envelope_calibrated():
     mq = [(1, 1), (2, 5), (3, 5), (-1, 12)]
     ratios = []
     for (m, q) in mq:
-        bd = frakS_formula(1.0, q, m)
+        bd = frakS_formula(q, m)
         for Y in (100.0, 300.0, 1000.0):
             resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
             ratios.append(resid / (tau_of(q) * Y ** (1 / 3)))
     c = calibration_constant(ratios)
     for (m, q) in mq:
-        bd = frakS_formula(1.0, q, m)
+        bd = frakS_formula(q, m)
         for Y in (1e4, 1e5):
             resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
             assert resid <= c * tau_of(q) * Y ** (1 / 3), (m, q, Y, c)
