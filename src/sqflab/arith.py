@@ -10,11 +10,11 @@ cleared (built on first use).  Primes 11 <= p with p^2 shorter than the
 segment clear their squares' multiples by strided writes; the larger ones hit
 a segment at most once, so their offsets are cleared in one vectorized step.
 
-Residue counts mod q come from q-aligned sieve segments: each segment is a
-whole number of periods q long, so the counts are column sums of the
-segment's flags, with no modulo and no bincount.  A segment's flags are
-summed as uint8 into int32 column sums (it has at most 2^20 rows, so they
-cannot wrap), which are then added to the int64 counts.
+Residue counts come from one sieve pass over [0, X] in _SEGMENT windows that
+feeds every requested modulus q.  Each q accumulates into w = q ceil(256/q)
+columns, in the narrowest unsigned dtype that cannot wrap; a window's full
+rows of length w are summed in uint8 blocks of 255 rows, and the w columns
+fold to the q classes at the end.
 
 All functions are pure; the shared tables are immutable after first use.
 """
@@ -314,23 +314,45 @@ def squarefree_count(X: int) -> int:
 
 
 def squarefree_counts_by_residue(X: int, q: int) -> np.ndarray:
-    """Entry a counts squarefree n <= X with n = a (mod q), 0 <= a < q.
+    """Entry a counts squarefree n <= X with n = a (mod q), 0 <= a < q, as
+    int64: the one-modulus case of squarefree_counts_by_moduli."""
+    return next(squarefree_counts_by_moduli(X, (q,))).astype(np.int64)
 
-    The sieve runs over [0, X] (0 is flagged as not squarefree) in segments
-    of a whole number of periods q, so every segment starts at a multiple of
-    q and the residue of n is its offset within the period.  Each segment's
-    flags, laid out as rows of length q, are added in as column sums of
-    their uint8 view into int32 (at most _SEGMENT rows, so no wrap); the
-    partial last period is added slice-wise.
-    """
-    if q < 1 or q > X:
+
+def _count_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds n, or int64 past uint32."""
+    dtype = np.min_scalar_type(n)
+    return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
+
+
+def squarefree_counts_by_moduli(X: int, qs):
+    """Yield, for each q of qs in turn, the counts of squarefree n <= X by
+    residue mod q from one pass over [0, X], in the narrowest unsigned dtype
+    holding ceil(X/q).  Each q sums into w = q ceil(256/q) >= 256 columns
+    sized by ceil(X/w) (a column meets that many n in [1, X] at most; 0 is
+    never squarefree), then folds them to q; no reference is kept."""
+    qs = list(qs)
+    if any(q < 1 or q > X for q in qs):
         raise ValueError("require 1 <= q <= X")
-    counts = np.zeros(q, dtype=np.int64)
-    step = q * max(1, _SEGMENT // q)
-    for lo in range(0, X + 1, step):
-        flags = squarefree_window(lo, min(lo + step, X + 1)).flags
-        full = len(flags) - len(flags) % q
-        rows = flags[:full].view(np.uint8).reshape(-1, q)
-        counts += rows.sum(axis=0, dtype=np.int32)
-        counts[: len(flags) - full] += flags[full:]
-    return counts
+    if not qs:
+        return
+    widths = [q * -(-256 // q) for q in qs]
+    accs = [np.zeros(w, dtype=_count_dtype(-(-X // w))) for w in widths]
+    for lo in range(0, X + 1, _SEGMENT):
+        flags = squarefree_window(lo, min(lo + _SEGMENT, X + 1)).flags.view(np.uint8)
+        for w, acc in zip(widths, accs):
+            head = min(len(flags), -lo % w)
+            acc[lo % w : lo % w + head] += flags[:head]
+            k, tail = divmod(len(flags) - head, w)
+            rows = flags[head : head + k * w].reshape(k, w)
+            blocks = k - k % 255
+            if blocks:
+                acc += rows[:blocks].reshape(-1, 255, w).sum(
+                    axis=1, dtype=np.uint8).sum(axis=0, dtype=acc.dtype)
+            if k > blocks:
+                acc += rows[blocks:].sum(axis=0, dtype=np.uint8)
+            acc[:tail] += flags[len(flags) - tail :]
+    del acc, flags, rows  # the last accumulator dies once it is yielded
+    for q, w in zip(qs, widths):  # w = q for q >= 256: nothing to fold
+        yield accs.pop(0) if w == q else accs.pop(0).reshape(-1, q).sum(
+            axis=0, dtype=_count_dtype(-(-X // q)))

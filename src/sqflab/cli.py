@@ -12,11 +12,12 @@ import json
 import math
 import random
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from . import asymptotics, counters, expsums, multiplicative
-from .arith import tau_of
+from .arith import squarefree_counts_by_moduli, tau_of
 from .records import VerificationRecord
 
 _FLOAT_FMT = "%.17g"
@@ -194,17 +195,19 @@ def run_verify(suite: str, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
-    rows = []
+    mm = 1 if kind == "variance" else m
+    cells = []
     for q in sorted(q_list):
         if q > X:
             print(f"warning: skipping q={q} > X={X}", file=sys.stderr)
-            continue
+        elif kind in ("variance", "correlation") and math.gcd(abs(mm), q) != 1:
+            print(f"warning: skipping q={q}, gcd(m,q)>1", file=sys.stderr)
+        else:
+            cells.append(q)
+    rows = []
+    for q, counts in zip(cells, squarefree_counts_by_moduli(X, cells)):
         if kind in ("variance", "correlation"):
-            mm = 1 if kind == "variance" else m
-            if math.gcd(abs(mm), q) != 1:
-                print(f"warning: skipping q={q}, gcd(m,q)>1", file=sys.stderr)
-                continue
-            res = counters.variance_M2(X, q, mm)
+            res = counters.variance_M2(X, q, mm, counts)
             main = asymptotics.theorem_main_terms(float(X), q, mm)
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": mm,
@@ -215,7 +218,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
                 "dispersion_residual": res.decomposition_residual,
             })
         elif kind == "croft":
-            v = counters.croft_variance(X, q)
+            v = counters.croft_variance(X, q, counts)
             scale = X * math.sqrt(q)
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
@@ -225,7 +228,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
         elif kind == "hooley":
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
-                "max_error_over_envelope": counters.hooley_report(X, q),
+                "max_error_over_envelope": counters.hooley_report(X, q, counts),
             })
         else:
             raise ValueError(f"unknown scan kind {kind!r}")
@@ -262,6 +265,17 @@ def _emit_rows(rows: list, fmt: str, out) -> None:
         writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
+def _exact_int(text: str) -> int:
+    """An integer below 2^63, also in scientific notation (2e7, 2.5e9)."""
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        d = Decimal("NaN")
+    if d.is_finite() and d.copy_abs() < 2 ** 63 and d == int(d):
+        return int(d)
+    raise argparse.ArgumentTypeError(f"not an integer below 2^63: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, no usage; subcommands inherit it
         self.exit(2, f"sqflab: error: {message}\n")
@@ -283,7 +297,7 @@ def main(argv=None) -> int:
     ps = sub.add_parser("scan", help="tabulate exact statistics vs main terms")
     ps.add_argument("--kind", choices=["variance", "correlation", "croft", "hooley"],
                     required=True)
-    ps.add_argument("--x", type=int, required=True)
+    ps.add_argument("--x", type=_exact_int, required=True)
     ps.add_argument("--q", required=True,
                     help="comma-separated list of moduli")
     ps.add_argument("--m", type=int, default=1)

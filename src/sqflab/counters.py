@@ -61,12 +61,13 @@ class ResidueErrorVector:
             - self.main_term.value
 
 
-def error_vector(X: int, q: int) -> ResidueErrorVector:
-    """Counts from the segmented sieve plus the main term C(q) X/q."""
-    counts = squarefree_counts_by_residue(X, q)
+def error_vector(X: int, q: int, counts=None) -> ResidueErrorVector:
+    """The squarefree counts mod q (the caller's, widened to int64, or else
+    the sieve's) plus the main term C(q) X/q."""
+    counts = squarefree_counts_by_residue(X, q) if counts is None else counts
     cq = euler_constant("C_of_q", arg=q)
     main = ApproxReal(cq.value * X / q, cq.abs_err * X / q)
-    return ResidueErrorVector(X, q, counts, main)
+    return ResidueErrorVector(X, q, counts.astype(np.int64, copy=False), main)
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,11 @@ def _double_sum_from_counts(c: np.ndarray, c_partner: np.ndarray) -> int:
     return sum(x * y for x, y in zip(c.tolist(), c_partner.tolist()))
 
 
-def _dispersion_parts(X: int, q: int, m: int):
+def _dispersion_parts(X: int, q: int, m: int, counts=None):
     """(direct M2 as ApproxReal, reassembled M2, exact S, comparison scale)
     for one cell."""
     require_mq(m, q)
-    vec = error_vector(X, q)
+    vec = error_vector(X, q, counts)
     a = vec.coprime_residues
     partner = (m * a) % q
     M = vec.main_term.value
@@ -124,10 +125,10 @@ def _dispersion_parts(X: int, q: int, m: int):
     return m2, reassembled, S, scale
 
 
-def variance_M2(X: int, q: int, m: int) -> CorrelationResult:
-    """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma), together with
-    the exact double sum and the dispersion-identity residual."""
-    m2, reassembled, S, scale = _dispersion_parts(X, q, m)
+def variance_M2(X: int, q: int, m: int, counts=None) -> CorrelationResult:
+    """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma) (counts as in
+    error_vector), with the exact double sum and the dispersion residual."""
+    m2, reassembled, S, scale = _dispersion_parts(X, q, m, counts)
     residual = abs(m2.value - reassembled) / scale
     return CorrelationResult(X, q, m, S, m2, residual)
 
@@ -162,12 +163,13 @@ def pair_enumeration_S(X: int, q: int, m: int) -> int:
 # Croft's all-classes variance and the Hooley envelope report
 # ---------------------------------------------------------------------------
 
-def croft_variance(X: int, q: int) -> ApproxReal:
+def croft_variance(X: int, q: int, counts=None) -> ApproxReal:
     """Sum over all residues a mod q of (count(a) - expected(a))^2 with the
     class-dependent expected value
     mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
-    d = gcd(a,q), q0 = q/d."""
-    counts = squarefree_counts_by_residue(X, q).astype(np.float64)
+    d = gcd(a,q), q0 = q/d; counts as in error_vector, but widened to float64."""
+    counts = (squarefree_counts_by_residue(X, q) if counts is None
+              else counts).astype(np.float64)
     six_over_pi2 = euler_constant("C_of_q", arg=1)
     hq = 1.0
     for p in prime_factors(q):
@@ -193,10 +195,10 @@ def croft_variance(X: int, q: int) -> ApproxReal:
     return ApproxReal(value, err)
 
 
-def hooley_report(X: int, q: int) -> float:
-    """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)); the bound's constant is
-    unspecified, so this is a report quantity, never asserted."""
-    vec = error_vector(X, q)
+def hooley_report(X: int, q: int, counts=None) -> float:
+    """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)), counts as in error_vector;
+    the bound's constant is unspecified, so this is only ever reported."""
+    vec = error_vector(X, q, counts)
     emax = float(np.max(np.abs(vec.errors_array())))
     return emax / (math.sqrt(X / q) + math.sqrt(q))
 

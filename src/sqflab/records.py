@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,9 @@ class ApproxReal:
 
     __rmul__ = __mul__
 
-    def contains(self, x: float) -> bool:
-        return abs(x - self.value) <= self.abs_err
+    def contains(self, x) -> bool:
+        """Whether x (a float, int or Fraction) lies in the interval, exactly."""
+        return abs(Fraction(x) - Fraction(self.value)) <= Fraction(self.abs_err)
 
 
 def as_approx(x) -> ApproxReal:

@@ -13,6 +13,7 @@ from sqflab.arith import (_SEGMENT, _SPF_LIMIT, _factorize_trial,
                           _spf_table, factorize, is_prime, jacobi_symbol,
                           mod_inverse, mu_of, phi_of,
                           prime_factors, primes_up_to, squarefree_count,
+                          squarefree_counts_by_moduli,
                           squarefree_counts_by_residue, squarefree_window,
                           tau_of)
 
@@ -261,3 +262,76 @@ def test_counts_by_residue_matches_bincount_oracle(X, q):
     counts = squarefree_counts_by_residue(X, q)
     assert counts.dtype == np.int64 and counts.shape == (q,)
     assert np.array_equal(counts, _residue_oracle(X, q))
+
+
+# ---------------------------------------------------------------------------
+# squarefree_counts_by_moduli: one pass, every modulus, narrow accumulators
+# ---------------------------------------------------------------------------
+
+_MU_LISTING_MAX = 5000
+
+
+@lru_cache(maxsize=1)
+def _mu_listing():
+    """Squarefree n <= 5000 listed by mu_of, independent of the sieve."""
+    return np.array([n for n in range(1, _MU_LISTING_MAX + 1) if mu_of(n)])
+
+
+def _moduli_oracle(X, q):
+    """Counts by residue mod q from mu_of for X <= 5000, else from a bincount
+    of one sieve window's values: neither reaches the accumulation kernel."""
+    if X <= _MU_LISTING_MAX:
+        vals = _mu_listing()[: int(np.searchsorted(_mu_listing(), X, "right"))]
+    else:
+        vals = squarefree_window(0, X + 1).squarefree_values()
+    return np.bincount(vals % q, minlength=q)
+
+
+def _check_moduli(X, qs):
+    outs = list(squarefree_counts_by_moduli(X, qs))
+    assert len(outs) == len(qs)
+    for q, counts in zip(qs, outs):
+        assert counts.shape == (q,)
+        assert counts.dtype == np.min_scalar_type(-(-X // q)), (X, q)
+        assert np.array_equal(counts, _moduli_oracle(X, q)), (X, q)
+    return outs
+
+
+@given(st.one_of(st.integers(1, _MU_LISTING_MAX),
+                 st.integers(_MU_LISTING_MAX + 1, 3 * _SEGMENT)),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_counts_by_moduli_match_oracles(X, data):
+    small = st.integers(1, min(X, 600))
+    qs = data.draw(st.lists(st.one_of(small, st.integers(1, X)),
+                            min_size=1, max_size=4))
+    _check_moduli(X, qs)
+
+
+def test_counts_by_moduli_edge_moduli():
+    # q = 1, q = X, q above 2^20 and a repeated q in one pass over four
+    # windows; 256,020 = 255 * 1004, so 1004 and 1003 put ceil(X/q) at 255
+    # (uint8) and 256 (uint16)
+    outs = _check_moduli(_X3, [1000, 1, _X3, _SEGMENT + 3, 1000])
+    assert outs[0] is not outs[4]
+    outs = _check_moduli(256020, [1004, 1003, 256020])
+    assert [o.dtype for o in outs] == [np.uint8, np.uint16, np.uint8]
+
+
+@pytest.mark.parametrize("X", [16776960, 16777216])
+def test_counts_by_moduli_q1_at_uint16_switch(X):
+    # q = 1 keeps 256 columns; ceil(X/256) is 65535 and then 65536, so the
+    # accumulator is uint16 at the first X and uint32 at the second
+    (counts,) = squarefree_counts_by_moduli(X, [1])
+    assert counts.dtype == np.uint32
+    assert int(counts[0]) == squarefree_window(0, X + 1).count()
+
+
+@pytest.mark.parametrize("qs", [[5, 0], [5, -3], [5, 101]])
+def test_counts_by_moduli_reject_before_sieving(qs, monkeypatch):
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before checking the moduli")
+
+    monkeypatch.setattr("sqflab.arith.squarefree_window", no_sieve)
+    with pytest.raises(ValueError):
+        next(squarefree_counts_by_moduli(100, qs))

@@ -81,6 +81,9 @@ def test_bad_arguments_exit_2(capsys):
     for argv in (["verify", "--suite", "nope"],
                  ["scan", "--kind", "variance", "--x", "1000", "--q", "7,ab"],
                  ["scan", "--kind", "croft", "--x", "100", "--q", "abc"],
+                 ["scan", "--kind", "hooley", "--x", "1.5", "--q", "7"],
+                 ["scan", "--kind", "hooley", "--x", "1e-3", "--q", "7"],
+                 ["scan", "--kind", "hooley", "--x", "abc", "--q", "7"],
                  [],
                  ["verify", "--precision", "1e-12"]):  # the removed option
         with pytest.raises(SystemExit) as exc:
@@ -101,13 +104,16 @@ def test_bad_arguments_exit_2(capsys):
     ["--q", "7", "--precision", "nan"],
     ["--q", "7", "--precision", "1e-12"],
     ["--q", "7", "--out", "/nonexistent-dir/x.csv"],
-    # 10^17 int64 counts are 711 PiB, past any 64-bit address space, so
-    # the request fails without allocating
+    # even as uint8, 10^17 counts take 10^17 bytes (86.7 PiB), more than
+    # any host's memory and swap, so the allocation is refused before any
+    # sieving
     ["--x", "100000000000000000", "--q", "100000000000000000"],
+    ["--x", "1e17", "--q", "100000000000000000"],
+    ["--q", "7", "--x", "1e1000000000"],
 ], ids=["q-zero", "q-negative", "q-empty", "x-negative", "precision-zero",
         "precision-unreachable", "precision-nan", "precision-removed",
         "out-unwritable",
-        "q-unallocatable"])
+        "q-unallocatable", "q-unallocatable-sci", "x-past-int64"])
 def test_bad_input_exits_2_without_traceback(extra, capsys):
     argv = ["scan", "--kind", "variance", "--x", "1000"] + extra
     try:
@@ -118,6 +124,16 @@ def test_bad_input_exits_2_without_traceback(extra, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("sqflab: error: ")
+
+
+@pytest.mark.parametrize("x, X", [("2e4", 20000), ("1E4", 10000),
+                                  ("2.5e3", 2500)])
+def test_scan_x_in_scientific_notation(x, X, capsys):
+    assert main(["scan", "--kind", "hooley", "--x", x, "--q", "97"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["scan", "--kind", "hooley", "--x", str(X), "--q", "97"]) == 0
+    assert capsys.readouterr().out == plain
+    assert f"hooley,{X},97," in plain
 
 
 def test_scan_variance_table(tmp_path, capsys):

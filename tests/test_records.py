@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,14 @@ def test_sqrt_and_contains():
     assert r.contains(math.sqrt(3.6))
     assert not r.contains(1.5)
     assert as_approx(3).value == 3.0
+
+
+def test_contains_is_exact():
+    # 0.1 as a float is 0.1000000000000000055...; Fraction(1, 10) - 0.1
+    # rounds to 0.0 in floats, but the exact difference is not zero
+    assert ApproxReal(0.1, 0.0).contains(Fraction(1, 10)) is False
+    assert ApproxReal(0.1, 0.0).contains(0.1) is True
+    assert ApproxReal(0.1, 1e-17).contains(Fraction(1, 10)) is True
 
 
 def test_negative_error_rejected():
