@@ -17,7 +17,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import asymptotics, counters, expsums, multiplicative
-from .arith import squarefree_counts_by_moduli, tau_of
+from .arith import mu_of, squarefree_counts_by_moduli, tau_of
 from .records import VerificationRecord
 
 _FLOAT_FMT = "%.17g"
@@ -29,12 +29,11 @@ _FLOAT_FMT = "%.17g"
 
 def _suite_identities(seed: int) -> list:
     records = multiplicative.identity_suite(m_max=80, r_max=40)
-    X = 20000
-    for q in (7, 97, 100, 1009):
+    X, qs = 20000, (7, 97, 100, 1009)
+    for q, counts in zip(qs, squarefree_counts_by_moduli(X, qs)):
         for m in (1, -1, 2, 3, -5):
-            if math.gcd(abs(m), q) != 1:
-                continue
-            records.append(counters.dispersion_check(X, q, m))
+            if math.gcd(abs(m), q) == 1:
+                records.append(counters.dispersion_check(X, q, m, counts))
     return records
 
 
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
             parser.error("--q must name at least one modulus")
         if any(q < 1 for q in q_list):
             parser.error("--q moduli must be positive")
+        if args.kind == "correlation" and not (
+                0 < abs(args.m) < 2 ** 63 and mu_of(abs(args.m)) != 0):
+            parser.error("--m must be a nonzero squarefree integer below 2^63")
 
     try:
         if args.command == "verify":

@@ -4,7 +4,8 @@ interval geometry, the local counts u_p, and lattice counts.
 
 Everything here is either an exact integer count or a float built from exact
 counts plus one Euler-product constant; the dispersion identity ties the two
-paths together and is checked to 1e-8 relative.
+paths together and is checked to 1e-8 relative.  The residue-class
+statistics never sieve: they take the caller's counts, one vector per (X, q).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
-                    require_mq, squarefree_counts_by_residue)
+                    require_mq)
 from .multiplicative import euler_constant
 from .records import ApproxReal, VerificationRecord
 
@@ -61,10 +62,9 @@ class ResidueErrorVector:
             - self.main_term.value
 
 
-def error_vector(X: int, q: int, counts=None) -> ResidueErrorVector:
-    """The squarefree counts mod q (the caller's, widened to int64, or else
-    the sieve's) plus the main term C(q) X/q."""
-    counts = squarefree_counts_by_residue(X, q) if counts is None else counts
+def error_vector(X: int, q: int, counts: np.ndarray) -> ResidueErrorVector:
+    """The caller's squarefree counts mod q, widened to int64, plus the main
+    term C(q) X/q."""
     cq = euler_constant("C_of_q", arg=q)
     main = ApproxReal(cq.value * X / q, cq.abs_err * X / q)
     return ResidueErrorVector(X, q, counts.astype(np.int64, copy=False), main)
@@ -80,15 +80,6 @@ class CorrelationResult:
     decomposition_residual: float
 
 
-def double_sum_S(X: int, q: int, m: int) -> int:
-    """S[m](X,q) = #{(n1,n2) <= X squarefree, coprime to q, m n1 = n2 (q)},
-    via the residue-count reindexing sum_a* cnt(a) cnt(ma mod q)."""
-    require_mq(m, q)
-    counts = squarefree_counts_by_residue(X, q)
-    a = _coprime_residues(q)
-    return _double_sum_from_counts(counts[a], counts[(m * a) % q])
-
-
 def _double_sum_from_counts(c: np.ndarray, c_partner: np.ndarray) -> int:
     """sum_i c[i] c_partner[i] exactly, for nonnegative int64 counts where
     c_partner is a permutation of c.  By Cauchy-Schwarz the sum and every
@@ -100,13 +91,13 @@ def _double_sum_from_counts(c: np.ndarray, c_partner: np.ndarray) -> int:
     return sum(x * y for x, y in zip(c.tolist(), c_partner.tolist()))
 
 
-def _dispersion_parts(X: int, q: int, m: int, counts=None):
+def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     """(direct M2 as ApproxReal, reassembled M2, exact S, comparison scale)
     for one cell."""
     require_mq(m, q)
     vec = error_vector(X, q, counts)
     a = vec.coprime_residues
-    partner = (m * a) % q
+    partner = (m % q * a) % q  # m reduced first: m * a may pass int64
     M = vec.main_term.value
     E = vec.counts.astype(np.float64) - M
     terms = E[a] * E[partner]
@@ -125,9 +116,11 @@ def _dispersion_parts(X: int, q: int, m: int, counts=None):
     return m2, reassembled, S, scale
 
 
-def variance_M2(X: int, q: int, m: int, counts=None) -> CorrelationResult:
-    """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma) (counts as in
-    error_vector), with the exact double sum and the dispersion residual."""
+def variance_M2(X: int, q: int, m: int,
+                counts: np.ndarray) -> CorrelationResult:
+    """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma) from the caller's
+    counts, with the exact S[m] = #{(n1,n2) <= X squarefree, coprime to q,
+    m n1 = n2 (q)} and the dispersion residual."""
     m2, reassembled, S, scale = _dispersion_parts(X, q, m, counts)
     residual = abs(m2.value - reassembled) / scale
     return CorrelationResult(X, q, m, S, m2, residual)
@@ -140,17 +133,20 @@ def _reassemble_m2(S: int, coprime_count: int, phi: int, M: float) -> float:
     return float(S - 2 * fm * coprime_count + phi * fm * fm)
 
 
-def dispersion_check(X: int, q: int, m: int) -> VerificationRecord:
-    """The dispersion identity: direct M2 against S - 2 C(q)(X/q) Q + phi M^2."""
-    m2, reassembled, S, scale = _dispersion_parts(X, q, m)
+def dispersion_check(X: int, q: int, m: int,
+                     counts: np.ndarray) -> VerificationRecord:
+    """The dispersion identity on the caller's counts: direct M2 against
+    S - 2 C(q)(X/q) Q + phi M^2."""
+    m2, reassembled, S, scale = _dispersion_parts(X, q, m, counts)
     return VerificationRecord.checked(
         "counters.dispersion", {"X": X, "q": q, "m": m, "S": S},
         m2.value, reassembled, 1e-8 * scale)
 
 
 def pair_enumeration_S(X: int, q: int, m: int) -> int:
-    """Literal O(X^2)-pair oracle for double_sum_S (test use; X <= a few 10^3).
-    It lists squarefree n by mu_of, never through the sieve double_sum_S reads."""
+    """Literal O(X^2)-pair oracle for variance_M2's S_exact (test use;
+    X <= a few 10^3).  It lists squarefree n by mu_of, never through the
+    sieve that counts variance_M2's classes."""
     require_mq(m, q)
     vals = np.array([n for n in range(1, X + 1)
                      if mu_of(n) != 0 and math.gcd(n, q) == 1], dtype=np.int64)
@@ -163,13 +159,12 @@ def pair_enumeration_S(X: int, q: int, m: int) -> int:
 # Croft's all-classes variance and the Hooley envelope report
 # ---------------------------------------------------------------------------
 
-def croft_variance(X: int, q: int, counts=None) -> ApproxReal:
+def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     """Sum over all residues a mod q of (count(a) - expected(a))^2 with the
     class-dependent expected value
     mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
-    d = gcd(a,q), q0 = q/d; counts as in error_vector, but widened to float64."""
-    counts = (squarefree_counts_by_residue(X, q) if counts is None
-              else counts).astype(np.float64)
+    d = gcd(a,q), q0 = q/d; the caller's counts, widened to float64."""
+    counts = counts.astype(np.float64)
     six_over_pi2 = euler_constant("C_of_q", arg=1)
     hq = 1.0
     for p in prime_factors(q):
@@ -195,8 +190,8 @@ def croft_variance(X: int, q: int, counts=None) -> ApproxReal:
     return ApproxReal(value, err)
 
 
-def hooley_report(X: int, q: int, counts=None) -> float:
-    """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)), counts as in error_vector;
+def hooley_report(X: int, q: int, counts: np.ndarray) -> float:
+    """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)) from the caller's counts;
     the bound's constant is unspecified, so this is only ever reported."""
     vec = error_vector(X, q, counts)
     emax = float(np.max(np.abs(vec.errors_array())))

@@ -481,13 +481,10 @@ def _h_table() -> tuple:
     """(d, float d, float h(d)) over all squarefree d <= _H_SERIES_D, built
     once; h(d) multiplies its prime factors' p^2/(p^2-2) in increasing p."""
     d = squarefree_window(1, _H_SERIES_D + 1).squarefree_values()
-    d_float = d.astype(np.float64)
-    hv = np.ones_like(d_float)
-    for p in primes_up_to(_H_SERIES_D):
-        p = int(p)
-        sel = (d % p) == 0
-        if sel.any():
-            hv[sel] *= p * p / (p * p - 2.0)
+    h = np.ones(_H_SERIES_D + 1)
+    for p in primes_up_to(_H_SERIES_D).tolist():
+        h[p::p] *= p * p / (p * p - 2.0)
+    d_float, hv = d.astype(np.float64), h[d]
     for arr in (d, d_float, hv):
         arr.flags.writeable = False
     return d, d_float, hv

@@ -11,14 +11,14 @@ import numpy as np
 from conftest import criterion
 
 from sqflab.arith import (mu_of, primes_up_to, squarefree_count,
-                          squarefree_window)
+                          squarefree_counts_by_residue, squarefree_window)
 from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 G_main_term, G_of, calibration_constant,
                                 frakS_exact, frakS_formula,
                                 psi_mellin_integral, psi_mellin_limit)
-from sqflab.counters import (double_sum_S, lattice_count_N,
-                             lattice_count_brute, pair_enumeration_S,
-                             u_p_brute, u_p_local, variance_M2)
+from sqflab.counters import (lattice_count_N, lattice_count_brute,
+                             pair_enumeration_S, u_p_brute, u_p_local,
+                             variance_M2)
 from sqflab.expsums import (crt_product, full_sum_S, s1_table, s2_table)
 from sqflab.multiplicative import (euler_constant, f_q_zero_local_factors,
                                    identity_suite)
@@ -36,7 +36,7 @@ def test_criterion_1_dispersion():
             for m in (1, -1, 2, 3, -5):
                 if math.gcd(abs(m), q) != 1:
                     continue  # identity defined for gcd(m,q)=1 only
-                res = variance_M2(X, q, m)
+                res = variance_M2(X, q, m, squarefree_counts_by_residue(X, q))
                 worst = max(worst, res.decomposition_residual)
                 cells += 1
     elapsed = time.time() - t0
@@ -232,7 +232,8 @@ def test_criterion_8_desk_scale():
     derived_hits = printed_hits = 0
     for q in qs:
         # sums over the coprime classes (63013 = 61 * 1033), not 1..q-1
-        m2 = variance_M2(X, q, 1).M2_exact.value
+        m2 = variance_M2(X, q, 1, squarefree_counts_by_residue(X, q)) \
+            .M2_exact.value
         hall = euler_constant("hall_factor", arg=q).value
         scale = hall * math.sqrt(X * q)
         ratio = m2 / (C * scale)
@@ -259,7 +260,8 @@ def test_criterion_9_brute_oracles():
         m = rng.choice([1, -1, 2, 3, -5, 7, 10])
         if math.gcd(abs(m), q) != 1:
             continue
-        assert double_sum_S(X, q, m) == pair_enumeration_S(X, q, m), \
+        S = variance_M2(X, q, m, squarefree_counts_by_residue(X, q)).S_exact
+        assert S == pair_enumeration_S(X, q, m), \
             f"S mismatch at X={X}, q={q}, m={m}"
         pairs += 1
 

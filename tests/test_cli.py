@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from sqflab import multiplicative
+from sqflab import arith, cli, counters, multiplicative
 from sqflab.cli import _emit_rows, main, run_verify
 
 # sha256 of the bytes of `sqflab verify --suite all --seed 0 --format csv`
@@ -110,10 +110,15 @@ def test_bad_arguments_exit_2(capsys):
     ["--x", "100000000000000000", "--q", "100000000000000000"],
     ["--x", "1e17", "--q", "100000000000000000"],
     ["--q", "7", "--x", "1e1000000000"],
+    # the correlation main term needs a squarefree m that numpy can hold
+    ["--q", "7", "--kind", "correlation", "--m", "0"],
+    ["--q", "7", "--kind", "correlation", "--m", "4"],
+    ["--q", "7", "--kind", "correlation", "--m", "1000000000000000000000"],
 ], ids=["q-zero", "q-negative", "q-empty", "x-negative", "precision-zero",
         "precision-unreachable", "precision-nan", "precision-removed",
         "out-unwritable",
-        "q-unallocatable", "q-unallocatable-sci", "x-past-int64"])
+        "q-unallocatable", "q-unallocatable-sci", "x-past-int64",
+        "m-zero", "m-not-squarefree", "m-past-int64"])
 def test_bad_input_exits_2_without_traceback(extra, capsys):
     argv = ["scan", "--kind", "variance", "--x", "1000"] + extra
     try:
@@ -124,6 +129,19 @@ def test_bad_input_exits_2_without_traceback(extra, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("sqflab: error: ")
+
+
+def test_bad_m_rejected_before_sieving(monkeypatch, capsys):
+    def no_sieve(X, qs):
+        raise AssertionError("sieved before --m was checked")
+
+    monkeypatch.setattr("sqflab.cli.squarefree_counts_by_moduli", no_sieve)
+    for m in ("0", "4", "-12", "1000000000000000000000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--kind", "correlation", "--x", "1000000",
+                  "--q", "7,97", "--m", m])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("sqflab: error: --m "), m
 
 
 @pytest.mark.parametrize("x, X", [("2e4", 20000), ("1E4", 10000),
@@ -242,6 +260,29 @@ def test_verify_runs_without_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True).stdout
     assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_verify_identities_counts_in_one_pass(monkeypatch):
+    # the dispersion grid reads all four moduli from one sieve pass, and
+    # nothing reaches the one-modulus counter
+    passes = []
+    real = cli.squarefree_counts_by_moduli
+    by_residue = arith.squarefree_counts_by_residue
+
+    def recording(X, qs):
+        passes.append((X, tuple(qs)))
+        return real(X, qs)
+
+    def refuse(X, q):
+        raise AssertionError("squarefree_counts_by_residue was called")
+
+    monkeypatch.setattr(cli, "squarefree_counts_by_moduli", recording)
+    for mod in (arith, counters, multiplicative):
+        for name, value in list(vars(mod).items()):
+            if value is by_residue:
+                monkeypatch.setattr(mod, name, refuse)
+    run_verify("identities", 0)
+    assert passes == [(20000, (7, 97, 100, 1009))]
 
 
 def test_verify_all_builds_each_product_once():

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqflab.arith import mu_of, phi_of, prime_factors, squarefree_window
+from sqflab.arith import (mu_of, phi_of, prime_factors,
+                          squarefree_counts_by_residue, squarefree_window)
 from sqflab.counters import (CorrelationResult, croft_variance,
-                             dispersion_check, double_sum_S, error_vector,
-                             gcd_table, hooley_report, interval_I,
-                             lattice_count_N, lattice_count_brute,
-                             pair_enumeration_S, u_p_brute, u_p_local,
-                             variance_M2)
+                             dispersion_check, error_vector, gcd_table,
+                             hooley_report, interval_I, lattice_count_N,
+                             lattice_count_brute, pair_enumeration_S,
+                             u_p_brute, u_p_local, variance_M2)
 from sqflab.multiplicative import euler_constant
 
 
@@ -32,7 +32,8 @@ def _brute_counts(X, q):
 
 def test_error_vector_counts_and_errors():
     X, q = 3000, 12
-    vec = error_vector(X, q)
+    vec = error_vector(X, q, squarefree_counts_by_residue(X, q))
+    assert vec.counts.dtype == np.int64
     assert np.array_equal(vec.counts, _brute_counts(X, q))
     # main term = C(q) X / q
     cq = euler_constant("C_of_q", arg=q)
@@ -56,13 +57,6 @@ def test_gcd_table_matches_np_gcd():
         assert np.array_equal(g, np.gcd(np.arange(q), q)), q
 
 
-def test_error_vector_rejections():
-    with pytest.raises(ValueError):
-        error_vector(100, 101)
-    with pytest.raises(ValueError):
-        error_vector(100, 0)
-
-
 # ---------------------------------------------------------------------------
 # double sum S and the dispersion identity
 # ---------------------------------------------------------------------------
@@ -76,33 +70,42 @@ def test_double_sum_matches_pair_enumeration_seeded():
         m = rng.choice([1, -1, 2, 3, -5, 7])
         if math.gcd(abs(m), q) != 1:
             continue
-        assert double_sum_S(X, q, m) == pair_enumeration_S(X, q, m), (X, q, m)
+        S = variance_M2(X, q, m, squarefree_counts_by_residue(X, q)).S_exact
+        assert S == pair_enumeration_S(X, q, m), (X, q, m)
         checked += 1
 
 
-def test_double_sum_exact_past_int64(monkeypatch):
+def test_double_sum_exact_past_int64():
     # synthetic counts of ~10^10 per class: the pair products reach 10^20,
     # past the int64 range, and S must still be the exact integer
     big = 10 ** 10
     fake = np.array([0, big + 1, big + 3], dtype=np.int64)
-    monkeypatch.setattr("sqflab.counters.squarefree_counts_by_residue",
-                        lambda X, q: fake)
     X = 3 * 10 ** 10
-    assert double_sum_S(X, 3, 1) == (big + 1) ** 2 + (big + 3) ** 2
-    assert double_sum_S(X, 3, -1) == 2 * (big + 1) * (big + 3)
-    assert variance_M2(X, 3, 1).S_exact == (big + 1) ** 2 + (big + 3) ** 2
+    assert variance_M2(X, 3, 1, fake).S_exact == (big + 1) ** 2 + (big + 3) ** 2
+    assert variance_M2(X, 3, -1, fake).S_exact == 2 * (big + 1) * (big + 3)
 
 
 def test_double_sum_rejections():
+    counts = squarefree_counts_by_residue(100, 10)
     with pytest.raises(ValueError):
-        double_sum_S(100, 10, 5)
+        variance_M2(100, 10, 5, counts)
     with pytest.raises(ValueError):
-        double_sum_S(100, 10, 0)
+        variance_M2(100, 10, 0, counts)
+
+
+def test_variance_m2_reduces_huge_m_before_numpy():
+    # m * a would wrap in int64 for m near 2^62; M2 and S depend on m mod q
+    X, q, m = 1000, 7, 2 ** 62 + 5
+    counts = squarefree_counts_by_residue(X, q)
+    big, small = variance_M2(X, q, m, counts), variance_M2(X, q, m % q, counts)
+    assert big.S_exact == small.S_exact == pair_enumeration_S(X, q, m % q)
+    assert big.M2_exact.value == small.M2_exact.value
+    assert big.decomposition_residual <= 1e-8
 
 
 def test_variance_m2_direct_and_reassembled():
     X, q, m = 3000, 7, 2
-    res = variance_M2(X, q, m)
+    res = variance_M2(X, q, m, squarefree_counts_by_residue(X, q))
     assert isinstance(res, CorrelationResult)
     assert res.S_exact == pair_enumeration_S(X, q, m)
 
@@ -125,10 +128,11 @@ def test_variance_m2_direct_and_reassembled():
 
 def test_dispersion_check_records():
     for (q, m) in [(7, 1), (97, -1), (100, 3), (1009, 2)]:
-        rec = dispersion_check(20000, q, m)
+        counts = squarefree_counts_by_residue(20000, q)
+        rec = dispersion_check(20000, q, m, counts)
         assert rec.passed, rec.as_dict()
         assert rec.check_id == "counters.dispersion"
-        assert rec.params["S"] == double_sum_S(20000, q, m)
+        assert rec.params["S"] == variance_M2(20000, q, m, counts).S_exact
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +152,9 @@ def test_croft_variance_vs_brute():
         if mu_of(d) != 0:
             expected = six_over_pi2 * hq * (X / q) * q0 / phi_of(q0)
         total += (counts[a] - expected) ** 2
-    got = croft_variance(X, q)
+    got = croft_variance(X, q, squarefree_counts_by_residue(X, q))
     assert got.value == pytest.approx(total, rel=1e-9)
     assert got.abs_err < 1e-6 * max(1.0, got.value)
-    with pytest.raises(ValueError):
-        croft_variance(10, 11)
 
 
 def test_fsum_of_memoryview_equals_fsum_of_list():
@@ -173,7 +175,7 @@ def test_hooley_report_magnitude():
     # report quantity: no theorem constant to assert, but the normalised
     # max error should be order one, not growing
     for (X, q) in [(20000, 13), (50000, 101), (100000, 997)]:
-        val = hooley_report(X, q)
+        val = hooley_report(X, q, squarefree_counts_by_residue(X, q))
         assert 0.0 < val < 1.0, (X, q, val)
 
 
