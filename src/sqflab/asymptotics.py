@@ -205,9 +205,7 @@ def frakS_formula(q: int, m: int) -> MainTermBreakdown:
     require_mq(m, q)
     cq = euler_constant("C_of_q", arg=q)
     quadratic = cq * cq * float(Fraction(phi_of(q), 2 * q))
-    mq = abs(m) * q
-    cmq = euler_constant("C_of_q", arg=mq)
-    linear = cmq * float(Fraction(phi_of(mq), 2 * mq))
+    linear = f_q_zero(m, q) * 0.5
     c_half = euler_constant("C") * 0.5
     hall = euler_constant("hall_factor", arg=q)
     half_power = c_half * gamma_ar(m) * hall

@@ -150,7 +150,7 @@ def pair_enumeration_S(X: int, q: int, m: int) -> int:
     require_mq(m, q)
     vals = np.array([n for n in range(1, X + 1)
                      if mu_of(n) != 0 and math.gcd(n, q) == 1], dtype=np.int64)
-    lhs = (m * vals) % q
+    lhs = (m % q * vals) % q  # m reduced first: m * vals wraps in int64
     rhs = vals % q
     return int(np.sum(lhs[:, None] == rhs[None, :]))
 

@@ -1,18 +1,21 @@
 """Multiplicative functions (kappa, h, f_q), the Gamma factors, and
 Euler-product constants with rigorous truncation-error bounds.
 
-Infinite products over primes are evaluated by zeta-factor acceleration:
-the local factor f(p) = num(1/p)/den(1/p) is rewritten as
+Two infinite products over primes are evaluated by zeta-factor
+acceleration, C's prod (1 - 3/p^2 + 2/p^3) and C_2 = prod (1 - 2/p^2): the
+polynomial local factor f(p) = poly(1/p) is rewritten as
 prod_k zeta(k)^{-e_k} times a residual local factor r(p) = 1 + O(p^-(J+1)),
 so the product truncated at the fixed P = 1000 carries a rigorous tail
-bound far below double precision.  zeta itself is computed in-house by
-Euler-Maclaurin summation; every extended-precision value is a Decimal in _CTX.
+bound far below double precision.  Every other Euler constant is an exact
+ratio of these two and zeta(2): C' = C/(2 C_2), sum h(d)/d^2 =
+1/(zeta(2) C_2) and sum h(d)/d^4 = 1/(zeta(2)^2 C_2).  zeta itself is
+computed in-house by Euler-Maclaurin summation; every extended-precision
+value is a Decimal in _CTX.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -265,7 +268,6 @@ def zeta_em(s) -> Decimal:
 
 _SERIES_ORDER = 64
 _ZETA_DEPTH = 8        # extract zeta(2)..zeta(8); residual is 1 + O(p^-9)
-_GROWTH_BASE = 2.5     # |series coeff k| <= D * 2.5^k (min root modulus 1/2)
 _EULER_P = 1000        # truncation point of every accelerated product
 
 
@@ -287,47 +289,32 @@ def _log_series(coeffs: tuple) -> tuple:
                                   for k in range(1, _SERIES_ORDER + 1))
 
 
-@dataclass(frozen=True)
-class LocalFactorFn:
-    """Euler local factor p -> num(1/p)/den(1/p); _accelerated_product
-    bounds the tail of its product from the log series of num/den."""
-
-    name: str
-    num: tuple
-    den: tuple
-
-    def factor(self, p: int) -> Fraction:
-        """num(1/p)/den(1/p), each polynomial evaluated by integer Horner
-        as p^-deg times an integer."""
-        num = den = 0
-        for c in self.num:
-            num = num * p + c
-        for c in self.den:
-            den = den * p + c
-        return Fraction(num * p ** (len(self.den) - 1),
-                        den * p ** (len(self.num) - 1))
-
-
+# local factors f(p) = sum_i c_i p^-i as coefficients in x = 1/p; the tail
+# bound of _accelerated_product needs every root in x of modulus >= 1/2
 LOCAL_FACTORS = {
-    # (1-x)^2 (1+2x) = 1 - 3x^2 + 2x^3
-    "C": LocalFactorFn("C", (1, 0, -3, 2), (1,)),
-    "C2": LocalFactorFn("C2", (1, 0, -2), (1,)),
-    "Cprime": LocalFactorFn("Cprime", (1, 0, -3, 2), (1, 0, -2)),
-    "sum_h_d2": LocalFactorFn("sum_h_d2", (1, 0, -1), (1, 0, -2)),
-    "sum_h_d4": LocalFactorFn("sum_h_d4", (1, 0, -2, 0, 1), (1, 0, -2)),
+    "C": (1, 0, -3, 2),  # (1-x)^2 (1+2x)
+    "C2": (1, 0, -2),
 }
 
 
+def _local_factor(coeffs: tuple, p: int) -> Fraction:
+    """sum_i c_i p^-i, by integer Horner as an integer over p^deg."""
+    num = 0
+    for c in coeffs:
+        num = num * p + c
+    return Fraction(num, p ** (len(coeffs) - 1))
+
+
 @lru_cache(maxsize=None)
-def _accelerated_product(lf: LocalFactorFn) -> tuple:
-    """prod over all primes of the local factor lf, with zeta acceleration.
+def _accelerated_product(coeffs: tuple) -> tuple:
+    """prod over all primes of the local factor with coefficients coeffs,
+    with zeta acceleration.
 
     Returns (Decimal value, float tail bound) computed in _CTX with the
     product truncated at p <= _EULER_P; the bound covers every p > _EULER_P.
     """
     with localcontext(_CTX):
-        series = [x - y for x, y in zip(_log_series(lf.num),
-                                        _log_series(lf.den))]
+        series = list(_log_series(coeffs))
         if series[1] != 0:
             raise ArithmeticError("divergent product: x^1 term present")
         exponents = {}
@@ -339,17 +326,17 @@ def _accelerated_product(lf: LocalFactorFn) -> tuple:
             # subtract e_k * -log(1 - x^k) = e_k * sum_j x^(kj)/j
             for j in range(1, _SERIES_ORDER // k + 1):
                 series[k * j] -= e_k / j
-        # residual log-series coefficient envelope, geometric beyond the
-        # computed order because every root of num/den has modulus >= 1/2
-        growth = max((abs(series[k]) / Fraction(5, 2) ** k
-                      for k in range(2, _SERIES_ORDER + 1) if series[k] != 0),
-                     default=Fraction(0))
         # bound sum_{p>P} |log r(p)| by sum_{p>P} p^-k <= P^(1-k)/(k-1)
         P = _EULER_P
         tail = sum(abs(_dec(series[k])) * Decimal(P) ** (1 - k) / (k - 1)
                    for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1))
-        tail += Decimal(float(growth)) * (Decimal(_GROWTH_BASE) / P) \
-            ** (_SERIES_ORDER + 1) / (1 - Decimal(_GROWTH_BASE) / P) * 2
+        # past _SERIES_ORDER: roots of modulus >= 1/2 give |series[k]| <=
+        # (deg 2^k + E)/k, E = sum_j j |e_j| from the extracted zeta factors;
+        # the terms over k >= K fall by a ratio of at most 2/P
+        K = _SERIES_ORDER + 1
+        E = sum(k * abs(e_k) for k, e_k in exponents.items())
+        tail += ((len(coeffs) - 1) * Decimal(2) ** K + E) \
+            * Decimal(P) ** (1 - K) / (K * (K - 1)) / (1 - Decimal(2) / P)
         primes = primes_up_to(P).tolist()
         value = Decimal(1)
         for k, e_k in exponents.items():  # (zeta(k) prod_{p<=P} (1-p^-k))^e_k
@@ -358,7 +345,7 @@ def _accelerated_product(lf: LocalFactorFn) -> tuple:
                 zk *= 1 - Decimal(p) ** -k
             value *= zk ** e_k
         for p in primes:
-            value *= _dec(lf.factor(p))
+            value *= _dec(_local_factor(coeffs, p))
         return value, float(tail.exp() - 1)
 
 
@@ -371,14 +358,18 @@ def _local_product(n: int, factor) -> Fraction:
 
 
 def euler_product_mp(kind: str, r: int = 1):
-    """(Decimal value, float tail-factor bound) for the LOCAL_FACTORS
-    product `kind` over primes not dividing r, at full working precision;
-    used directly where a float-rounded constant would lose too much in
-    downstream cancellation."""
-    lf = LOCAL_FACTORS[kind]
+    """(Decimal value, float tail-factor bound) of sum_{(d,r)=1} h(d)/d^(2k),
+    k = 1 (sum_h_d2) or 2 (sum_h_d4): 1/(zeta(2)^k C_2) over the local
+    factors (p^2-1)^k/(p^(2k-2)(p^2-2)) at p | r, with C_2's tail, at full
+    working precision for downstream cancellation."""
+    k = {"sum_h_d2": 1, "sum_h_d4": 2}.get(kind)
+    if k is None:
+        raise ValueError(f"euler_product_mp has no kind {kind!r}")
     with localcontext(_CTX):
-        base, tail = _accelerated_product(lf)
-        return base / _dec(_local_product(r, lf.factor)), tail
+        c2, tail = _accelerated_product(LOCAL_FACTORS["C2"])
+        at_r = _local_product(r, lambda p: Fraction(
+            (p * p - 1) ** k, p ** (2 * k - 2) * (p * p - 2)))
+        return 1 / (zeta_em(2) ** k * c2 * _dec(at_r)), tail
 
 
 def euler_constant(kind: str, arg: int = None) -> ApproxReal:
@@ -396,13 +387,16 @@ def euler_constant(kind: str, arg: int = None) -> ApproxReal:
         if kind == "hall_factor":
             rat = _local_product(_require_arg(arg), lambda p: Fraction(p, p + 2))
             return _to_approx(_dec(rat), 0, kind)
-        if kind in ("C", "C2", "Cprime"):
-            val, tail = euler_product_mp(kind)
-            pi = (6 * zeta_em(2)).sqrt()
-            if kind == "C":
-                val = zeta_em(Fraction(3, 2)) / pi * val
-            elif kind == "Cprime":
-                val = zeta_em(Fraction(3, 2)) / (2 * pi) * val
+        if kind == "C2":
+            val, tail = _accelerated_product(LOCAL_FACTORS["C2"])
+        elif kind in ("C", "Cprime"):
+            val, tail = _accelerated_product(LOCAL_FACTORS["C"])
+            # C = zeta(3/2)/pi times the product, pi = sqrt(6 zeta(2))
+            val *= zeta_em(Fraction(3, 2)) / (6 * zeta_em(2)).sqrt()
+            if kind == "Cprime":  # C' = C / (2 C_2); relative tails compound
+                c2, tail2 = _accelerated_product(LOCAL_FACTORS["C2"])
+                val /= 2 * c2
+                tail = tail + tail2 + tail * tail2
         elif kind in ("sum_h_d2", "sum_h_d4"):
             r = _require_arg(arg if arg is not None else 1)
             val, tail = euler_product_mp(kind, r)

@@ -286,10 +286,10 @@ def test_verify_identities_counts_in_one_pass(monkeypatch):
 
 
 def test_verify_all_builds_each_product_once():
-    # five local factors, each truncated at one P: one build apiece
+    # two accelerated products (C and C2), every other constant derived
     multiplicative._accelerated_product.cache_clear()
     run_verify("all", 0)
-    assert multiplicative._accelerated_product.cache_info().misses == 5
+    assert multiplicative._accelerated_product.cache_info().misses == 2
 
 
 def test_stdout_default(capsys):

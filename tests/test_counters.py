@@ -98,7 +98,8 @@ def test_variance_m2_reduces_huge_m_before_numpy():
     X, q, m = 1000, 7, 2 ** 62 + 5
     counts = squarefree_counts_by_residue(X, q)
     big, small = variance_M2(X, q, m, counts), variance_M2(X, q, m % q, counts)
-    assert big.S_exact == small.S_exact == pair_enumeration_S(X, q, m % q)
+    assert big.S_exact == small.S_exact == pair_enumeration_S(X, q, m % q) \
+        == pair_enumeration_S(X, q, m)
     assert big.M2_exact.value == small.M2_exact.value
     assert big.decomposition_residual <= 1e-8
 

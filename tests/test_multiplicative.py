@@ -4,6 +4,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from mpmath import bernfrac, mp, mpf
 
@@ -15,9 +16,10 @@ from sqflab.multiplicative import (LOCAL_FACTORS, euler_constant,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
                                    gq_product, gq_sum, h_of, h_series_partials,
                                    identity_suite, kappa, kappa_mu_products,
-                                   kappa_mu_sums, zeta_em, _bernoulli_even,
-                                   _divisors, _h_table, _log_series,
-                                   _SERIES_ORDER)
+                                   kappa_mu_sums, zeta_em,
+                                   _accelerated_product, _bernoulli_even,
+                                   _divisors, _h_table, _local_factor,
+                                   _log_series, _SERIES_ORDER)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
 # by two independent extraction depths and a 2*10^6-prime direct log sum
@@ -142,11 +144,11 @@ def test_gq_exact_record_reports_injected_faults(monkeypatch, side):
                 == (0.0, 0, True)
 
 
-def _log_series_oracle(coeffs):
+def _log_series_oracle(coeffs, order=_SERIES_ORDER):
     """The Fraction form of the log-series recurrence."""
-    a = [Fraction(c) for c in coeffs] + [Fraction(0)] * _SERIES_ORDER
-    ell = [Fraction(0)] * (_SERIES_ORDER + 1)
-    for k in range(1, _SERIES_ORDER + 1):
+    a = [Fraction(c) for c in coeffs] + [Fraction(0)] * order
+    ell = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
         acc = k * a[k]
         for j in range(1, k):
             acc -= j * ell[j] * a[k - j]
@@ -156,7 +158,9 @@ def _log_series_oracle(coeffs):
 
 def test_log_series_matches_fraction_recurrence():
     rng = random.Random(20141)
-    polys = [poly for lf in LOCAL_FACTORS.values() for poly in (lf.num, lf.den)]
+    # the two products, plus the Sigma h(d)/d^2 and /d^4 numerators that
+    # are now derived from them rather than accelerated
+    polys = list(LOCAL_FACTORS.values()) + [(1, 0, -1), (1, 0, -2, 0, 1)]
     polys += [(1,) + tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
               for _ in range(8)]
     for poly in polys:
@@ -167,12 +171,21 @@ def test_log_series_matches_fraction_recurrence():
 
 
 def test_local_factor_matches_fraction_evaluation():
-    for lf in LOCAL_FACTORS.values():
+    for name, coeffs in LOCAL_FACTORS.items():
         for p in primes_up_to(10**4).tolist():
             x = Fraction(1, p)
-            num = sum(Fraction(c) * x**i for i, c in enumerate(lf.num))
-            den = sum(Fraction(c) * x**i for i, c in enumerate(lf.den))
-            assert lf.factor(p) == num / den, (lf.name, p)
+            value = sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
+            assert _local_factor(coeffs, p) == value, (name, p)
+
+
+def test_local_factor_roots_have_modulus_at_least_half():
+    # _accelerated_product's tail past _SERIES_ORDER bounds the log-series
+    # coefficients by deg 2^k / k, which needs every root |x| >= 1/2
+    # (C: 1, 1 and -1/2 exactly; C2: +-1/sqrt(2))
+    for name, coeffs in LOCAL_FACTORS.items():
+        roots = np.roots(coeffs[::-1])
+        assert len(roots) == len(coeffs) - 1
+        assert min(abs(roots)) >= 0.5 - 1e-12, (name, roots)
 
 
 def test_gamma_an_values():
@@ -300,7 +313,8 @@ def test_euler_constant_reference_values():
     assert c.abs_err < 1e-14
     c2 = euler_constant("C2")
     cp = euler_constant("Cprime")
-    # C2 * C' = C / 2 (the two products share the same numerator polynomial)
+    # C2 * C' = C / 2 holds by construction (C' is derived from C and C2);
+    # the prime-zeta oracle test checks C' independently
     assert c2.value * cp.value == pytest.approx(c.value / 2, abs=1e-15)
     six_pi2 = euler_constant("C_of_q", arg=1)
     with mp.workprec(120):
@@ -332,6 +346,63 @@ def test_euler_product_mp_agrees_with_float_path():
         lo = euler_constant(kind)
         assert float(hi) == pytest.approx(lo.value, abs=1e-14)
         assert tail < mpf(10) ** -24
+    for kind in ("C", "C2", "Cprime", "C_of_q"):
+        with pytest.raises(ValueError):
+            euler_product_mp(kind)
+
+
+_ORACLE_SPLIT, _ORACLE_ORDER = 50, 80
+
+
+@lru_cache(maxsize=1)
+def _prime_zeta_tails():
+    """P(k) - sum_{p<=50} p^-k for k <= 80, P the prime zeta function."""
+    small = primes_up_to(_ORACLE_SPLIT).tolist()
+    with mp.workprec(200):
+        return {k: mp.primezeta(k) - mp.fsum(mpf(p) ** -k for p in small)
+                for k in range(2, _ORACLE_ORDER + 1)}
+
+
+def _prime_zeta_log_product(num, den=(1,), r=1):
+    """log prod_{p not | r} num(1/p)/den(1/p) (coefficients in x = 1/p),
+    independent of the package: the primes p <= 50 directly, the rest as
+    sum_{k=2}^{80} c_k (P(k) - sum_{p<=50} p^-k) with c_k the log-series
+    coefficients of num/den.  Every root has |x| >= 1/2, so the series past
+    k = 80 adds under 4 (2/53)^81 at p > 50."""
+    assert all(p <= _ORACLE_SPLIT for p in prime_factors(r))
+    cn = _log_series_oracle(num, _ORACLE_ORDER)
+    cd = _log_series_oracle(den, _ORACLE_ORDER)
+    tails = _prime_zeta_tails()
+    with mp.workprec(200):
+        def f(p):
+            x = mpf(1) / p
+            return mp.fsum(c * x**i for i, c in enumerate(num)) \
+                / mp.fsum(c * x**i for i, c in enumerate(den))
+        head = mp.fsum(mp.log(f(p))
+                       for p in primes_up_to(_ORACLE_SPLIT).tolist() if r % p)
+        return head + mp.fsum(
+            mpf((cn[k] - cd[k]).numerator) / (cn[k] - cd[k]).denominator
+            * tails[k] for k in range(2, _ORACLE_ORDER + 1))
+
+
+def test_products_match_prime_zeta_oracle():
+    with mp.workprec(200):
+        for name, coeffs in LOCAL_FACTORS.items():
+            value, tail = _accelerated_product(coeffs)
+            oracle = mp.exp(_prime_zeta_log_product(coeffs))
+            assert abs(mpf(str(value)) - oracle) <= mpf(str(value)) * tail, name
+        c2 = (1, 0, -2)
+        for kind, num in (("sum_h_d2", (1, 0, -1)),
+                          ("sum_h_d4", (1, 0, -2, 0, 1))):
+            for r in (1, 6, 30):
+                value, tail = euler_product_mp(kind, r)
+                oracle = mp.exp(_prime_zeta_log_product(num, c2, r))
+                assert abs(mpf(str(value)) - oracle) \
+                    <= mpf(str(value)) * tail, (kind, r)
+        # C' = zeta(3/2)/(2 pi) prod (1-3/p^2+2/p^3)/(1-2/p^2), read directly
+        cprime = mp.zeta(1.5) / (2 * mp.pi) * mp.exp(
+            _prime_zeta_log_product(LOCAL_FACTORS["C"], c2))
+        assert euler_constant("Cprime").contains(Fraction(mp.nstr(cprime, 55)))
 
 
 def test_h_series_partials_bracket_euler_products():
