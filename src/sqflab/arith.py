@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,31 +47,6 @@ def primes_up_to(n: int) -> np.ndarray:
         _prime_table = np.flatnonzero(sieve).astype(np.int64)
         _prime_table_limit = limit
     return _prime_table[: np.searchsorted(_prime_table, n, side="right")]
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition: factors sorted by prime, exponents >= 1."""
-
-    n: int
-    factors: tuple  # of (prime, exponent)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        prod = 1
-        last = 1
-        for p, e in self.factors:
-            if p <= last or e < 1:
-                raise ValueError("factors must be sorted by prime with exponents >= 1")
-            last = p
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError("factor product does not equal n")
-
-    @property
-    def primes(self) -> tuple:
-        return tuple(p for p, _ in self.factors)
 
 
 def is_prime(n: int) -> bool:
@@ -147,9 +121,10 @@ def _spf_table() -> array:
     return array("I", spf.tobytes())
 
 
-def factorize(n: int) -> Factorization:
-    """Canonical factorization of 1 <= n <= 2**63: n <= _SPF_LIMIT walks the
-    smallest-prime-factor table, larger n go through _factorize_trial."""
+def factorize(n: int) -> tuple:
+    """Canonical factorization of 1 <= n <= 2**63 as (prime, exponent) pairs,
+    primes ascending: n <= _SPF_LIMIT walks the smallest-prime-factor table,
+    larger n go through _factorize_trial."""
     if not 1 <= n <= _SPF_LIMIT:
         return _factorize_trial(n)
     spf = _spf_table()
@@ -158,10 +133,10 @@ def factorize(n: int) -> Factorization:
     while m > 1:
         out[spf[m]] = out.get(spf[m], 0) + 1
         m //= spf[m]
-    return Factorization(n, tuple(out.items()))
+    return tuple(out.items())
 
 
-def _factorize_trial(n: int) -> Factorization:
+def _factorize_trial(n: int) -> tuple:
     """factorize without the table: trial division by primes up to 10**6.
     A remaining cofactor whose square root is at most 10**6 is then prime; a
     larger one gets deterministic primality testing plus rho splitting."""
@@ -169,7 +144,6 @@ def _factorize_trial(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     if n > 1 << 63:
         raise ValueError("factorize supports n <= 2**63")
-    orig = n
     out = {}
     for p in primes_up_to(min(_TRIAL_LIMIT, math.isqrt(n))):
         p = int(p)
@@ -191,25 +165,25 @@ def _factorize_trial(n: int) -> Factorization:
             continue
         g = _pollard_rho(v)
         stack.extend((g, v // g))
-    return Factorization(orig, tuple(sorted(out.items())))
+    return tuple(sorted(out.items()))
 
 
 def mu_of(n: int) -> int:
-    factors = factorize(n).factors
+    factors = factorize(n)
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def phi_of(n: int) -> int:
-    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).factors)
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
 
 
 def tau_of(n: int) -> int:
-    return math.prod(e + 1 for _, e in factorize(n).factors)
+    return math.prod(e + 1 for _, e in factorize(n))
 
 
 def prime_factors(n: int) -> tuple:
     """Sorted distinct primes dividing n (empty for n=1)."""
-    return factorize(n).primes
+    return tuple(p for p, _ in factorize(n))
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -252,24 +226,6 @@ def require_mq(m: int, q: int, X=None) -> None:
         raise ValueError("require q <= X")
 
 
-@dataclass(frozen=True)
-class SieveWindow:
-    """Squarefree indicator over [lo, hi): flags[i] means lo+i is squarefree.
-
-    The integer 0 is treated as not squarefree.
-    """
-
-    lo: int
-    hi: int
-    flags: np.ndarray
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.flags))
-
-    def squarefree_values(self) -> np.ndarray:
-        return self.lo + np.flatnonzero(self.flags)
-
-
 @lru_cache(maxsize=1)
 def _wheel() -> np.ndarray:
     """Read-only squarefree flags of 0 <= n < 2 _WHEEL with the multiples of
@@ -281,8 +237,10 @@ def _wheel() -> np.ndarray:
     return flags
 
 
-def squarefree_window(lo: int, hi: int) -> SieveWindow:
-    """Sieve the window [lo, hi) by clearing multiples of p^2, p <= sqrt(hi).
+def squarefree_window(lo: int, hi: int) -> np.ndarray:
+    """Squarefree flags of the window [lo, hi): flags[i] means lo + i is
+    squarefree, and 0 is not squarefree.  Sieved by clearing multiples of
+    p^2, p <= sqrt(hi).
 
     The wheel, rotated to lo mod _WHEEL and tiled, clears p <= 7 (and 0, a
     multiple of 4).  Primes with p^2 < hi - lo clear by strided writes;
@@ -302,7 +260,7 @@ def squarefree_window(lo: int, hi: int) -> SieveWindow:
     single = primes[split:]
     offsets = (-lo) % (single * single)
     flags[offsets[offsets < length]] = False
-    return SieveWindow(lo, hi, flags)
+    return flags
 
 
 def squarefree_count(X: int) -> int:
@@ -339,7 +297,7 @@ def squarefree_counts_by_moduli(X: int, qs):
     widths = [q * -(-256 // q) for q in qs]
     accs = [np.zeros(w, dtype=_count_dtype(-(-X // w))) for w in widths]
     for lo in range(0, X + 1, _SEGMENT):
-        flags = squarefree_window(lo, min(lo + _SEGMENT, X + 1)).flags.view(np.uint8)
+        flags = squarefree_window(lo, min(lo + _SEGMENT, X + 1)).view(np.uint8)
         for w, acc in zip(widths, accs):
             head = min(len(flags), -lo % w)
             acc[lo % w : lo % w + head] += flags[:head]

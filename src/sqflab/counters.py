@@ -31,7 +31,7 @@ def gcd_table(q: int) -> np.ndarray:
     """gcd(a, q) for a = 0..q-1 as int64, built from the prime powers of q:
     each p^k dividing q multiplies every p^k-th entry by p."""
     g = np.ones(q, dtype=np.int64)
-    for p, e in factorize(q).factors:
+    for p, e in factorize(q):
         for k in range(1, e + 1):
             g[:: p**k] *= p
     return g

@@ -87,7 +87,7 @@ def gauss_sum(t: int, p: int) -> complex:
 def _prime_power(n: int) -> tuple:
     """(r, f) with n = r^f; cached because the bound sweeps ask for the same
     few moduli many times (a ValueError is raised afresh on every call)."""
-    fact = factorize(n).factors
+    fact = factorize(n)
     if len(fact) != 1:
         raise ValueError(f"{n} is not a prime power")
     return fact[0]
@@ -255,7 +255,7 @@ def crt_product(u: int, p1: int, p2: int, q: int, m2: int,
     out = 1 + 0j
     for p in (p1, p2):
         out *= s1_sum(p, q, m2, *local(p))
-    for r, f in factorize(u).factors:
+    for r, f in factorize(u):
         out *= s2_sum(r ** f, q, m2, *local(r ** f))
     return out
 

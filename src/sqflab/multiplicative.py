@@ -47,7 +47,7 @@ def kappa(l: int) -> Fraction:
     if l < 1:
         raise ValueError("kappa requires l >= 1")
     out = Fraction(1)
-    for p, e in factorize(l).factors:
+    for p, e in factorize(l):
         if e == 1:
             out *= Fraction(p * p - p - 1, p * p - 1)
         elif e == 2:
@@ -63,7 +63,7 @@ def h_of(d: int) -> Fraction:
     if d < 1:
         raise ValueError("h_of requires d >= 1")
     out = Fraction(1)
-    for p, e in factorize(d).factors:
+    for p, e in factorize(d):
         if e > 1:
             return Fraction(0)
         out *= Fraction(p * p, p * p - 2)
@@ -141,11 +141,11 @@ def gamma_ar(m: int) -> float:
     if m == 0:
         raise ValueError("gamma_ar requires m != 0")
     fac = factorize(abs(m))
-    if any(e > 1 for _, e in fac.factors):
+    if any(e > 1 for _, e in fac):
         raise ValueError("gamma_ar is only defined here for squarefree m")
     with localcontext(_CTX):
         out = Decimal(1)
-        for p, _ in fac.factors:
+        for p, _ in fac:
             sp = Decimal(p).sqrt()
             out /= 1 + (p + sp + 1) / (p * sp + sp + 1)
         return float(out)
@@ -165,7 +165,7 @@ def f_q_rational_part(l: int, m: int, q: int) -> Fraction:
     out = _local_product(m_abs, lambda p: Fraction(p * p - 1, p * p - 2)) \
         * _local_product(q, lambda p: Fraction(p * p - p, p * p - 2))
     out *= kappa(math.gcd(abs(l), m_abs * m_abs))
-    for p, e in factorize(abs(l)).factors:
+    for p, e in factorize(abs(l)):
         if e >= 2 and m_abs % p != 0 and q % p != 0:
             out *= Fraction(p * p - 1, p * p - 2)
     return out
@@ -432,7 +432,7 @@ def kappa_mu_sums(m: int) -> tuple:
     if mu_of(m_abs) == 0:
         raise ValueError("kappa_mu_sums requires squarefree m")
     m2 = m_abs * m_abs
-    divs = _divisors(factorize(m2).factors)
+    divs = _divisors(factorize(m2))
     s_recip = Fraction(0)
     s_plain = Fraction(0)
     with localcontext(_CTX):
@@ -441,7 +441,7 @@ def kappa_mu_sums(m: int) -> tuple:
             krho = kappa(rho)
             if krho == 0:
                 continue
-            for sigma in _divisors(factorize(m2 // rho).factors):
+            for sigma in _divisors(factorize(m2 // rho)):
                 msig = mu_of(sigma)
                 if msig == 0:
                     continue
@@ -474,7 +474,7 @@ _H_SERIES_D = 10**4
 def _h_table() -> tuple:
     """(d, float d, float h(d)) over all squarefree d <= _H_SERIES_D, built
     once; h(d) multiplies its prime factors' p^2/(p^2-2) in increasing p."""
-    d = squarefree_window(1, _H_SERIES_D + 1).squarefree_values()
+    d = 1 + np.flatnonzero(squarefree_window(1, _H_SERIES_D + 1))
     h = np.ones(_H_SERIES_D + 1)
     for p in primes_up_to(_H_SERIES_D).tolist():
         h[p::p] *= p * p / (p * p - 2.0)

@@ -12,7 +12,8 @@ class ApproxReal:
     """A real value paired with a rigorous absolute error bound.
 
     Arithmetic propagates worst-case bounds: errors add under addition,
-    and |a|*eb + |b|*ea + ea*eb under multiplication.
+    and |a|*eb + |b|*ea + ea*eb under multiplication; each result's bound
+    also covers the rounding of its value and of the bound itself.
     """
 
     value: float
@@ -24,26 +25,32 @@ class ApproxReal:
 
     def __add__(self, other: "ApproxReal | float") -> "ApproxReal":
         other = as_approx(other)
-        return ApproxReal(self.value + other.value, self.abs_err + other.abs_err)
+        return _rounded(self.value + other.value, self.abs_err + other.abs_err)
 
     __radd__ = __add__
 
     def __sub__(self, other: "ApproxReal | float") -> "ApproxReal":
         other = as_approx(other)
-        return ApproxReal(self.value - other.value, self.abs_err + other.abs_err)
+        return _rounded(self.value - other.value, self.abs_err + other.abs_err)
 
     def __mul__(self, other: "ApproxReal | float") -> "ApproxReal":
         other = as_approx(other)
         err = (abs(self.value) * other.abs_err
                + abs(other.value) * self.abs_err
                + self.abs_err * other.abs_err)
-        return ApproxReal(self.value * other.value, err)
+        return _rounded(self.value * other.value, err)
 
     __rmul__ = __mul__
 
     def contains(self, x) -> bool:
         """Whether x (a float, int or Fraction) lies in the interval, exactly."""
         return abs(Fraction(x) - Fraction(self.value)) <= Fraction(self.abs_err)
+
+
+def _rounded(r: float, err: float) -> ApproxReal:
+    """r with the propagated bound err widened by ulp(r), which covers r's
+    own rounding, and padded past the few roundings in evaluating err."""
+    return ApproxReal(r, math.nextafter((err + math.ulp(r)) * (1 + 2**-50), math.inf))
 
 
 def as_approx(x) -> ApproxReal:

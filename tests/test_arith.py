@@ -54,8 +54,10 @@ def test_is_prime_matches_trial_division():
 @settings(max_examples=200, deadline=None)
 def test_factorize_roundtrip(n):
     fact = factorize(n)
+    assert isinstance(fact, tuple)
+    assert all(a[0] < b[0] for a, b in zip(fact, fact[1:]))
     prod = 1
-    for p, e in fact.factors:
+    for p, e in fact:
         assert is_prime(p) and e >= 1
         prod *= p ** e
     assert prod == n
@@ -71,9 +73,9 @@ def test_factorize_roundtrip(n):
 def test_factorize_around_trial_limit(n, factors):
     # cofactors just inside and just past the square of the trial limit
     fact = factorize(n)
-    assert fact.factors == factors
-    assert math.prod(p ** e for p, e in fact.factors) == n
-    assert all(is_prime(p) for p, _ in fact.factors)
+    assert fact == factors
+    assert math.prod(p ** e for p, e in fact) == n
+    assert all(is_prime(p) for p, _ in fact)
 
 
 def test_factorize_table_matches_trial_division():
@@ -92,8 +94,8 @@ def test_factorize_table_matches_trial_division():
 ])
 def test_factorize_at_table_limit(n, factors):
     fact = factorize(n)
-    assert fact.factors == factors
-    assert all(type(p) is int and type(e) is int for p, e in fact.factors)
+    assert fact == factors
+    assert all(type(p) is int and type(e) is int for p, e in fact)
 
 
 def test_spf_table_is_built_lazily():
@@ -159,11 +161,12 @@ def test_mod_inverse():
 
 
 def test_squarefree_window_matches_mu():
-    win = squarefree_window(1, 2001)
+    flags = squarefree_window(1, 2001)
+    assert isinstance(flags, np.ndarray)
+    assert flags.dtype == bool and flags.shape == (2000,)
     for n in range(1, 2001):
-        assert bool(win.flags[n - 1]) == (_mu_brute(n) != 0), n
-    assert win.count() == int(np.count_nonzero(win.flags))
-    vals = win.squarefree_values()
+        assert bool(flags[n - 1]) == (_mu_brute(n) != 0), n
+    vals = 1 + np.flatnonzero(flags)
     assert vals[0] == 1 and vals[-1] <= 2000
 
 
@@ -201,9 +204,9 @@ def test_squarefree_window_matches_per_prime_oracle(length):
     for first, last in runs:
         ref = _window_oracle(first, last + length)
         for lo in range(first, last + 1):
-            win = squarefree_window(lo, lo + length)
-            assert np.array_equal(win.flags, ref[lo - first :][:length]), lo
-    assert not squarefree_window(0, length).flags[0]
+            flags = squarefree_window(lo, lo + length)
+            assert np.array_equal(flags, ref[lo - first :][:length]), lo
+    assert not squarefree_window(0, length)[0]
 
 
 def test_squarefree_count_known_values():
@@ -217,14 +220,14 @@ def test_counts_by_residue_consistency():
     X, q = 10 ** 4, 12
     counts = squarefree_counts_by_residue(X, q)
     assert counts.sum() == squarefree_count(X)
-    vals = squarefree_window(1, X + 1).squarefree_values()
+    vals = 1 + np.flatnonzero(squarefree_window(1, X + 1))
     ref = np.bincount(vals % q, minlength=q)
     assert np.array_equal(counts, ref)
 
 
 @lru_cache(maxsize=None)
 def _squarefree_values(X):
-    return squarefree_window(1, X + 1).squarefree_values()
+    return 1 + np.flatnonzero(squarefree_window(1, X + 1))
 
 
 def _residue_oracle(X, q):
@@ -283,7 +286,7 @@ def _moduli_oracle(X, q):
     if X <= _MU_LISTING_MAX:
         vals = _mu_listing()[: int(np.searchsorted(_mu_listing(), X, "right"))]
     else:
-        vals = squarefree_window(0, X + 1).squarefree_values()
+        vals = np.flatnonzero(squarefree_window(0, X + 1))
     return np.bincount(vals % q, minlength=q)
 
 
@@ -324,7 +327,7 @@ def test_counts_by_moduli_q1_at_uint16_switch(X):
     # accumulator is uint16 at the first X and uint32 at the second
     (counts,) = squarefree_counts_by_moduli(X, [1])
     assert counts.dtype == np.uint32
-    assert int(counts[0]) == squarefree_window(0, X + 1).count()
+    assert int(counts[0]) == int(np.count_nonzero(squarefree_window(0, X + 1)))
 
 
 @pytest.mark.parametrize("qs", [[5, 0], [5, -3], [5, 101]])

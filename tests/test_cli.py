@@ -213,8 +213,8 @@ def test_scan_croft_and_hooley(tmp_path):
 
 
 # sha256 of the scan CSV bytes as written before the residue counts moved to
-# q-aligned column sums; X spans four sieve segments and the moduli include
-# q = 1 and one above the 2^20 segment length.
+# q-aligned column sums, plus one JSON output; X spans four sieve segments and
+# the moduli include q = 1 and one above the 2^20 segment length.
 _SCAN_PIN_X = 3 * 2 ** 20 + 5
 _SCAN_PIN_Q = "1,1000,30030,1048579"
 
@@ -228,6 +228,8 @@ _SCAN_PIN_Q = "1,1000,30030,1048579"
      "3199f0077b3cce96bba21114cede4dfc41ab6cd9c8b8097935c20a75d081c3ae"),
     ("hooley", [],
      "f9b5cc3bf3d85d43ef397fd1fa5eaf789821a627277b8cb86807998e4cd26cbc"),
+    ("variance", ["--format", "json"],
+     "d55aa58a9ae8eba2e50c54455df9f38e07334686d8f6c133b7d6545ac385f657"),
 ])
 def test_scan_bytes_pinned(tmp_path, kind, extra, digest):
     out = tmp_path / "scan.csv"

@@ -26,7 +26,7 @@ from sqflab.multiplicative import euler_constant
 # ---------------------------------------------------------------------------
 
 def _brute_counts(X, q):
-    vals = squarefree_window(1, X + 1).squarefree_values()
+    vals = 1 + np.flatnonzero(squarefree_window(1, X + 1))
     return np.bincount(vals % q, minlength=q)
 
 

@@ -56,7 +56,7 @@ def test_h_of_cache_still_rejects_zero():
 def _gq_sum_oracle(l, r):
     """sum over d with d^2 | l, gcd(d,r)=1 of h(d)/d^2, exact."""
     total = Fraction(0)
-    for d in _divisors((p, e // 2) for p, e in factorize(l).factors):
+    for d in _divisors((p, e // 2) for p, e in factorize(l)):
         if math.gcd(d, r) == 1:
             total += h_of(d) / (d * d)
     return total
@@ -65,7 +65,7 @@ def _gq_sum_oracle(l, r):
 def _gq_product_oracle(l, r):
     """prod over p with p^2 | l, p not dividing r of (p^2-1)/(p^2-2), exact."""
     out = Fraction(1)
-    for p, e in factorize(l).factors:
+    for p, e in factorize(l):
         if e >= 2 and r % p != 0:
             out *= Fraction(p * p - 1, p * p - 2)
     return out
