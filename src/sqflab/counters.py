@@ -6,6 +6,9 @@ Everything here is either an exact integer count or a float built from exact
 counts plus one Euler-product constant; the dispersion identity ties the two
 paths together and is checked to 1e-8 relative.  The residue-class
 statistics never sieve: they take the caller's counts, one vector per (X, q).
+Every exact float sum (the direct M2, Croft's sum of squares) goes through
+records.exact_sum: correctly rounded, so it does not depend on summation
+order, yet vectorised over the ~10^6 classes of a large modulus.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
                     require_mq)
 from .multiplicative import euler_constant
-from .records import ApproxReal, VerificationRecord
+from .records import ApproxReal, VerificationRecord, exact_sum
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +100,25 @@ def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     require_mq(m, q)
     vec = error_vector(X, q, counts)
     a = vec.coprime_residues
-    partner = (m % q * a) % q  # m reduced first: m * a may pass int64
     M = vec.main_term.value
-    E = vec.counts.astype(np.float64) - M
-    terms = E[a] * E[partner]
-    direct = math.fsum(memoryview(terms))
+    ca = vec.counts[a]
+    cp = vec.counts[(m % q * a) % q]  # m reduced first: m * a may pass int64
+    S = _double_sum_from_counts(ca, cp)
+    reassembled = _reassemble_m2(S, int(np.sum(ca)), phi_of(q), M)
+
+    # E(a) and E(ma) replace the int64 counts, which nothing reads again:
+    # at q near 10^6 each of these arrays is 8 MB, and a scan's memory
+    # peaks here
+    Ea, Ep = ca - M, cp - M
+    del ca, cp
+    terms = Ea * Ep
+    direct = exact_sum(terms)
 
     err_m = vec.main_term.abs_err
-    err = err_m * float(np.sum(np.abs(E[a]) + np.abs(E[partner]))) \
+    err = err_m * float(np.sum(np.abs(Ea) + np.abs(Ep))) \
         + len(a) * err_m * err_m + abs(direct) * 1e-15 \
         + float(np.sum(np.abs(terms))) * 2e-16
     m2 = ApproxReal(direct, err)
-
-    ca = vec.counts[a]
-    S = _double_sum_from_counts(ca, vec.counts[partner])
-    reassembled = _reassemble_m2(S, int(np.sum(ca)), phi_of(q), M)
     scale = max(1.0, abs(m2.value), abs(reassembled))
     return m2, reassembled, S, scale
 
@@ -182,9 +189,10 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
         by_gcd[d] = base * q0 / phi_of(q0)
     expected = by_gcd[gcd_table(q)]
     diff = counts - expected
-    value = math.fsum(memoryview(diff * diff))
-    err_e = np.abs(expected) * (base_err / base if base > 0 else 0.0) \
-        + np.abs(expected) * 3e-16
+    value = exact_sum(diff * diff)
+    # expected >= +0.0 by construction, so it is its own absolute value
+    err_e = expected * (base_err / base if base > 0 else 0.0) \
+        + expected * 3e-16
     err = float(np.sum(2 * np.abs(diff) * err_e + err_e * err_e)) \
         + abs(value) * 1e-15
     return ApproxReal(value, err)

@@ -2,10 +2,11 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sqflab.records import ApproxReal, VerificationRecord, as_approx
+from sqflab.records import ApproxReal, VerificationRecord, as_approx, exact_sum
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 errs = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -89,3 +90,58 @@ def test_verification_record_modes():
     assert rep.mode == "report_only"
     d = ok.as_dict()
     assert d["check_id"] == "x" and d["a"] == 1 and d["pass"] is True
+
+
+@st.composite
+def _float_arrays(draw):
+    """Float64 arrays of 0-5000 elements with 53-bit mantissas: exponents
+    spread across a drawn part of [-300, 300], x beside -x (exact
+    cancellation, plus a tail far below it), subnormals, or all equal."""
+    n = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    kind = draw(st.sampled_from(["spread", "cancel", "subnormal", "equal"]))
+    if kind == "cancel":
+        tail = np.ldexp(rng.uniform(-1.0, 1.0, 3), lo - 60)
+        x = rng.permutation(np.concatenate([x[: n // 2], -x[: n // 2], tail]))
+    elif kind == "subnormal":  # 2^-1074 is the least subnormal, 2^-1022 normal
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, -1000, n))
+    elif kind == "equal":
+        x = np.full(n, x[0] if n else 0.0)
+    return x
+
+
+@given(_float_arrays())
+@settings(max_examples=150, deadline=None)
+# seven values just above -1: their running sums pass 2 and 4, which is
+# exact only on the grid that shift = bit_length(7) + 1 = 4 leaves
+@example(np.full(7, -(1 - 2.0**-52)))
+def test_exact_sum_is_correctly_rounded(x):
+    got = exact_sum(x)
+    assert type(got) is float
+    assert got == math.fsum(x.tolist()) == float(sum(map(Fraction, x.tolist())))
+
+
+def test_exact_sum_needs_three_levels():
+    # 2^20 + 1 elements in 33 blocks of 2^15, whose sums cancel down to the
+    # last element: the exact sum is 2^-60.  A level keeps at most
+    # 53 - 17 = 36 bits below the largest element of its block, so the
+    # first block takes 2^60 in its first level and needs two more for the
+    # 53-bit values in (-1, -1/2]
+    v = -np.random.default_rng(17).uniform(0.5, 1.0, 2**19 - 1)
+    x = np.concatenate([[2.0**60], v, -v, [-2.0**60, 2.0**-60]])
+    assert x.size == 2**20 + 1
+    assert exact_sum(x) == 2.0**-60 == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        exact_sum(np.array([1.0, bad, -1.0]))
+
+
+def test_exact_sum_overflow():
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, -1e308]))
