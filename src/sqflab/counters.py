@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
                     require_mq)
-from .multiplicative import euler_constant
+from .multiplicative import _divisors, euler_constant
 from .records import ApproxReal, VerificationRecord, exact_sum
 
 
@@ -40,44 +39,22 @@ def gcd_table(q: int) -> np.ndarray:
     return g
 
 
-def _coprime_residues(q: int) -> np.ndarray:
-    """The residues a mod q with gcd(a, q) = 1, ascending."""
-    return np.flatnonzero(gcd_table(q) == 1)
-
-
-@dataclass
-class ResidueErrorVector:
-    """Squarefree counts per residue class mod q on [1, X], split as
-    count(a) = C(q) X/q + E(X,q,a) on the coprime classes."""
-
-    X: int
-    q: int
-    counts: np.ndarray
-    main_term: ApproxReal
-
-    @cached_property
-    def coprime_residues(self) -> np.ndarray:
-        return _coprime_residues(self.q)
-
-    def errors_array(self) -> np.ndarray:
-        """E over the coprime residues, float64, in residue order."""
-        return self.counts[self.coprime_residues].astype(np.float64) \
-            - self.main_term.value
-
-
-def error_vector(X: int, q: int, counts: np.ndarray) -> ResidueErrorVector:
-    """The caller's squarefree counts mod q, widened to int64, plus the main
-    term C(q) X/q."""
+def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
+    """(a, count(a), C(q) X/q) from the caller's squarefree counts mod q on
+    [1, X]: the coprime residues a ascending, their counts gathered and
+    widened to int64, and the main term, so E(X,q,a) = count(a) - C(q) X/q.
+    """
+    if counts.shape != (q,):
+        raise ValueError(f"need one count per residue class mod {q}, "
+                         f"got shape {counts.shape}")
+    a = np.flatnonzero(gcd_table(q) == 1)
     cq = euler_constant("C_of_q", arg=q)
     main = ApproxReal(cq.value * X / q, cq.abs_err * X / q)
-    return ResidueErrorVector(X, q, counts.astype(np.int64, copy=False), main)
+    return a, counts[a].astype(np.int64), main
 
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    X: int
-    q: int
-    m: int
     S_exact: int
     M2_exact: ApproxReal
     decomposition_residual: float
@@ -98,11 +75,10 @@ def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     """(direct M2 as ApproxReal, reassembled M2, exact S, comparison scale)
     for one cell."""
     require_mq(m, q)
-    vec = error_vector(X, q, counts)
-    a = vec.coprime_residues
-    M = vec.main_term.value
-    ca = vec.counts[a]
-    cp = vec.counts[(m % q * a) % q]  # m reduced first: m * a may pass int64
+    a, ca, main = error_vector(X, q, counts)
+    M = main.value
+    # m reduced first: m * a may pass int64
+    cp = counts[(m % q * a) % q].astype(np.int64)
     S = _double_sum_from_counts(ca, cp)
     reassembled = _reassemble_m2(S, int(np.sum(ca)), phi_of(q), M)
 
@@ -114,7 +90,7 @@ def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     terms = Ea * Ep
     direct = exact_sum(terms)
 
-    err_m = vec.main_term.abs_err
+    err_m = main.abs_err
     err = err_m * float(np.sum(np.abs(Ea) + np.abs(Ep))) \
         + len(a) * err_m * err_m + abs(direct) * 1e-15 \
         + float(np.sum(np.abs(terms))) * 2e-16
@@ -130,7 +106,7 @@ def variance_M2(X: int, q: int, m: int,
     m n1 = n2 (q)} and the dispersion residual."""
     m2, reassembled, S, scale = _dispersion_parts(X, q, m, counts)
     residual = abs(m2.value - reassembled) / scale
-    return CorrelationResult(X, q, m, S, m2, residual)
+    return CorrelationResult(S, m2, residual)
 
 
 def _reassemble_m2(S: int, coprime_count: int, phi: int, M: float) -> float:
@@ -170,21 +146,22 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     """Sum over all residues a mod q of (count(a) - expected(a))^2 with the
     class-dependent expected value
     mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
-    d = gcd(a,q), q0 = q/d; the caller's counts, widened to float64."""
-    counts = counts.astype(np.float64)
+    d = gcd(a,q), q0 = q/d, from the caller's counts (any integer dtype:
+    subtracting the float64 expected values promotes them exactly)."""
+    if counts.shape != (q,):
+        raise ValueError(f"need one count per residue class mod {q}, "
+                         f"got shape {counts.shape}")
+    primes = prime_factors(q)
     six_over_pi2 = euler_constant("C_of_q", arg=1)
     hq = 1.0
-    for p in prime_factors(q):
+    for p in primes:
         hq *= p / (p + 1.0)
     base = six_over_pi2.value * hq * X / q
     base_err = six_over_pi2.abs_err * hq * X / q
 
     # expected value per gcd d, nonzero only at the squarefree d | q
     by_gcd = np.zeros(q + 1)
-    squarefree_divisors = [1]
-    for p in prime_factors(q):
-        squarefree_divisors += [d * p for d in squarefree_divisors]
-    for d in squarefree_divisors:
+    for d in _divisors((p, 1) for p in primes):
         q0 = q // d
         by_gcd[d] = base * q0 / phi_of(q0)
     expected = by_gcd[gcd_table(q)]
@@ -201,8 +178,8 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
 def hooley_report(X: int, q: int, counts: np.ndarray) -> float:
     """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)) from the caller's counts;
     the bound's constant is unspecified, so this is only ever reported."""
-    vec = error_vector(X, q, counts)
-    emax = float(np.max(np.abs(vec.errors_array())))
+    _, ca, main = error_vector(X, q, counts)
+    emax = float(np.max(np.abs(ca - main.value)))
     return emax / (math.sqrt(X / q) + math.sqrt(q))
 
 

@@ -1,6 +1,6 @@
-"""Counter layer: error vectors, the dispersion identity, Croft's variance,
-interval geometry, the local counts u_p, and lattice counts, each against
-an independent brute-force oracle."""
+"""Counter layer: the coprime-class gather, the dispersion identity,
+Croft's variance, interval geometry, the local counts u_p, and lattice
+counts, each against an independent brute-force oracle."""
 
 import math
 import random
@@ -19,6 +19,7 @@ from sqflab.counters import (CorrelationResult, croft_variance,
                              lattice_count_brute, pair_enumeration_S,
                              u_p_brute, u_p_local, variance_M2)
 from sqflab.multiplicative import euler_constant
+from sqflab.records import exact_sum
 
 
 # ---------------------------------------------------------------------------
@@ -31,23 +32,55 @@ def _brute_counts(X, q):
 
 
 def test_error_vector_counts_and_errors():
+    # the full count vector is checked against the bincount oracle in
+    # test_arith.py; here only the coprime gather and the main term
     X, q = 3000, 12
-    vec = error_vector(X, q, squarefree_counts_by_residue(X, q))
-    assert vec.counts.dtype == np.int64
-    assert np.array_equal(vec.counts, _brute_counts(X, q))
+    a, ca, main = error_vector(X, q, squarefree_counts_by_residue(X, q))
+    assert list(a) == [r for r in range(q) if math.gcd(r, q) == 1]
+    assert len(a) == phi_of(q)
+    assert ca.dtype == np.int64
+    assert np.array_equal(ca, _brute_counts(X, q)[a])
     # main term = C(q) X / q
     cq = euler_constant("C_of_q", arg=q)
-    assert math.isclose(vec.main_term.value, cq.value * X / q, rel_tol=1e-14)
-    # coprime classes and the error split
-    assert list(vec.coprime_residues) == [a for a in range(q)
-                                          if math.gcd(a, q) == 1]
-    arr = vec.errors_array()
-    assert arr.shape == (phi_of(q),)
-    for i, a in enumerate(vec.coprime_residues):
-        assert arr[i] == float(vec.counts[a]) - vec.main_term.value
+    assert math.isclose(main.value, cq.value * X / q, rel_tol=1e-14)
     # errors over the coprime classes nearly cancel: their sum is
     # Q_coprime(X) - phi(q) C(q) X / q, which is O(sqrt X), not O(X)
-    assert abs(math.fsum(arr.tolist())) < 4 * math.sqrt(X)
+    assert abs(math.fsum((ca - main.value).tolist())) < 4 * math.sqrt(X)
+
+
+def test_counts_of_the_wrong_modulus_are_rejected():
+    # counts mod 20 (too long) or mod 5 (too short) passed as counts mod 10
+    X, q = 1000, 10
+    for wrong in (20, 5):
+        counts = squarefree_counts_by_residue(X, wrong)
+        for call in (lambda: error_vector(X, q, counts),
+                     lambda: variance_M2(X, q, 1, counts),
+                     lambda: dispersion_check(X, q, 1, counts),
+                     lambda: croft_variance(X, q, counts),
+                     lambda: hooley_report(X, q, counts)):
+            with pytest.raises(ValueError, match="residue class mod 10"):
+                call()
+
+
+@pytest.mark.parametrize("q", [97, 100])
+def test_statistics_equal_across_count_dtypes(q):
+    # the CLI passes the narrowest unsigned counter that cannot wrap; every
+    # statistic must read it exactly as it reads int64 counts
+    X = 20000
+    wide = squarefree_counts_by_residue(X, q)
+    assert wide.dtype == np.int64 and wide.max() < 256
+
+    def stats(counts):
+        res = variance_M2(X, q, -1, counts)
+        rec = dispersion_check(X, q, -1, counts)
+        croft = croft_variance(X, q, counts)
+        return (res.S_exact, res.M2_exact, res.decomposition_residual,
+                rec.as_dict(), croft.value, croft.abs_err,
+                hooley_report(X, q, counts))
+
+    expected = stats(wide)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+        assert stats(wide.astype(dtype)) == expected, dtype
 
 
 def test_gcd_table_matches_np_gcd():
@@ -158,9 +191,10 @@ def test_croft_variance_vs_brute():
     assert got.abs_err < 1e-6 * max(1.0, got.value)
 
 
-def test_fsum_of_memoryview_equals_fsum_of_list():
-    # the dispersion and Croft sums pass fsum a memoryview of a float64
-    # array instead of its tolist(); fsum is correctly rounded either way
+def test_exact_sum_equals_fsum_on_spiked_blocks():
+    # the dispersion and Croft sums go through records.exact_sum; on 10^5
+    # elements (four 2^15 blocks) with +-1e300 spikes in every block it
+    # must give fsum's correctly rounded float, which np.sum misses
     rng = np.random.default_rng(8)
     n = 10 ** 5
     x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.integers(-30, 31, n) \
@@ -168,8 +202,8 @@ def test_fsum_of_memoryview_equals_fsum_of_list():
     x[::1000] = 1e300
     x[1::1000] = -1e300
     exact = math.fsum(x.tolist())
+    assert exact_sum(x) == exact
     assert exact != float(np.sum(x))  # naive summation loses this one
-    assert math.fsum(memoryview(x)) == exact
 
 
 def test_hooley_report_magnitude():
