@@ -1,7 +1,11 @@
-"""Batch front end: verification suites and scan reports with CSV/JSON
-output and CI-friendly exit codes: 0 pass, 1 an asserted record failed,
-2 bad input (argument errors, a computation that rejects its inputs, or
-one too large to allocate).
+"""Batch front end: `verify` runs the suites identities, expsums and
+asymptotics (or all) and `scan` tabulates exact statistics, as CSV or JSON.
+The asymptotics suite checks the frakS, A and G remainders by
+calibrate-then-enforce envelopes (`_envelope`).
+
+Exit codes: 0 pass; 1 an asserted record failed; 2 bad input (argument
+errors, a computation that rejects its inputs, or one too large to
+allocate) or output that cannot be written, with one line on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from decimal import Decimal, InvalidOperation
@@ -103,6 +108,20 @@ def _suite_expsums(seed: int) -> list:
     return records
 
 
+def _envelope(check_id, size_key, cells, calibrate, enforce, gap, scale):
+    """Calibrate c = 2 max(gap / scale) over cells x `calibrate` sizes, then
+    assert gap <= c scale over cells x `enforce` sizes.  A cell is a dict of
+    record params; scale(cell, size) gives the O-term's factors, multiplied
+    left to right after c in the tolerance."""
+    c = asymptotics.calibration_constant(
+        gap(cell, s) / math.prod(scale(cell, s))
+        for cell in cells for s in calibrate)
+    return [VerificationRecord.checked(
+                check_id, {**cell, size_key: s, "c": c},
+                gap(cell, s), 0.0, math.prod(scale(cell, s), start=c))
+            for cell in cells for s in enforce]
+
+
 def _suite_asymptotics(seed: int) -> list:
     records = []
     for s in (0.5, 1.0, 1.5):
@@ -113,61 +132,37 @@ def _suite_asymptotics(seed: int) -> list:
                 "asymptotics.psi_mellin", {"s": s, "X": X},
                 val.value, lim, X ** (-s / 2)))
 
-    mq = [(m, q) for m in (1, 2, 3, -1) for q in (1, 5, 12)
+    mq = [{"m": m, "q": q} for m in (1, 2, 3, -1) for q in (1, 5, 12)
           if math.gcd(abs(m), q) == 1]
+    formula = {(c["m"], c["q"]): asymptotics.frakS_formula(c["q"], c["m"])
+               for c in mq}
+    records += _envelope(
+        "asymptotics.frakS_envelope", "Y", mq,
+        (100.0, 300.0, 1000.0), (1e4, 1e5),
+        lambda c, Y: abs(asymptotics.frakS_exact(Y, c["q"], c["m"]).value
+                         - formula[c["m"], c["q"]].at(Y)),
+        lambda c, Y: (tau_of(c["q"]), Y ** (1 / 3)))
 
-    ratios = []
-    for (m, q) in mq:
-        bd = asymptotics.frakS_formula(q, m)
-        for Y in (100.0, 300.0, 1000.0):
-            ex = asymptotics.frakS_exact(Y, q, m).value
-            ratios.append(abs(ex - bd.at(Y)) / (tau_of(q) * Y ** (1 / 3)))
-    c_s = asymptotics.calibration_constant(ratios)
-    for (m, q) in mq:
-        bd = asymptotics.frakS_formula(q, m)
-        for Y in (1e4, 1e5):
-            ex = asymptotics.frakS_exact(Y, q, m).value
-            records.append(VerificationRecord.checked(
-                "asymptotics.frakS_envelope", {"m": m, "q": q, "Y": Y, "c": c_s},
-                abs(ex - bd.at(Y)), 0.0, c_s * tau_of(q) * Y ** (1 / 3)))
-
-    for (m, q) in mq:
+    for c in mq:
         for X in (2000.0, 10000.0):
-            a = asymptotics.A_exact(X, q, m)
-            d = asymptotics.A_decomposition(X, q, m)
+            a = asymptotics.A_exact(X, c["q"], c["m"])
+            d = asymptotics.A_decomposition(X, c["q"], c["m"])
             records.append(VerificationRecord.checked(
-                "asymptotics.A_decomposition", {"m": m, "q": q, "X": X},
+                "asymptotics.A_decomposition", {**c, "X": X},
                 a.value, d.value, 1e-9 * abs(a.value)))
 
-    ratios = []
-    for (m, q) in mq:
-        for X in (1000.0, 10000.0):
-            a = asymptotics.A_exact(X, q, m).value
-            f = asymptotics.A_formula(X, q, m).value
-            ratios.append(abs(a - f) / (tau_of(q) * X ** (1 / 3) * q ** (2 / 3)))
-    c_a = asymptotics.calibration_constant(ratios)
-    for (m, q) in mq:
-        X = 1e5
-        a = asymptotics.A_exact(X, q, m).value
-        f = asymptotics.A_formula(X, q, m).value
-        records.append(VerificationRecord.checked(
-            "asymptotics.A_envelope", {"m": m, "q": q, "X": X, "c": c_a},
-            abs(a - f), 0.0, c_a * tau_of(q) * X ** (1 / 3) * q ** (2 / 3)))
+    records += _envelope(
+        "asymptotics.A_envelope", "X", mq, (1000.0, 10000.0), (1e5,),
+        lambda c, X: abs(asymptotics.A_exact(X, c["q"], c["m"]).value
+                         - asymptotics.A_formula(X, c["q"], c["m"]).value),
+        lambda c, X: (tau_of(c["q"]), X ** (1 / 3), c["q"] ** (2 / 3)))
 
-    ratios = []
-    for r in (1, 2, 6, 15):
-        for Y in (100.0, 300.0, 1000.0):
-            g = asymptotics.G_of(Y, r)
-            main = asymptotics.G_main_term(Y, r)
-            ratios.append(abs(g.value - main.value) / (tau_of(r) * Y ** (1 / 3)))
-    c_g = asymptotics.calibration_constant(ratios)
-    for r in (1, 2, 6, 15):
-        for Y in (1e4, 1e5):
-            g = asymptotics.G_of(Y, r)
-            main = asymptotics.G_main_term(Y, r)
-            records.append(VerificationRecord.checked(
-                "asymptotics.G_envelope", {"r": r, "Y": Y, "c": c_g},
-                abs(g.value - main.value), 0.0, c_g * tau_of(r) * Y ** (1 / 3)))
+    records += _envelope(
+        "asymptotics.G_envelope", "Y", [{"r": r} for r in (1, 2, 6, 15)],
+        (100.0, 300.0, 1000.0), (1e4, 1e5),
+        lambda c, Y: abs(asymptotics.G_of(Y, c["r"]).value
+                         - asymptotics.G_main_term(Y, c["r"]).value),
+        lambda c, Y: (tau_of(c["r"]), Y ** (1 / 3)))
     return records
 
 
@@ -287,8 +282,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=["identities", "expsums", "asymptotics", "all"],
-                    default="all")
+    pv.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--format", choices=["csv", "json"], default="csv")
     pv.add_argument("--out", default=None)
@@ -335,16 +329,19 @@ def main(argv=None) -> int:
         print(f"sqflab: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
-        try:
-            fh = open(args.out, "w", newline="")
-        except OSError as exc:
-            print(f"sqflab: error: cannot write --out: {exc}", file=sys.stderr)
-            return 2
-        with fh:
-            _emit_rows(rows, args.format, fh)
-    else:
-        _emit_rows(rows, args.format, sys.stdout)
+    try:
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                _emit_rows(rows, args.format, fh)
+        else:
+            _emit_rows(rows, args.format, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # the interpreter flushes stdout again at exit: let it hit devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"sqflab: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(summary, file=sys.stderr)
     return status
 

@@ -12,8 +12,9 @@ import sys
 
 import pytest
 
-from sqflab import arith, cli, counters, multiplicative
+from sqflab import arith, asymptotics, cli, counters, multiplicative
 from sqflab.cli import _emit_rows, main, run_verify
+from sqflab.records import VerificationRecord
 
 # sha256 of the bytes of `sqflab verify --suite all --seed 0 --format csv`
 VERIFY_ALL_SHA256 = \
@@ -104,6 +105,10 @@ def test_bad_arguments_exit_2(capsys):
     ["--q", "7", "--precision", "nan"],
     ["--q", "7", "--precision", "1e-12"],
     ["--q", "7", "--out", "/nonexistent-dir/x.csv"],
+    # opens, but every write fails with ENOSPC
+    pytest.param(["--q", "7", "--out", "/dev/full"],
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="needs the /dev/full device")),
     # even as uint8, 10^17 counts take 10^17 bytes (86.7 PiB), more than
     # any host's memory and swap, so the allocation is refused before any
     # sieving
@@ -116,7 +121,7 @@ def test_bad_arguments_exit_2(capsys):
     ["--q", "7", "--kind", "correlation", "--m", "1000000000000000000000"],
 ], ids=["q-zero", "q-negative", "q-empty", "x-negative", "precision-zero",
         "precision-unreachable", "precision-nan", "precision-removed",
-        "out-unwritable",
+        "out-unwritable", "out-full-device",
         "q-unallocatable", "q-unallocatable-sci", "x-past-int64",
         "m-zero", "m-not-squarefree", "m-past-int64"])
 def test_bad_input_exits_2_without_traceback(extra, capsys):
@@ -128,7 +133,8 @@ def test_bad_input_exits_2_without_traceback(extra, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("sqflab: error: ")
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("sqflab: error: ")
 
 
 def test_bad_m_rejected_before_sieving(monkeypatch, capsys):
@@ -300,3 +306,57 @@ def test_stdout_default(capsys):
     captured = capsys.readouterr()
     assert "max_error_over_envelope" in captured.out
     assert "rows=1" in captured.err
+
+
+def test_verify_asymptotics_builds_each_frakS_formula_once(monkeypatch):
+    # one frakS main term per (m, q) cell serves calibration and enforcement
+    calls = []
+    real = asymptotics.frakS_formula
+
+    def counting(q, m):
+        calls.append((m, q))
+        return real(q, m)
+
+    monkeypatch.setattr(asymptotics, "frakS_formula", counting)
+    run_verify("asymptotics", 0)
+    assert len(calls) == len(set(calls)) == 10
+
+
+@pytest.mark.parametrize("mode, exit_code", [("assert", 1), ("report_only", 0)])
+def test_failed_record_sets_exit_1_only_when_asserted(monkeypatch, tmp_path,
+                                                      capsys, mode, exit_code):
+    failing = VerificationRecord("fake.fail", {"k": 1}, 1.0, 0.0, 0.0, mode,
+                                 False)
+    passing = VerificationRecord.checked("fake.pass", {"k": 2}, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(cli, "_SUITES", {
+        "identities": lambda seed: [passing, failing],
+        "expsums": lambda seed: [passing]})
+    out = tmp_path / "records.csv"
+    assert main(["verify", "--suite", "all", "--out", str(out)]) == exit_code
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["check_id"] for r in rows] == ["fake.pass", "fake.fail",
+                                             "fake.pass"]
+    failures = 1 if mode == "assert" else 0
+    assert f"records=3 failures={failures}" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_2():
+    # the reader is gone before the first row is written: exit 2 with one
+    # line, and nothing raised again when the interpreter flushes at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    code = ("import sys; from sqflab import cli; "
+            "sys.exit(cli.main(['scan', '--kind', 'hooley', '--x', '5000', "
+            "'--q', '11']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("sqflab: error: "), err

@@ -214,6 +214,34 @@ def test_hooley_report_magnitude():
         assert 0.0 < val < 1.0, (X, q, val)
 
 
+_COUNT_LIMITS = {np.uint8: 2 ** 8 - 1, np.uint16: 2 ** 16 - 1,
+                 np.uint32: 2 ** 32 - 1, np.int64: 2 ** 62}
+
+
+@st.composite
+def _hooley_cells(draw):
+    # counts drawn from a pool of one to three values, so ties and
+    # constant vectors are common; X puts C(q)X/q across the count range
+    dtype = draw(st.sampled_from(list(_COUNT_LIMITS)))
+    top = _COUNT_LIMITS[dtype]
+    q = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    counts = np.array(draw(st.lists(st.sampled_from(pool),
+                                    min_size=q, max_size=q)), dtype=dtype)
+    X = draw(st.integers(1, 2 * q * top + 1))
+    return X, q, counts
+
+
+@given(_hooley_cells())
+@settings(max_examples=300, deadline=None)
+def test_hooley_max_error_is_the_literal_max(cell):
+    X, q, counts = cell
+    _, ca, main = error_vector(X, q, counts)
+    literal = float(np.max(np.abs(ca - main.value)))
+    assert hooley_report(X, q, counts) == \
+        literal / (math.sqrt(X / q) + math.sqrt(q))
+
+
 # ---------------------------------------------------------------------------
 # interval geometry
 # ---------------------------------------------------------------------------
