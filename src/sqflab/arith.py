@@ -1,8 +1,8 @@
 """Exact integer arithmetic: factorization, multiplicative basics, Jacobi
 symbols, modular inverses, and a segmented squarefree sieve.
 
-factorize reads n <= 2^14 off a smallest-prime-factor table built on first
-use; larger n go through trial division, then Miller-Rabin and Pollard rho.
+factorize trial-divides, then finishes with Miller-Rabin and Pollard rho;
+its results are memoised, since the constants re-read the same few moduli.
 
 Each sieve segment starts as a rotated copy of a wheel of period
 2^2 3^2 5^2 7^2 = 44,100 with the multiples of those four squares already
@@ -22,7 +22,7 @@ All functions are pure; the shared tables are immutable after first use.
 from __future__ import annotations
 
 import math
-from array import array
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +51,7 @@ def primes_up_to(n: int) -> np.ndarray:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -106,40 +107,16 @@ def _pollard_rho(n: int) -> int:
 
 
 _TRIAL_LIMIT = 10**6
-_SPF_LIMIT = 1 << 14  # factorize walks the smallest-prime-factor table up to here
 
 
-@lru_cache(maxsize=1)
-def _spf_table() -> array:
-    """Smallest prime factor of each 2 <= n <= _SPF_LIMIT: primes mark their
-    multiples largest first, so the smallest prime writes last."""
-    spf = np.zeros(_SPF_LIMIT + 1, dtype=np.uintc)
-    for p in primes_up_to(math.isqrt(_SPF_LIMIT))[::-1]:
-        spf[p * p :: p] = p
-    unmarked = np.flatnonzero(spf == 0)
-    spf[unmarked] = unmarked
-    return array("I", spf.tobytes())
-
-
+@lru_cache(maxsize=1 << 14, typed=True)  # typed: 12.0 never hits 12's entry
 def factorize(n: int) -> tuple:
-    """Canonical factorization of 1 <= n <= 2**63 as (prime, exponent) pairs,
-    primes ascending: n <= _SPF_LIMIT walks the smallest-prime-factor table,
-    larger n go through _factorize_trial."""
-    if not 1 <= n <= _SPF_LIMIT:
-        return _factorize_trial(n)
-    spf = _spf_table()
-    out = {}  # spf of the shrinking cofactor never decreases: primes ascend
-    m = n
-    while m > 1:
-        out[spf[m]] = out.get(spf[m], 0) + 1
-        m //= spf[m]
-    return tuple(out.items())
-
-
-def _factorize_trial(n: int) -> tuple:
-    """factorize without the table: trial division by primes up to 10**6.
-    A remaining cofactor whose square root is at most 10**6 is then prime; a
-    larger one gets deterministic primality testing plus rho splitting."""
+    """Canonical factorization of 1 <= n <= 2**63 as (prime, exponent) pairs
+    of Python ints, primes ascending (memoised, bounded).  Trial division by
+    primes up to 10**6 leaves a cofactor that is prime when its square root
+    is at most 10**6; a larger one gets deterministic primality testing plus
+    rho splitting."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > 1 << 63:

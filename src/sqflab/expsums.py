@@ -83,10 +83,9 @@ def gauss_sum(t: int, p: int) -> complex:
 # S1 and S2
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _prime_power(n: int) -> tuple:
-    """(r, f) with n = r^f; cached because the bound sweeps ask for the same
-    few moduli many times (a ValueError is raised afresh on every call)."""
+    """(r, f) with n = r^f; the bound sweeps ask for the same few moduli many
+    times, and factorize's memo answers the repeats."""
     fact = factorize(n)
     if len(fact) != 1:
         raise ValueError(f"{n} is not a prime power")

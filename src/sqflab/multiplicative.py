@@ -271,7 +271,6 @@ _ZETA_DEPTH = 8        # extract zeta(2)..zeta(8); residual is 1 + O(p^-9)
 _EULER_P = 1000        # truncation point of every accelerated product
 
 
-@lru_cache(maxsize=None)
 def _log_series(coeffs: tuple) -> tuple:
     """Power-series log of 1 + a_1 x + ... with integer a_i (exact
     Fractions, _SERIES_ORDER).  With s_k = k * [x^k] log, the Newton

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqflab.arith import (_SEGMENT, _SPF_LIMIT, _factorize_trial,
-                          _spf_table, factorize, is_prime, jacobi_symbol,
+from sqflab.arith import (_SEGMENT, factorize, is_prime, jacobi_symbol,
                           mod_inverse, mu_of, phi_of,
                           prime_factors, primes_up_to, squarefree_count,
                           squarefree_counts_by_moduli,
@@ -53,14 +52,15 @@ def test_is_prime_matches_trial_division():
 @given(st.integers(min_value=1, max_value=10 ** 9))
 @settings(max_examples=200, deadline=None)
 def test_factorize_roundtrip(n):
+    _assert_factorization(n)
+
+
+def _assert_factorization(n):
     fact = factorize(n)
     assert isinstance(fact, tuple)
-    assert all(a[0] < b[0] for a, b in zip(fact, fact[1:]))
-    prod = 1
-    for p, e in fact:
-        assert is_prime(p) and e >= 1
-        prod *= p ** e
-    assert prod == n
+    assert all(a[0] < b[0] for a, b in zip(fact, fact[1:])), n
+    assert all(is_prime(p) and e >= 1 for p, e in fact), n
+    assert math.prod(p ** e for p, e in fact) == n
 
 
 @pytest.mark.parametrize("n, factors", [
@@ -78,19 +78,19 @@ def test_factorize_around_trial_limit(n, factors):
     assert all(is_prime(p) for p, _ in fact)
 
 
-def test_factorize_table_matches_trial_division():
-    # the trial path is the table's independent oracle, past the table too
-    for n in range(1, _SPF_LIMIT + 1001):
-        assert factorize(n) == _factorize_trial(n), n
+def test_factorize_exhaustive_roundtrip():
+    # every n up to 2^14 + 1000, past the largest n the constants layer reads
+    for n in range(1, (1 << 14) + 1001):
+        _assert_factorization(n)
 
 
 @pytest.mark.parametrize("n, factors", [
-    (_SPF_LIMIT - 1, ((3, 1), (43, 1), (127, 1))),
-    (_SPF_LIMIT, ((2, 14),)),
-    (_SPF_LIMIT + 1, ((5, 1), (29, 1), (113, 1))),
-    (127 ** 2, ((127, 2),)),             # largest prime square in the table
+    ((1 << 14) - 1, ((3, 1), (43, 1), (127, 1))),
+    (1 << 14, ((2, 14),)),
+    ((1 << 14) + 1, ((5, 1), (29, 1), (113, 1))),
+    (127 ** 2, ((127, 2),)),             # largest prime square below 2^14
     (131 ** 2, ((131, 2),)),             # smallest one past it
-    (16381, ((16381, 1),)),              # largest prime in the table
+    (16381, ((16381, 1),)),              # largest prime below 2^14
 ])
 def test_factorize_at_table_limit(n, factors):
     fact = factorize(n)
@@ -98,14 +98,27 @@ def test_factorize_at_table_limit(n, factors):
     assert all(type(p) is int and type(e) is int for p, e in fact)
 
 
-def test_spf_table_is_built_lazily():
-    assert len(_spf_table()) == _SPF_LIMIT + 1
-    code = ("import sqflab, sqflab.cli, sqflab.arith as a; "
-            "assert a._spf_table.cache_info().currsize == 0; "
-            "a.factorize(12); "
-            "assert a._spf_table.cache_info().currsize == 1")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+@pytest.mark.parametrize("n", [12, 1 << 14, 999983 * 1000003])
+def test_factorize_memo_keys_by_type(n):
+    # the memo is typed: a float never reaches an int's cached entry, and
+    # a numpy key gets Python-int primes, equal to the int key's result
+    factorize(n)
+    with pytest.raises(TypeError):
+        factorize(float(n))
+    fact = factorize(np.int64(n))
+    assert fact == factorize(n)
+    assert all(type(p) is int and type(e) is int for p, e in fact)
+
+
+def test_numpy_integers_past_the_trial_limit():
+    # a cofactor above 10^12 goes through Miller-Rabin, whose pow() takes
+    # no numpy integers; both entry points convert to Python ints first
+    p = 10 ** 13 + 37
+    assert factorize(np.int64(2 * p)) == ((2, 1), (p, 1))
+    assert is_prime(np.int64(p)) is True
+    assert mu_of(np.int64(p)) == -1
+    with pytest.raises(TypeError):
+        is_prime(float(p))
 
 
 def test_wheel_is_built_lazily():
