@@ -199,7 +199,7 @@ def frakS_formula(q: int, m: int) -> MainTermBreakdown:
     gamma_ar rejects m that is not squarefree."""
     require_mq(m, q)
     cq = euler_constant("C_of_q", arg=q)
-    quadratic = cq * cq * float(Fraction(phi_of(q), 2 * q))
+    quadratic = cq * cq * Fraction(phi_of(q), 2 * q)
     linear = f_q_zero(m, q) * 0.5
     c_half = euler_constant("C") * 0.5
     hall = euler_constant("hall_factor", arg=q)
@@ -255,8 +255,7 @@ def A_decomposition(X: float, q: int, m: int) -> ApproxReal:
     if m > 0:
         f0 = f_q_zero(m, q)
         bracket = S(X / q) - S((m - 1) * X / q) + S(m * X / q)
-        term0 = ApproxReal(f0.value * X / m, f0.abs_err * X / m)
-        return term0 + bracket * (q / m)
+        return f0 * X / m + bracket * (q / m)
     bracket = S(X / q) + S(-m * X / q) - S((1 - m) * X / q)
     return bracket * (q / m)
 

@@ -2,13 +2,14 @@
 correlation sums, the double sum S[m], Croft's all-classes variance,
 interval geometry, the local counts u_p, and lattice counts.
 
-Everything here is either an exact integer count or a float built from exact
-counts plus one Euler-product constant; the dispersion identity ties the two
-paths together and is checked to 1e-8 relative.  The residue-class
-statistics never sieve: they take the caller's counts, one vector per (X, q).
-Every exact float sum (the direct M2, Croft's sum of squares) goes through
-records.exact_sum: correctly rounded, so it does not depend on summation
-order, yet vectorised over the ~10^6 classes of a large modulus.
+Everything here is either an exact integer count or a value built from
+exact counts plus one Euler-product constant.  M2 and Croft's variance are
+quadratics in the float main terms over integer moments of the counts,
+evaluated exactly in rationals, so their error bars come from the main
+terms' bars alone.  The direct float sum of E(a) E(ma), correctly rounded
+by records.exact_sum, is the other side of the dispersion identity, checked
+to 1e-8 relative.  The residue-class statistics never sieve: they take the
+caller's counts, one vector per (X, q).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
                     require_mq)
 from .multiplicative import _divisors, euler_constant
-from .records import ApproxReal, VerificationRecord, exact_sum
+from .records import ApproxReal, VerificationRecord, _rounded, exact_sum
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +49,7 @@ def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
         raise ValueError(f"need one count per residue class mod {q}, "
                          f"got shape {counts.shape}")
     a = np.flatnonzero(gcd_table(q) == 1)
-    cq = euler_constant("C_of_q", arg=q)
-    main = ApproxReal(cq.value * X / q, cq.abs_err * X / q)
+    main = euler_constant("C_of_q", arg=q) * X / q
     return a, counts[a].astype(np.int64), main
 
 
@@ -60,70 +60,56 @@ class CorrelationResult:
     decomposition_residual: float
 
 
-def _double_sum_from_counts(c: np.ndarray, c_partner: np.ndarray) -> int:
-    """sum_i c[i] c_partner[i] exactly, for nonnegative int64 counts where
-    c_partner is a permutation of c.  By Cauchy-Schwarz the sum and every
-    partial sum are at most max(c) sum(c), so the int64 sum cannot wrap
-    while that bound is below 2^63 (checked in floats against 2^62, which
-    leaves room for their rounding); otherwise sum Python ints."""
+def _exact_sums(c: np.ndarray, c_partner: np.ndarray) -> tuple:
+    """(sum_i c[i], sum_i c[i] c_partner[i]) exactly, for nonnegative int64
+    counts where c_partner is a permutation of c.  By Cauchy-Schwarz the
+    second sum and every partial sum of either are at most max(c) sum(c), so
+    the int64 sums cannot wrap while that bound is below 2^63 (checked in
+    floats against 2^62, which leaves room for their rounding); otherwise
+    sum Python ints."""
     if float(c.max(initial=0)) * float(c.sum(dtype=np.float64)) < 2.0 ** 62:
-        return int(np.sum(c * c_partner))
-    return sum(x * y for x, y in zip(c.tolist(), c_partner.tolist()))
+        return int(np.sum(c)), int(np.dot(c, c_partner))
+    return (sum(c.tolist()),
+            sum(x * y for x, y in zip(c.tolist(), c_partner.tolist())))
 
 
 def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
-    """(direct M2 as ApproxReal, reassembled M2, exact S, comparison scale)
-    for one cell."""
+    """(M2 from the integer moments as ApproxReal, direct M2, exact S,
+    comparison scale) for one cell."""
     require_mq(m, q)
     a, ca, main = error_vector(X, q, counts)
-    M = main.value
     # m reduced first: m * a may pass int64
     cp = counts[(m % q * a) % q].astype(np.int64)
-    S = _double_sum_from_counts(ca, cp)
-    reassembled = _reassemble_m2(S, int(np.sum(ca)), phi_of(q), M)
-
-    # E(a) and E(ma) replace the int64 counts, which nothing reads again:
-    # at q near 10^6 each of these arrays is 8 MB, and a scan's memory
-    # peaks here
-    Ea, Ep = ca - M, cp - M
-    del ca, cp
-    terms = Ea * Ep
-    direct = exact_sum(terms)
-
-    err_m = main.abs_err
-    err = err_m * float(np.sum(np.abs(Ea) + np.abs(Ep))) \
-        + len(a) * err_m * err_m + abs(direct) * 1e-15 \
-        + float(np.sum(np.abs(terms))) * 2e-16
-    m2 = ApproxReal(direct, err)
-    scale = max(1.0, abs(m2.value), abs(reassembled))
-    return m2, reassembled, S, scale
+    total, S = _exact_sums(ca, cp)
+    # S - 2 M sum c + phi(q) M^2, exact in rationals at the float M; over
+    # M's interval [M - dM, M + dM] it moves by at most
+    # 2 |phi(q) M - sum c| dM + phi(q) dM^2
+    phi, M, dM = len(a), Fraction(main.value), Fraction(main.abs_err)
+    m2 = _rounded(float(S - 2 * M * total + phi * M * M),
+                  float(2 * abs(phi * M - total) * dM + phi * dM * dM))
+    direct = exact_sum((ca - main.value) * (cp - main.value))
+    scale = max(1.0, abs(direct), abs(m2.value))
+    return m2, direct, S, scale
 
 
 def variance_M2(X: int, q: int, m: int,
                 counts: np.ndarray) -> CorrelationResult:
     """M2[m](X,q) = sum over coprime a of E(X,q,a) E(X,q,ma) from the caller's
     counts, with the exact S[m] = #{(n1,n2) <= X squarefree, coprime to q,
-    m n1 = n2 (q)} and the dispersion residual."""
-    m2, reassembled, S, scale = _dispersion_parts(X, q, m, counts)
-    residual = abs(m2.value - reassembled) / scale
-    return CorrelationResult(S, m2, residual)
-
-
-def _reassemble_m2(S: int, coprime_count: int, phi: int, M: float) -> float:
-    """S - 2 M sum_{(n,q)=1} mu^2(n) + phi(q) M^2, in exact rational
-    arithmetic over the float main term M."""
-    fm = Fraction(M)
-    return float(S - 2 * fm * coprime_count + phi * fm * fm)
+    m n1 = n2 (q)} and the dispersion residual between the direct sum and
+    the value from the integer moments."""
+    m2, direct, S, scale = _dispersion_parts(X, q, m, counts)
+    return CorrelationResult(S, m2, abs(direct - m2.value) / scale)
 
 
 def dispersion_check(X: int, q: int, m: int,
                      counts: np.ndarray) -> VerificationRecord:
     """The dispersion identity on the caller's counts: direct M2 against
     S - 2 C(q)(X/q) Q + phi M^2."""
-    m2, reassembled, S, scale = _dispersion_parts(X, q, m, counts)
+    m2, direct, S, scale = _dispersion_parts(X, q, m, counts)
     return VerificationRecord.checked(
         "counters.dispersion", {"X": X, "q": q, "m": m, "S": S},
-        m2.value, reassembled, 1e-8 * scale)
+        direct, m2.value, 1e-8 * scale)
 
 
 def pair_enumeration_S(X: int, q: int, m: int) -> int:
@@ -145,34 +131,33 @@ def pair_enumeration_S(X: int, q: int, m: int) -> int:
 def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     """Sum over all residues a mod q of (count(a) - expected(a))^2 with the
     class-dependent expected value
-    mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
-    d = gcd(a,q), q0 = q/d, from the caller's counts (any integer dtype:
-    subtracting the float64 expected values promotes them exactly)."""
+    e_d = mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
+    d = gcd(a,q), q0 = q/d, from the caller's counts.  It is
+    sum c^2 - 2 sum_d e_d T_d + sum_d phi(q0) e_d^2 over the squarefree d | q,
+    T_d the total count of the classes with gcd d, exact in rationals at the
+    float e_d; each class's quadratic moves by at most
+    2 |phi(q0) e_d - T_d| de_d + phi(q0) de_d^2 over e_d's interval."""
     if counts.shape != (q,):
         raise ValueError(f"need one count per residue class mod {q}, "
                          f"got shape {counts.shape}")
     primes = prime_factors(q)
+    divisors = list(_divisors((p, 1) for p in primes))
+    hq = Fraction(math.prod(primes), math.prod(p + 1 for p in primes))
     six_over_pi2 = euler_constant("C_of_q", arg=1)
-    hq = 1.0
-    for p in primes:
-        hq *= p / (p + 1.0)
-    base = six_over_pi2.value * hq * X / q
-    base_err = six_over_pi2.abs_err * hq * X / q
-
-    # expected value per gcd d, nonzero only at the squarefree d | q
-    by_gcd = np.zeros(q + 1)
-    for d in _divisors((p, 1) for p in primes):
+    T = np.bincount(gcd_table(q), weights=counts)
+    if T.sum() >= 2.0 ** 53:  # float class totals are exact only below 2^53
+        g = gcd_table(q)
+        T = {d: sum(counts[g == d].tolist()) for d in divisors}
+    c = counts.astype(np.int64)
+    value, err = Fraction(_exact_sums(c, c)[1]), Fraction(0)
+    for d in divisors:
         q0 = q // d
-        by_gcd[d] = base * q0 / phi_of(q0)
-    expected = by_gcd[gcd_table(q)]
-    diff = counts - expected
-    value = exact_sum(diff * diff)
-    # expected >= +0.0 by construction, so it is its own absolute value
-    err_e = expected * (base_err / base if base > 0 else 0.0) \
-        + expected * 3e-16
-    err = float(np.sum(2 * np.abs(diff) * err_e + err_e * err_e)) \
-        + abs(value) * 1e-15
-    return ApproxReal(value, err)
+        n = phi_of(q0)
+        e = six_over_pi2 * (Fraction(X) * hq * q0 / (q * n))
+        ev, de, t = Fraction(e.value), Fraction(e.abs_err), int(T[d])
+        value += n * ev * ev - 2 * ev * t
+        err += 2 * abs(n * ev - t) * de + n * de * de
+    return _rounded(float(value), float(err))
 
 
 def hooley_report(X: int, q: int, counts: np.ndarray) -> float:

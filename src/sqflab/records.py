@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ class ApproxReal:
     """A real value paired with a rigorous absolute error bound.
 
     Arithmetic propagates worst-case bounds: errors add under addition,
-    and |a|*eb + |b|*ea + ea*eb under multiplication; each result's bound
+    |a|*eb + |b|*ea + ea*eb under multiplication and
+    (|a|*eb + |b|*ea) / (|b| (|b| - eb)) under division; each result's bound
     also covers the rounding of its value and of the bound itself.
     """
 
@@ -44,6 +46,14 @@ class ApproxReal:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: "ApproxReal | float") -> "ApproxReal":
+        other = as_approx(other)
+        b, eb = abs(other.value), other.abs_err
+        if eb >= b:
+            raise ZeroDivisionError("divisor interval contains 0")
+        err = (abs(self.value) * eb + b * self.abs_err) / (b * (b - eb))
+        return _rounded(self.value / other.value, err)
+
     def contains(self, x) -> bool:
         """Whether x (a float, int or Fraction) lies in the interval, exactly."""
         return abs(Fraction(x) - Fraction(self.value)) <= Fraction(self.abs_err)
@@ -56,9 +66,14 @@ def _rounded(r: float, err: float) -> ApproxReal:
 
 
 def as_approx(x) -> ApproxReal:
+    """x as an ApproxReal: an int or Fraction that float(x) rounds (correctly)
+    gets half an ulp of bound, or a whole one where half is not a float."""
     if isinstance(x, ApproxReal):
         return x
-    return ApproxReal(float(x), 0.0)
+    if isinstance(x, numbers.Integral):
+        x = int(x)  # numpy integers compare with floats in float64
+    r = float(x)
+    return ApproxReal(r, 0.0 if r == x else math.ulp(r) / 2 or math.ulp(r))
 
 
 # exact_sum works through its input in blocks of this many elements: two

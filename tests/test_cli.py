@@ -218,24 +218,27 @@ def test_scan_croft_and_hooley(tmp_path):
     assert all(0 < float(r["max_error_over_envelope"]) < 1.0 for r in rows)
 
 
-# sha256 of the scan CSV bytes as written before the residue counts moved to
-# q-aligned column sums, plus one JSON output; X spans four sieve segments and
-# the moduli include q = 1 and one above the 2^20 segment length.
+# sha256 of the scan CSV bytes, plus one JSON output.  The hooley digest dates
+# from before the residue counts moved to q-aligned column sums; the other
+# four were re-taken when M2 and Croft's variance came to be evaluated from
+# integer moments (their exact and abs_err columns moved, each new bar
+# containing the old value).  X spans four sieve segments and the moduli
+# include q = 1 and one above the 2^20 segment length.
 _SCAN_PIN_X = 3 * 2 ** 20 + 5
 _SCAN_PIN_Q = "1,1000,30030,1048579"
 
 
 @pytest.mark.parametrize("kind, extra, digest", [
     ("variance", [],
-     "dc321c5ebbeb5c9fe5632f92d59d1035615547a77689e87c3e5fdf6c0414d044"),
+     "bce8c8b7dca1947d7ef1002a739925885fd2c0b7524cf5871d5ec2efbe590718"),
     ("correlation", ["--m", "-1"],
-     "c123ae1e2576adbd55f4a18bc979281298c14fe029330f85e289d6e34a52ba7c"),
+     "db4ffc6a0ee26fc0b029f618408b26964d88f8ee5e30e3075c1525888e400a4e"),
     ("croft", [],
-     "3199f0077b3cce96bba21114cede4dfc41ab6cd9c8b8097935c20a75d081c3ae"),
+     "4d69e060e7f92a43dc04f97e2173ed46886e181ae5e36b93b648f4f7b8ea9b36"),
     ("hooley", [],
      "f9b5cc3bf3d85d43ef397fd1fa5eaf789821a627277b8cb86807998e4cd26cbc"),
     ("variance", ["--format", "json"],
-     "d55aa58a9ae8eba2e50c54455df9f38e07334686d8f6c133b7d6545ac385f657"),
+     "4099a8ac60b92bde60a6c6f9d4cc4fb504da03bab96fbd0ff32087f905f2d2b7"),
 ])
 def test_scan_bytes_pinned(tmp_path, kind, extra, digest):
     out = tmp_path / "scan.csv"

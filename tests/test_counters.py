@@ -42,7 +42,8 @@ def test_error_vector_counts_and_errors():
     assert np.array_equal(ca, _brute_counts(X, q)[a])
     # main term = C(q) X / q
     cq = euler_constant("C_of_q", arg=q)
-    assert math.isclose(main.value, cq.value * X / q, rel_tol=1e-14)
+    assert main.value == cq.value * X / q
+    assert main.abs_err >= cq.abs_err * X / q
     # errors over the coprime classes nearly cancel: their sum is
     # Q_coprime(X) - phi(q) C(q) X / q, which is O(sqrt X), not O(X)
     assert abs(math.fsum((ca - main.value).tolist())) < 4 * math.sqrt(X)
@@ -192,7 +193,7 @@ def test_croft_variance_vs_brute():
 
 
 def test_exact_sum_equals_fsum_on_spiked_blocks():
-    # the dispersion and Croft sums go through records.exact_sum; on 10^5
+    # the direct dispersion sum goes through records.exact_sum; on 10^5
     # elements (four 2^15 blocks) with +-1e300 spikes in every block it
     # must give fsum's correctly rounded float, which np.sum misses
     rng = np.random.default_rng(8)
@@ -240,6 +241,111 @@ def test_hooley_max_error_is_the_literal_max(cell):
     literal = float(np.max(np.abs(ca - main.value)))
     assert hooley_report(X, q, counts) == \
         literal / (math.sqrt(X / q) + math.sqrt(q))
+
+
+# ---------------------------------------------------------------------------
+# error bars of M2 and Croft's variance
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _moment_cells(draw):
+    # counts of every width the CLI passes, composite q, m coprime to q, and
+    # X putting the main terms C(q)X/q across the count range
+    dtype = draw(st.sampled_from(list(_COUNT_LIMITS)))
+    top = _COUNT_LIMITS[dtype]
+    q = draw(st.integers(4, 60).filter(lambda n: len(prime_factors(n)) > 1
+                                       or mu_of(n) == 0))
+    m = draw(st.integers(-3 * q, 3 * q).filter(lambda k: math.gcd(k, q) == 1))
+    counts = np.array(draw(st.lists(st.integers(0, top),
+                                    min_size=q, max_size=q)), dtype=dtype)
+    X = draw(st.integers(1, 2 * q * top + 1))
+    return X, q, m, counts
+
+
+def _ends(x):
+    return (Fraction(x.value) - Fraction(x.abs_err),
+            Fraction(x.value) + Fraction(x.abs_err))
+
+
+def _croft_expected(X, q):
+    """croft_variance's e_d as ApproxReal, per squarefree d | q."""
+    primes = prime_factors(q)
+    hq = Fraction(math.prod(primes), math.prod(p + 1 for p in primes))
+    return {d: euler_constant("C_of_q", arg=1)
+            * (Fraction(X) * hq * (q // d) / (q * phi_of(q // d)))
+            for d in range(1, q + 1) if q % d == 0 and mu_of(d) != 0}
+
+
+@given(_moment_cells())
+@settings(max_examples=200, deadline=None)
+def test_m2_bar_contains_the_sum_over_the_main_terms_interval(cell):
+    X, q, m, counts = cell
+    res = variance_M2(X, q, m, counts)
+    c = [int(v) for v in counts]
+    a = [r for r in range(q) if math.gcd(r, q) == 1]
+    for M in _ends(error_vector(X, q, counts)[2]):
+        exact = sum((c[r] - M) * (c[m * r % q] - M) for r in a)
+        assert res.M2_exact.contains(exact), (M, exact, res.M2_exact)
+
+
+@given(_moment_cells())
+@settings(max_examples=200, deadline=None)
+def test_croft_bar_contains_the_sum_over_the_expected_intervals(cell):
+    # each gcd class d contributes sum (c - e_d)^2 on its own, so the
+    # extremes over every choice of ends are the sums of the per-class
+    # extremes; classes with no squarefree gcd expect 0
+    X, q, _, counts = cell
+    got = croft_variance(X, q, counts)
+    expected = _croft_expected(X, q)
+    lo = hi = Fraction(0)
+    for d in range(1, q + 1):
+        if q % d:
+            continue
+        cls = [int(counts[r]) for r in range(q) if math.gcd(r, q) == d]
+        sums = [sum((v - e) ** 2 for v in cls)
+                for e in (_ends(expected[d]) if d in expected else (0,))]
+        lo, hi = lo + min(sums), hi + max(sums)
+    assert got.contains(lo) and got.contains(hi), (lo, hi, got)
+
+
+def test_croft_exact_for_counts_past_2_53():
+    # counts near 2^55 lose their low bits as float64, and each lies within
+    # a few units of its class's float e_d; the class totals must stay
+    # exact, or the error shows far above the tiny true variance
+    X, q = 2 ** 57, 6
+    expected = _croft_expected(X, q)
+    e = [Fraction(expected[math.gcd(r, q)].value) for r in range(q)]
+    counts = np.array([int(v) + 2 * r + 1 for r, v in enumerate(e)],
+                      dtype=np.int64)
+    exact = sum((int(c) - v) ** 2 for c, v in zip(counts, e))
+    got = croft_variance(X, q, counts)
+    assert got.value == float(exact) and got.contains(exact)
+
+
+@pytest.mark.parametrize("X, q, m", [(3000, 1, 1), (20000, 97, -1),
+                                     (20000, 100, 3), (100000, 1009, 2),
+                                     (100000, 30030, 1)])
+def test_bars_are_the_main_terms_change_plus_rounding(X, q, m):
+    # the bar is the exact change of the quadratic over the main terms'
+    # intervals, plus a few ulps for rounding, and nothing else
+    counts = squarefree_counts_by_residue(X, q)
+    res = variance_M2(X, q, m, counts)
+    _, ca, main = error_vector(X, q, counts)
+    M, dM = Fraction(main.value), Fraction(main.abs_err)
+    phi = phi_of(q)
+    change = 2 * abs(phi * M - int(ca.sum())) * dM + phi * dM * dM
+    assert Fraction(res.M2_exact.abs_err) <= \
+        change + 4 * Fraction(math.ulp(res.M2_exact.value))
+
+    croft = croft_variance(X, q, counts)
+    g = np.gcd(np.arange(q), q)
+    change = Fraction(0)
+    for d, e in _croft_expected(X, q).items():
+        n, t = phi_of(q // d), int(counts[g == d].sum())
+        ev, de = Fraction(e.value), Fraction(e.abs_err)
+        change += 2 * abs(n * ev - t) * de + n * de * de
+    assert Fraction(croft.abs_err) <= \
+        change + 4 * Fraction(math.ulp(croft.value))
 
 
 # ---------------------------------------------------------------------------

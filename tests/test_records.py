@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqflab.records import ApproxReal, VerificationRecord, as_approx, exact_sum
 
@@ -34,7 +34,8 @@ def test_mul_interval_containment(a, ea, b, eb):
     assert min(corners) >= x.value - x.abs_err - pad
 
 
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
 _moderate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _operand = st.tuples(_moderate, st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
                      st.booleans())
@@ -46,6 +47,8 @@ _operand = st.tuples(_moderate, st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
 # 0.1 + 0.2 and 0.1 * 3.0 both round to 0.30000000000000004
 @example((0.1, 0.0, False), [("+", (0.2, 0.0, False))])
 @example((0.1, 0.0, False), [("*", (3.0, 0.0, True))])
+@example((1.0, 0.0, False), [("/", (3.0, 0.0, True))])
+@example((1.0, 0.0, False), [("/", (3.0, 3.0, False))])
 def test_arithmetic_chain_contains_exact_interval(first, steps):
     # the exact interval of the inputs, carried in Fractions beside the chain;
     # a plain float operand (flag set) is the point interval of that float
@@ -56,6 +59,12 @@ def test_arithmetic_chain_contains_exact_interval(first, steps):
         y = b if plain else ApproxReal(b, eb)
         eb = 0.0 if plain else eb
         blo, bhi = Fraction(b) - Fraction(eb), Fraction(b) + Fraction(eb)
+        if op == "/" and blo <= 0 <= bhi:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        # a divisor interval near 0 overflows the chain to infinity
+        assume(op != "/" or min(abs(blo), abs(bhi)) >= Fraction(1, 1000))
         x = _OPS[op](x, y)
         ends = [_OPS[op](u, v) for u in (lo, hi) for v in (blo, bhi)]
         lo, hi = min(ends), max(ends)
@@ -67,6 +76,30 @@ def test_sqrt_and_contains():
     assert r.contains(math.sqrt(3.6))
     assert not r.contains(1.5)
     assert as_approx(3).value == 3.0
+
+
+def test_as_approx_bounds_the_conversion():
+    # float(x) rounds these; the bound must cover the rounding
+    for x in (Fraction(1, 3), 2**53 + 1, np.int64(2**53 + 1),
+              Fraction(10**400 + 1, 3 * 10**400)):
+        r = as_approx(x)
+        assert r.contains(x) and 0 < r.abs_err <= math.ulp(r.value) / 2
+    assert (ApproxReal(1.0) * Fraction(1, 3)).contains(Fraction(1, 3))
+    # numbers that are floats stay exact
+    for x in (3, Fraction(1, 4), 2**53, 0.1):
+        assert as_approx(x).abs_err == 0.0
+
+
+def test_division_bound_and_zero_divisor():
+    q = ApproxReal(1.0, 0.0) / 3
+    assert q.value == 1 / 3 and q.contains(Fraction(1, 3))
+    # [2, 4] / [1, 3] spans [2/3, 4]
+    r = ApproxReal(3.0, 1.0) / ApproxReal(2.0, 1.0)
+    assert r.contains(Fraction(2, 3)) and r.contains(4)
+    for divisor in (ApproxReal(0.0, 0.0), ApproxReal(1.0, 1.0),
+                    ApproxReal(-1.0, 2.0), 0):
+        with pytest.raises(ZeroDivisionError):
+            ApproxReal(1.0) / divisor
 
 
 def test_contains_is_exact():
