@@ -5,11 +5,12 @@ interval geometry, the local counts u_p, and lattice counts.
 Everything here is either an exact integer count or a value built from
 exact counts plus one Euler-product constant.  M2 and Croft's variance are
 quadratics in the float main terms over integer moments of the counts,
-evaluated exactly in rationals, so their error bars come from the main
-terms' bars alone.  The direct float sum of E(a) E(ma), correctly rounded
-by records.exact_sum, is the other side of the dispersion identity, checked
-to 1e-8 relative.  The residue-class statistics never sieve: they take the
-caller's counts, one vector per (X, q).
+evaluated exactly, so their error bars come from the main terms' bars
+alone.  The direct float sum of E(a) E(ma), correctly rounded as
+records.exact_sum rounds, is the other side of the dispersion identity,
+checked to 1e-8 relative.  The residue-class statistics never sieve: they
+take the caller's counts, one vector per (X, q), and read them in blocks of
+_BLOCK residues, so apart from the counts no array they build grows with q.
 """
 
 from __future__ import annotations
@@ -20,37 +21,71 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (factorize, mod_inverse, mu_of, phi_of, prime_factors,
-                    require_mq)
-from .multiplicative import _divisors, euler_constant
-from .records import ApproxReal, VerificationRecord, _rounded, exact_sum
+from .arith import factorize, mod_inverse, mu_of, phi_of, require_mq
+from .multiplicative import euler_constant
+from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
+                      _rounded)
 
 
 # ---------------------------------------------------------------------------
-# error vector and variance
+# the coprime residues in blocks, and the error terms on them
 # ---------------------------------------------------------------------------
 
-def gcd_table(q: int) -> np.ndarray:
-    """gcd(a, q) for a = 0..q-1 as int64, built from the prime powers of q:
-    each p^k dividing q multiplies every p^k-th entry by p."""
-    g = np.ones(q, dtype=np.int64)
-    for p, e in factorize(q):
-        for k in range(1, e + 1):
-            g[:: p**k] *= p
-    return g
+# every residue-class statistic reads the counts this many residues at a
+# time: a few 256 KB arrays, in cache and independent of q
+_BLOCK = _SUM_BLOCK
 
 
-def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
-    """(a, count(a), C(q) X/q) from the caller's squarefree counts mod q on
-    [1, X]: the coprime residues a ascending, their counts gathered and
-    widened to int64, and the main term, so E(X,q,a) = count(a) - C(q) X/q.
-    """
+def coprime_blocks(q: int):
+    """The residues 0 <= b < q coprime to q, ascending, as int64 arrays: one
+    per window of _BLOCK residues, from a bool mask with every p-th entry
+    cleared for each prime p | q."""
+    primes = [p for p, _ in factorize(q)]
+    for start in range(0, q, _BLOCK):
+        keep = np.ones(min(_BLOCK, q - start), dtype=bool)
+        for p in primes:
+            keep[-start % p::p] = False
+        yield start + np.flatnonzero(keep)
+
+
+def _check_counts(q: int, counts: np.ndarray) -> None:
     if counts.shape != (q,):
         raise ValueError(f"need one count per residue class mod {q}, "
                          f"got shape {counts.shape}")
-    a = np.flatnonzero(gcd_table(q) == 1)
+
+
+def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
+    """(C(q) X/q, blocks) from the caller's squarefree counts mod q on
+    [1, X]: the main term, and an iterator over (a, count(a)) for the blocks
+    of coprime_blocks(q), the counts gathered and widened to int64, so
+    E(X,q,a) = count(a) - C(q) X/q."""
+    _check_counts(q, counts)
     main = euler_constant("C_of_q", arg=q) * X / q
-    return a, counts[a].astype(np.int64), main
+    return main, ((a, counts[a].astype(np.int64)) for a in coprime_blocks(q))
+
+
+def _partner(a: np.ndarray, m: int, q: int) -> np.ndarray:
+    """(m a) mod q for residues 0 <= a < q, as int64 and without wrapping:
+    in uint64 for q <= 2^32, where both factors are below 2^32, and in
+    Python ints above that."""
+    m %= q
+    if q <= 2 ** 32:
+        b = a.view(np.uint64) * np.uint64(m)
+        b %= np.uint64(q)
+        return b.view(np.int64)
+    return np.array([m * int(x) % q for x in a.tolist()], dtype=np.int64)
+
+
+def _block_sums(c: np.ndarray, c_partner: np.ndarray) -> tuple:
+    """(sum_i c[i], sum_i c[i] c_partner[i]) exactly for one block of
+    nonnegative int64 counts.  Every partial sum of either is at most
+    len(c) max(c) max(1, max(c_partner)), so the int64 sums cannot wrap
+    while that is below 2^62; otherwise sum Python ints."""
+    top = int(c.max(initial=0)) * max(1, int(c_partner.max(initial=0)))
+    if len(c) * top < 2 ** 62:
+        return int(np.sum(c)), int(np.dot(c, c_partner))
+    return (sum(c.tolist()),
+            sum(x * y for x, y in zip(c.tolist(), c_partner.tolist())))
 
 
 @dataclass(frozen=True)
@@ -60,34 +95,40 @@ class CorrelationResult:
     decomposition_residual: float
 
 
-def _exact_sums(c: np.ndarray, c_partner: np.ndarray) -> tuple:
-    """(sum_i c[i], sum_i c[i] c_partner[i]) exactly, for nonnegative int64
-    counts where c_partner is a permutation of c.  By Cauchy-Schwarz the
-    second sum and every partial sum of either are at most max(c) sum(c), so
-    the int64 sums cannot wrap while that bound is below 2^63 (checked in
-    floats against 2^62, which leaves room for their rounding); otherwise
-    sum Python ints."""
-    if float(c.max(initial=0)) * float(c.sum(dtype=np.float64)) < 2.0 ** 62:
-        return int(np.sum(c)), int(np.dot(c, c_partner))
-    return (sum(c.tolist()),
-            sum(x * y for x, y in zip(c.tolist(), c_partner.tolist())))
+def _quadratic(base: int, terms: list) -> ApproxReal:
+    """base + sum_j (n_j e_j^2 - 2 e_j t_j) over the terms (n, e, de, t).
+    For n classes with counts c, t = sum c and base = sum c c', c' a
+    permutation of c (c itself for Croft, c(ma) for M2), it is
+    sum (c - e)(c' - e).  Over e's interval [e - de, e + de] each term moves
+    by at most 2 |n e - t| de + n de^2, and their sum is the bar.  The ints
+    n, t and floats e, de are dyadic, so both sums are exact in ints over
+    one power-of-two denominator and rounded once."""
+    ratios = [x.as_integer_ratio() for _, e, de, _ in terms for x in (e, de)]
+    D = max(d for _, d in ratios)
+    nums = [n * (D // d) for n, d in ratios]
+    value, err = base * D * D, 0
+    for (n, _, _, t), E, F in zip(terms, nums[::2], nums[1::2]):
+        value += n * E * E - 2 * E * t * D
+        err += 2 * abs(n * E - t * D) * F + n * F * F
+    return _rounded(value / (D * D), err / (D * D))
 
 
 def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     """(M2 from the integer moments as ApproxReal, direct M2, exact S,
-    comparison scale) for one cell."""
+    comparison scale) for one cell, in one walk over the coprime blocks."""
     require_mq(m, q)
-    a, ca, main = error_vector(X, q, counts)
-    # m reduced first: m * a may pass int64
-    cp = counts[(m % q * a) % q].astype(np.int64)
-    total, S = _exact_sums(ca, cp)
-    # S - 2 M sum c + phi(q) M^2, exact in rationals at the float M; over
-    # M's interval [M - dM, M + dM] it moves by at most
-    # 2 |phi(q) M - sum c| dM + phi(q) dM^2
-    phi, M, dM = len(a), Fraction(main.value), Fraction(main.abs_err)
-    m2 = _rounded(float(S - 2 * M * total + phi * M * M),
-                  float(2 * abs(phi * M - total) * dM + phi * dM * dM))
-    direct = exact_sum((ca - main.value) * (cp - main.value))
+    main, blocks = error_vector(X, q, counts)
+    M, self_partner = main.value, m % q == 1 % q
+    phi = total = S = direct = 0  # direct: exact, a sum of Fractions
+    for a, ca in blocks:
+        cp = ca if self_partner else counts[_partner(a, m, q)].astype(np.int64)
+        t, s = _block_sums(ca, cp)
+        phi, total, S = phi + len(a), total + t, S + s
+        e = ca - M
+        e *= e if self_partner else cp - M
+        direct += _block_sum(e)
+    direct = float(direct)
+    m2 = _quadratic(S, [(phi, M, main.abs_err, total)])
     scale = max(1.0, abs(direct), abs(m2.value))
     return m2, direct, S, scale
 
@@ -134,38 +175,52 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     e_d = mu^2(d) (q0/phi(q0)) (6/pi^2) prod_{p|q} (1+1/p)^(-1) X/q,
     d = gcd(a,q), q0 = q/d, from the caller's counts.  It is
     sum c^2 - 2 sum_d e_d T_d + sum_d phi(q0) e_d^2 over the squarefree d | q,
-    T_d the total count of the classes with gcd d, exact in rationals at the
-    float e_d; each class's quadratic moves by at most
-    2 |phi(q0) e_d - T_d| de_d + phi(q0) de_d^2 over e_d's interval."""
-    if counts.shape != (q,):
-        raise ValueError(f"need one count per residue class mod {q}, "
-                         f"got shape {counts.shape}")
-    primes = prime_factors(q)
-    divisors = list(_divisors((p, 1) for p in primes))
-    hq = Fraction(math.prod(primes), math.prod(p + 1 for p in primes))
+    T_d the total count of the classes with gcd d, exact at the float e_d;
+    each class's quadratic moves by at most
+    2 |phi(q0) e_d - T_d| de_d + phi(q0) de_d^2 over e_d's interval.
+
+    One walk over the counts in blocks gives sum c^2 and every T_d: each
+    residue gets the class code sum of 2^i over the primes p_i | a, or
+    2^k (k primes) where p^2 | gcd(a, q) for some p, and the codes are
+    binned with the counts as weights."""
+    _check_counts(q, counts)
+    fac = factorize(q)
+    k = len(fac)
+    # the float weights' totals are exact integers below 2^53
+    float_totals = q * int(counts.max()) < 2 ** 53
+    sq, T = 0, np.zeros(2 ** k + 1) if float_totals else [0] * (2 ** k + 1)
+    for start in range(0, q, _BLOCK):
+        c = counts[start:start + _BLOCK].astype(np.int64)
+        code = np.zeros(len(c), dtype=np.intp)
+        for i, (p, _) in enumerate(fac):
+            code[-start % p::p] += 1 << i
+        for p, e in fac:
+            if e > 1:
+                code[-start % (p * p)::p * p] = 1 << k
+        sq += _block_sums(c, c)[1]
+        if float_totals:
+            T += np.bincount(code, weights=c, minlength=len(T))
+        else:
+            T = [t + sum(c[code == i].tolist()) for i, t in enumerate(T)]
     six_over_pi2 = euler_constant("C_of_q", arg=1)
-    T = np.bincount(gcd_table(q), weights=counts)
-    if T.sum() >= 2.0 ** 53:  # float class totals are exact only below 2^53
-        g = gcd_table(q)
-        T = {d: sum(counts[g == d].tolist()) for d in divisors}
-    c = counts.astype(np.int64)
-    value, err = Fraction(_exact_sums(c, c)[1]), Fraction(0)
-    for d in divisors:
-        q0 = q // d
-        n = phi_of(q0)
-        e = six_over_pi2 * (Fraction(X) * hq * q0 / (q * n))
-        ev, de, t = Fraction(e.value), Fraction(e.abs_err), int(T[d])
-        value += n * ev * ev - 2 * ev * t
-        err += 2 * abs(n * ev - t) * de + n * de * de
-    return _rounded(float(value), float(err))
+    hq = Fraction(math.prod(p for p, _ in fac), math.prod(p + 1 for p, _ in fac))
+    terms = []
+    for i in range(2 ** k):
+        d = math.prod(p for j, (p, _) in enumerate(fac) if i >> j & 1)
+        n = phi_of(q // d)
+        e = six_over_pi2 * (Fraction(X) * hq * (q // d) / (q * n))
+        terms.append((n, e.value, e.abs_err, int(T[i])))
+    return _quadratic(sq, terms)
 
 
 def hooley_report(X: int, q: int, counts: np.ndarray) -> float:
     """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)) from the caller's counts;
     the bound's constant is unspecified, so this is only ever reported."""
-    _, ca, main = error_vector(X, q, counts)
-    # fl(c - M) is monotone in c: max|ca - M| without two phi(q)-long arrays
-    emax = float(max(ca.max() - main.value, main.value - ca.min()))
+    main, blocks = error_vector(X, q, counts)
+    ends = [(int(ca.max()), int(ca.min())) for _, ca in blocks]
+    top, bottom = max(t for t, _ in ends), min(b for _, b in ends)
+    # fl(c - M) is monotone in c: max|c - M| from the extreme counts
+    emax = max(top - main.value, main.value - bottom)
     return emax / (math.sqrt(X / q) + math.sqrt(q))
 
 

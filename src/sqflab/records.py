@@ -95,22 +95,28 @@ def exact_sum(x) -> float:
     1e308) raises OverflowError, as fsum does on intermediate overflow.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    shift = min(x.size, _SUM_BLOCK).bit_length() + 1
-    total = Fraction(0)
-    for start in range(0, x.size, _SUM_BLOCK):
-        block = x[start:start + _SUM_BLOCK].copy()
-        while True:
-            top = max(-block.min(), block.max())
-            if not math.isfinite(top):
-                raise ValueError("exact_sum requires finite input")
-            if top == 0:
-                break
-            sigma = 2.0 ** (math.frexp(top)[1] + shift)
-            hi = block + sigma
-            hi -= sigma
-            total += Fraction(float(hi.sum()))
-            block -= hi
+    total = sum((_block_sum(x[start:start + _SUM_BLOCK].copy())
+                 for start in range(0, x.size, _SUM_BLOCK)), Fraction(0))
     return float(total)
+
+
+def _block_sum(block: np.ndarray) -> Fraction:
+    """The exact sum of one float64 block of at most _SUM_BLOCK elements, as
+    a Fraction, by exact_sum's extraction; the block is overwritten."""
+    shift = block.size.bit_length() + 1
+    total = Fraction(0)
+    while True:
+        top = max(-block.min(), block.max())
+        if not math.isfinite(top):
+            raise ValueError("exact_sum requires finite input")
+        if top == 0:
+            break
+        sigma = 2.0 ** (math.frexp(top)[1] + shift)
+        hi = block + sigma
+        hi -= sigma
+        total += Fraction(float(hi.sum()))
+        block -= hi
+    return total
 
 
 @dataclass

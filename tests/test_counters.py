@@ -1,9 +1,10 @@
-"""Counter layer: the coprime-class gather, the dispersion identity,
+"""Counter layer: the coprime-class walk, the dispersion identity,
 Croft's variance, interval geometry, the local counts u_p, and lattice
 counts, each against an independent brute-force oracle."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 from sqflab.arith import (mu_of, phi_of, prime_factors,
                           squarefree_counts_by_residue, squarefree_window)
-from sqflab.counters import (CorrelationResult, croft_variance,
-                             dispersion_check, error_vector, gcd_table,
-                             hooley_report, interval_I, lattice_count_N,
-                             lattice_count_brute, pair_enumeration_S,
-                             u_p_brute, u_p_local, variance_M2)
+from sqflab.counters import (CorrelationResult, _partner, _quadratic,
+                             coprime_blocks, croft_variance, dispersion_check,
+                             error_vector, hooley_report, interval_I,
+                             lattice_count_N, lattice_count_brute,
+                             pair_enumeration_S, u_p_brute, u_p_local,
+                             variance_M2)
 from sqflab.multiplicative import euler_constant
-from sqflab.records import exact_sum
+from sqflab.records import _rounded, exact_sum
 
 
 # ---------------------------------------------------------------------------
@@ -31,11 +33,18 @@ def _brute_counts(X, q):
     return np.bincount(vals % q, minlength=q)
 
 
+def _gathered(X, q, counts):
+    """(a, count(a), main) with error_vector's blocks joined."""
+    main, blocks = error_vector(X, q, counts)
+    a, ca = zip(*blocks)
+    return np.concatenate(a), np.concatenate(ca), main
+
+
 def test_error_vector_counts_and_errors():
     # the full count vector is checked against the bincount oracle in
     # test_arith.py; here only the coprime gather and the main term
     X, q = 3000, 12
-    a, ca, main = error_vector(X, q, squarefree_counts_by_residue(X, q))
+    a, ca, main = _gathered(X, q, squarefree_counts_by_residue(X, q))
     assert list(a) == [r for r in range(q) if math.gcd(r, q) == 1]
     assert len(a) == phi_of(q)
     assert ca.dtype == np.int64
@@ -84,11 +93,26 @@ def test_statistics_equal_across_count_dtypes(q):
         assert stats(wide.astype(dtype)) == expected, dtype
 
 
-def test_gcd_table_matches_np_gcd():
-    for q in list(range(1, 2000)) + [30030, 510510, 2 ** 20, 3 ** 12]:
-        g = gcd_table(q)
-        assert g.dtype == np.int64
-        assert np.array_equal(g, np.gcd(np.arange(q), q)), q
+def test_coprime_blocks_match_np_gcd():
+    for q in list(range(1, 2000)) + [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+                                     30030, 510510, 2 ** 20, 3 ** 12]:
+        blocks = list(coprime_blocks(q))
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert len(blocks) == -(-q // 2 ** 15)
+        assert np.array_equal(np.concatenate(blocks),
+                              np.flatnonzero(np.gcd(np.arange(q), q) == 1)), q
+
+
+def test_partner_index_past_int64_products():
+    # (m mod q) a passes 2^63 once q > 3.04e9; near q = 2^40 the product
+    # reaches 2^80, so the index must come from exact integers
+    for q in (2 ** 32, 2 ** 32 + 15, 2 ** 40 + 15, 2 ** 40 - 87):
+        a = np.array([0, 1, 2, q // 2, q - 12345, q - 2, q - 1],
+                     dtype=np.int64)
+        for m in (-1, -3, 5, q - 3, 2 ** 62 + 5):
+            got = _partner(a, m, q)
+            assert got.dtype == np.int64
+            assert got.tolist() == [m * int(x) % q for x in a], (q, m)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +261,7 @@ def _hooley_cells(draw):
 @settings(max_examples=300, deadline=None)
 def test_hooley_max_error_is_the_literal_max(cell):
     X, q, counts = cell
-    _, ca, main = error_vector(X, q, counts)
+    _, ca, main = _gathered(X, q, counts)
     literal = float(np.max(np.abs(ca - main.value)))
     assert hooley_report(X, q, counts) == \
         literal / (math.sqrt(X / q) + math.sqrt(q))
@@ -283,7 +307,7 @@ def test_m2_bar_contains_the_sum_over_the_main_terms_interval(cell):
     res = variance_M2(X, q, m, counts)
     c = [int(v) for v in counts]
     a = [r for r in range(q) if math.gcd(r, q) == 1]
-    for M in _ends(error_vector(X, q, counts)[2]):
+    for M in _ends(error_vector(X, q, counts)[0]):
         exact = sum((c[r] - M) * (c[m * r % q] - M) for r in a)
         assert res.M2_exact.contains(exact), (M, exact, res.M2_exact)
 
@@ -330,7 +354,7 @@ def test_bars_are_the_main_terms_change_plus_rounding(X, q, m):
     # intervals, plus a few ulps for rounding, and nothing else
     counts = squarefree_counts_by_residue(X, q)
     res = variance_M2(X, q, m, counts)
-    _, ca, main = error_vector(X, q, counts)
+    _, ca, main = _gathered(X, q, counts)
     M, dM = Fraction(main.value), Fraction(main.abs_err)
     phi = phi_of(q)
     change = 2 * abs(phi * M - int(ca.sum())) * dM + phi * dM * dM
@@ -346,6 +370,113 @@ def test_bars_are_the_main_terms_change_plus_rounding(X, q, m):
         change += 2 * abs(n * ev - t) * de + n * de * de
     assert Fraction(croft.abs_err) <= \
         change + 4 * Fraction(math.ulp(croft.value))
+
+
+# ---------------------------------------------------------------------------
+# the blockwise walk against the whole-vector formulas
+# ---------------------------------------------------------------------------
+
+def _whole_vector_stats(X, q, m, counts):
+    """(S, sum c, M2, direct, Croft) from phi(q)- and q-length arrays, by the
+    formulas the statistics used before they walked the residues in blocks:
+    the reference the blockwise statistics must match bit for bit."""
+    g = np.gcd(np.arange(q), q)
+    a = np.flatnonzero(g == 1)
+    main = euler_constant("C_of_q", arg=q) * X / q
+    ca = counts[a].astype(object)  # exact Python-int sums and products
+    cp = counts[[m * int(r) % q for r in a]].astype(object)
+    total, S = int(ca.sum()), int(np.dot(ca, cp))
+    M, dM, phi = Fraction(main.value), Fraction(main.abs_err), len(a)
+    m2 = _rounded(float(S - 2 * M * total + phi * M * M),
+                  float(2 * abs(phi * M - total) * dM + phi * dM * dM))
+    direct = math.fsum(((ca.astype(np.float64) - main.value)
+                        * (cp.astype(np.float64) - main.value)).tolist())
+    c = counts.astype(object)
+    value, err = Fraction(int(np.dot(c, c))), Fraction(0)
+    for d, e in _croft_expected(X, q).items():
+        n, t = phi_of(q // d), int(c[g == d].sum())
+        ev, de = Fraction(e.value), Fraction(e.abs_err)
+        value += n * ev * ev - 2 * ev * t
+        err += 2 * abs(n * ev - t) * de + n * de * de
+    return S, total, m2, direct, _rounded(float(value), float(err))
+
+
+@st.composite
+def _block_cells(draw):
+    # q at and around multiples of the 2^15 block, prime powers, and
+    # moduli with many prime factors, some square; counts of every width
+    # from a seed (so nonzero counts sit at every gcd class); m = +-1 or a
+    # random m coprime to q
+    q = draw(st.sampled_from([1, 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+                              2 ** 16 + 3, 2 ** 16, 3 ** 10, 30030, 44100,
+                              510510]))
+    dtype = draw(st.sampled_from(list(_COUNT_LIMITS)))
+    # a block's sum of c^2 passes 2^63 from c ~ 2^25 on
+    top = draw(st.sampled_from([3, min(2 ** 25, _COUNT_LIMITS[dtype]),
+                                _COUNT_LIMITS[dtype]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    counts = rng.integers(0, top, q, endpoint=True, dtype=np.int64) \
+        .astype(dtype)
+    m = draw(st.one_of(st.sampled_from([1, -1]),
+                       st.integers(-10 ** 6, 10 ** 6).filter(
+                           lambda k: k != 0 and math.gcd(k, q) == 1)))
+    X = draw(st.integers(1, 2 * q * top + 1))
+    return X, q, m, counts
+
+
+@given(_block_cells())
+@settings(max_examples=40, deadline=None)
+def test_blockwise_statistics_equal_the_whole_vector_formulas(cell):
+    X, q, m, counts = cell
+    S, total, m2, direct, croft = _whole_vector_stats(X, q, m, counts)
+    res = variance_M2(X, q, m, counts)
+    rec = dispersion_check(X, q, m, counts)
+    assert res.S_exact == S == rec.params["S"]
+    assert sum(sum(ca.tolist()) for _, ca in error_vector(X, q, counts)[1]) \
+        == total
+    assert res.M2_exact == m2 and rec.rhs == m2.value
+    assert rec.lhs == direct
+    assert croft_variance(X, q, counts) == croft
+
+
+def test_quadratic_in_ints_equals_the_fraction_loop():
+    # M2's and Croft's quadratics over one power-of-two denominator against
+    # the Fraction sums: random e and de of scattered exponents, small and
+    # huge n and t
+    rng = random.Random(22)
+    for _ in range(300):
+        terms = [(rng.randrange(1, 10 ** rng.randrange(1, 12)),
+                  rng.uniform(0, 1) * 2.0 ** rng.randrange(-60, 60),
+                  rng.uniform(0, 1) * 2.0 ** rng.randrange(-110, 10),
+                  rng.randrange(0, 10 ** rng.randrange(1, 25)))
+                 for _ in range(rng.randrange(1, 70))]
+        base = rng.randrange(0, 10 ** rng.randrange(1, 40))
+        value, err = Fraction(base), Fraction(0)
+        for n, e, de, t in terms:
+            ev, dev = Fraction(e), Fraction(de)
+            value += n * ev * ev - 2 * ev * t
+            err += 2 * abs(n * ev - t) * dev + n * dev * dev
+        assert _quadratic(base, terms) == _rounded(float(value), float(err))
+
+
+def test_statistics_memory_does_not_grow_with_q():
+    # at q = 999,983 whole-vector temporaries of the phi(q) coprime classes
+    # take 16-38 MiB; the blockwise walk keeps a few 2^15-element arrays
+    X, q = 2 * 10 ** 7, 999983
+    counts = squarefree_counts_by_residue(X, q)
+    assert counts.max() < 256
+    counts = counts.astype(np.uint8)
+    for f in (lambda: variance_M2(X, q, -1, counts),
+              lambda: croft_variance(X, q, counts),
+              lambda: hooley_report(X, q, counts)):
+        f()  # warm the cached constants and factorizations
+        tracemalloc.start()
+        try:
+            f()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
