@@ -11,6 +11,12 @@ the exact oracle decides.
 G(Y,r) is an exact head over d <= ceil(sqrt(Y)) plus a closed-form tail;
 A_formula is the S_main of theorem_main_terms, so the main-term closed form
 exists once.
+
+frakS_exact and A_exact share one builder, _f_weighted_sum: f_q(l, m) and
+the weights are built _SUM_BLOCK values of l at a time, and only their
+products are kept, in one float64 output of the full length.  That array
+stays because np.sum's pairwise order depends on the length it is given,
+so summing per block would change the last bits of the pinned values.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .arith import phi_of, prime_factors, primes_up_to, require_mq
 from .multiplicative import (MAX_ABS_ERR, _CTX, _WORK_PREC, _dec,
                              _local_product, euler_constant, euler_product_mp,
                              f_q_zero, gamma_an, gamma_ar, h_of, zeta_em)
-from .records import ApproxReal, exact_sum
+from .records import _SUM_BLOCK, ApproxReal, exact_sum
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +138,41 @@ def G_main_term(Y: float, r: int) -> ApproxReal:
 # frakS[m](Y, q)
 # ---------------------------------------------------------------------------
 
-def _f_rational_array(N: int, m: int, q: int) -> np.ndarray:
-    """f_q(l, m)/C_2 for l = 1..N as float64 (index 0 unused, set to 0):
-    the constant m,q factor, the kappa(gcd(l, m^2)) slices, and the
-    (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq."""
+def _f_weighted_sum(n: int, m: int, q: int, weight) -> float:
+    """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a float64
+    arange of l to its weights.  f is built _SUM_BLOCK values of l at a time
+    from the constant m,q factor, the kappa(gcd(l, m^2)) slices, and the
+    (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied to each l
+    in that order, so no value depends on the block holding it.  The
+    products go into one length-n output that one np.sum adds: np.sum's
+    pairwise order depends on the array's length, so summing block by block
+    would move the last bits."""
     m_abs = abs(m)
     const = 1.0
     for p in prime_factors(m_abs):
         const *= (p * p - 1) / (p * p - 2)
     for p in prime_factors(q):
         const *= (p * p - p) / (p * p - 2)
-    arr = np.full(N + 1, const, dtype=np.float64)
-    arr[0] = 0.0
+    slices = []  # (step, factor) in the order they apply
     for p in prime_factors(m_abs):
         k1 = (p * p - p - 1) / (p * p - 1)
         k2 = (p * p - p) / (p * p - 1)
-        arr[p::p] *= k1
-        arr[p * p::p * p] *= k2 / k1
-    for p in primes_up_to(math.isqrt(N) + 1):
-        p = int(p)
-        if p * p > N:
-            break
-        if m_abs % p and q % p:
-            arr[p * p::p * p] *= (p * p - 1) / (p * p - 2)
-    return arr
+        slices += [(p, k1), (p * p, k2 / k1)]
+    slices += [(p * p, (p * p - 1) / (p * p - 2))
+               for p in map(int, primes_up_to(math.isqrt(n - 1)))
+               if m_abs % p and q % p]
+    out = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, n)
+        f = np.full(hi - lo, const, dtype=np.float64)
+        if lo == 0:
+            f[0] = 0.0  # l = 0 enters through f_q_zero
+        for step, factor in slices:
+            if step < hi:
+                f[-lo % step::step] *= factor
+        np.multiply(f, weight(np.arange(lo, hi, dtype=np.float64)),
+                    out=out[lo:hi])
+    return float(np.sum(out))
 
 
 def frakS_exact(Y: float, q: int, m: int) -> ApproxReal:
@@ -168,9 +185,7 @@ def frakS_exact(Y: float, q: int, m: int) -> ApproxReal:
     if N < 1:
         return ApproxReal(0.0, 0.0)
     c2 = euler_constant("C2")
-    arr = _f_rational_array(N, m, q)
-    l = np.arange(N + 1, dtype=np.float64)
-    weighted = float(np.sum(arr * (Y - l)))
+    weighted = _f_weighted_sum(N + 1, m, q, lambda l: Y - l)
     value = c2.value * weighted
     err = c2.abs_err * weighted + abs(value) * 2e-14
     return ApproxReal(value, err)
@@ -217,25 +232,23 @@ def A_exact(X: float, q: int, m: int) -> ApproxReal:
     require_mq(m, q, X)
     m_abs = abs(m)
     L = int(math.floor((m_abs + 1) * X / q)) + 1
-    arr = _f_rational_array(L, m, q)
-    l = np.arange(L + 1, dtype=np.float64)
     Xf = float(X)
     if m > 0:
-        len_pos = np.clip((Xf - l * q) / m, 0.0, Xf)
-        lo_neg = l * q / m
-        len_neg = np.clip(np.minimum(Xf, (Xf + l * q) / m) - lo_neg, 0.0, None)
-        lengths = len_pos + len_neg
-        lengths[0] = 0.0  # l = 0 handled via f_q_zero below
+        def lengths(l):  # |I(l)| + |I(-l)|
+            len_pos = np.clip((Xf - l * q) / m, 0.0, Xf)
+            lo_neg = l * q / m
+            return len_pos + np.clip(np.minimum(Xf, (Xf + l * q) / m)
+                                     - lo_neg, 0.0, None)
         zero_len = Xf / m
     else:
         mu = -m
-        len_pos = np.clip(np.minimum(Xf, l * q / mu)
-                          - np.maximum(0.0, (l * q - Xf) / mu), 0.0, None)
-        lengths = len_pos
-        lengths[0] = 0.0
+
+        def lengths(l):  # |I(l)|; I(-l) is empty
+            return np.clip(np.minimum(Xf, l * q / mu)
+                           - np.maximum(0.0, (l * q - Xf) / mu), 0.0, None)
         zero_len = 0.0
     c2 = euler_constant("C2")
-    weighted = float(np.sum(arr * lengths))
+    weighted = _f_weighted_sum(L + 1, m, q, lengths)
     f0 = f_q_zero(m, q)
     value = c2.value * weighted + f0.value * zero_len
     err = c2.abs_err * weighted + f0.abs_err * zero_len + abs(value) * 2e-14

@@ -383,15 +383,22 @@ def euler_constant(kind: str, arg: int = None) -> ApproxReal:
     Kinds: C, C2, Cprime, C_of_q (arg=q), sum_h_d2 (arg=r), sum_h_d4 (arg=r),
     hall_factor (arg=q).
     """
+    return _to_approx(*_euler_decimal(kind, arg), kind)
+
+
+@lru_cache(maxsize=1 << 10)  # bounded: one entry per (kind, arg) in use
+def _euler_decimal(kind: str, arg) -> tuple:
+    """(Decimal value, error bound) of euler_constant(kind, arg), before
+    the MAX_ABS_ERR guard, which stays outside the cache."""
     with localcontext(_CTX):
         if kind == "C_of_q":
             q = _require_arg(arg)
             val = 1 / zeta_em(2)
             val *= _dec(_local_product(q, lambda p: Fraction(p * p, p * p - 1)))
-            return _to_approx(val, Decimal(2) ** (60 - _WORK_PREC) * abs(val), kind)
+            return val, Decimal(2) ** (60 - _WORK_PREC) * abs(val)
         if kind == "hall_factor":
             rat = _local_product(_require_arg(arg), lambda p: Fraction(p, p + 2))
-            return _to_approx(_dec(rat), 0, kind)
+            return _dec(rat), 0
         if kind == "C2":
             val, tail = _accelerated_product(LOCAL_FACTORS["C2"])
         elif kind in ("C", "Cprime"):
@@ -407,8 +414,7 @@ def euler_constant(kind: str, arg: int = None) -> ApproxReal:
             val, tail = euler_product_mp(kind, r)
         else:
             raise ValueError(f"unknown euler_constant kind: {kind}")
-        err = abs(val) * (Decimal(tail) + Decimal(2) ** (60 - _WORK_PREC))
-        return _to_approx(val, err, kind)
+        return val, abs(val) * (Decimal(tail) + Decimal(2) ** (60 - _WORK_PREC))
 
 
 def _require_arg(arg) -> int:
@@ -432,29 +438,30 @@ def _to_approx(val, err, kind: str) -> ApproxReal:
 def kappa_mu_sums(m: int) -> tuple:
     """The three sums over rho*sigma | m^2 of kappa(rho)mu(sigma) weighted by
     1/(rho sigma), 1, and sqrt(rho sigma); m squarefree.  Returns
-    (Fraction, Fraction, float)."""
+    (Fraction, Fraction, float).  Every kappa(rho) is an integer over
+    K = prod_{p|m} (p^2-1), so the first two sums are integers over K m^2
+    and K; Decimal(int)/int is correctly rounded, so the sqrt sum's terms
+    are the same Decimals as from the reduced kappa(rho)mu(sigma)."""
     m_abs = abs(m)
     if mu_of(m_abs) == 0:
         raise ValueError("kappa_mu_sums requires squarefree m")
     m2 = m_abs * m_abs
-    divs = _divisors(factorize(m2))
-    s_recip = Fraction(0)
-    s_plain = Fraction(0)
+    K = math.prod(p * p - 1 for p in prime_factors(m_abs))
+    n_recip = n_plain = 0
     with localcontext(_CTX):
         s_sqrt = Decimal(0)
-        for rho in divs:
-            krho = kappa(rho)
-            if krho == 0:
-                continue
+        for rho in _divisors(factorize(m2)):
+            krho = kappa(rho)  # nonzero: rho | m^2 has no cube factor
+            n_rho = krho.numerator * (K // krho.denominator)
             for sigma in _divisors(factorize(m2 // rho)):
                 msig = mu_of(sigma)
                 if msig == 0:
                     continue
-                term = krho * msig
-                s_recip += term / (rho * sigma)
-                s_plain += term
-                s_sqrt += _dec(term) * Decimal(rho * sigma).sqrt()
-        return s_recip, s_plain, float(s_sqrt)
+                term = n_rho * msig
+                n_recip += term * (m2 // (rho * sigma))
+                n_plain += term
+                s_sqrt += Decimal(term) / K * Decimal(rho * sigma).sqrt()
+        return Fraction(n_recip, K * m2), Fraction(n_plain, K), float(s_sqrt)
 
 
 def kappa_mu_products(m: int) -> tuple:

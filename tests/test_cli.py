@@ -297,7 +297,9 @@ def test_verify_identities_counts_in_one_pass(monkeypatch):
 
 
 def test_verify_all_builds_each_product_once():
-    # two accelerated products (C and C2), every other constant derived
+    # two accelerated products (C and C2), every other constant derived;
+    # the memoised constants are cleared too, or C would not be rebuilt
+    multiplicative._euler_decimal.cache_clear()
     multiplicative._accelerated_product.cache_clear()
     run_verify("all", 0)
     assert multiplicative._accelerated_product.cache_info().misses == 2
