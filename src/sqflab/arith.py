@@ -1,5 +1,5 @@
 """Exact integer arithmetic: factorization, multiplicative basics, Jacobi
-symbols, modular inverses, and a segmented squarefree sieve.
+symbols, and a segmented squarefree sieve.
 
 factorize trial-divides, then finishes with Miller-Rabin and Pollard rho;
 its results are memoised, since the constants re-read the same few moduli.
@@ -179,15 +179,6 @@ def jacobi_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def mod_inverse(x: int, q: int) -> int:
-    """Multiplicative inverse of x modulo q, in [1, q-1] (0 when q = 1)."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(x, q) != 1:
-        raise ValueError(f"{x} is not invertible modulo {q}")
-    return pow(x, -1, q)
 
 
 def require_mq(m: int, q: int, X=None) -> None:

@@ -17,6 +17,9 @@ the weights are built _SUM_BLOCK values of l at a time, and only their
 products are kept, in one float64 output of the full length.  That array
 stays because np.sum's pairwise order depends on the length it is given,
 so summing per block would change the last bits of the pinned values.
+Their error bars come from ApproxReal arithmetic on C_2, f_q(0, m) and the
+float sum, which carries a relative bar of its own (its terms are
+nonnegative).
 """
 
 from __future__ import annotations
@@ -138,15 +141,16 @@ def G_main_term(Y: float, r: int) -> ApproxReal:
 # frakS[m](Y, q)
 # ---------------------------------------------------------------------------
 
-def _f_weighted_sum(n: int, m: int, q: int, weight) -> float:
+def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
     """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a float64
-    arange of l to its weights.  f is built _SUM_BLOCK values of l at a time
-    from the constant m,q factor, the kappa(gcd(l, m^2)) slices, and the
-    (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied to each l
-    in that order, so no value depends on the block holding it.  The
+    arange of l to its nonnegative weights.  f is built _SUM_BLOCK values of
+    l at a time from the constant m,q factor, the kappa(gcd(l, m^2)) slices,
+    and the (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied to
+    each l in that order, so no value depends on the block holding it.  The
     products go into one length-n output that one np.sum adds: np.sum's
     pairwise order depends on the array's length, so summing block by block
-    would move the last bits."""
+    would move the last bits.  As the terms are nonnegative, the sum's
+    rounding is bounded relative to it."""
     m_abs = abs(m)
     const = 1.0
     for p in prime_factors(m_abs):
@@ -172,7 +176,8 @@ def _f_weighted_sum(n: int, m: int, q: int, weight) -> float:
                 f[-lo % step::step] *= factor
         np.multiply(f, weight(np.arange(lo, hi, dtype=np.float64)),
                     out=out[lo:hi])
-    return float(np.sum(out))
+    total = float(np.sum(out))
+    return ApproxReal(total, total * 2e-14)
 
 
 def frakS_exact(Y: float, q: int, m: int) -> ApproxReal:
@@ -184,11 +189,7 @@ def frakS_exact(Y: float, q: int, m: int) -> ApproxReal:
     N = int(math.floor(Y))
     if N < 1:
         return ApproxReal(0.0, 0.0)
-    c2 = euler_constant("C2")
-    weighted = _f_weighted_sum(N + 1, m, q, lambda l: Y - l)
-    value = c2.value * weighted
-    err = c2.abs_err * weighted + abs(value) * 2e-14
-    return ApproxReal(value, err)
+    return euler_constant("C2") * _f_weighted_sum(N + 1, m, q, lambda l: Y - l)
 
 
 @dataclass(frozen=True)
@@ -239,20 +240,16 @@ def A_exact(X: float, q: int, m: int) -> ApproxReal:
             lo_neg = l * q / m
             return len_pos + np.clip(np.minimum(Xf, (Xf + l * q) / m)
                                      - lo_neg, 0.0, None)
-        zero_len = Xf / m
+        zero_len = Fraction(Xf) / m  # exact: as_approx bounds its rounding
     else:
         mu = -m
 
         def lengths(l):  # |I(l)|; I(-l) is empty
             return np.clip(np.minimum(Xf, l * q / mu)
                            - np.maximum(0.0, (l * q - Xf) / mu), 0.0, None)
-        zero_len = 0.0
-    c2 = euler_constant("C2")
-    weighted = _f_weighted_sum(L + 1, m, q, lengths)
-    f0 = f_q_zero(m, q)
-    value = c2.value * weighted + f0.value * zero_len
-    err = c2.abs_err * weighted + f0.abs_err * zero_len + abs(value) * 2e-14
-    return ApproxReal(value, err)
+        zero_len = 0
+    return (euler_constant("C2") * _f_weighted_sum(L + 1, m, q, lengths)
+            + f_q_zero(m, q) * zero_len)
 
 
 def A_decomposition(X: float, q: int, m: int) -> ApproxReal:

@@ -248,6 +248,8 @@ def _emit_rows(rows: list, fmt: str, out) -> None:
         out.write(json.dumps(rows, indent=1, default=_fmt))
         out.write("\n")
         return
+    if not rows:  # every modulus was skipped: no header line either
+        return
     keys = []
     for row in rows:
         for k in row:
@@ -302,8 +304,8 @@ def main(argv=None) -> int:
         if args.x < 1:
             parser.error("--x must be a positive integer")
         try:
-            q_list = [int(tok) for tok in args.q.split(",") if tok.strip()]
-        except ValueError:
+            q_list = [_exact_int(t) for t in args.q.split(",") if t.strip()]
+        except argparse.ArgumentTypeError:
             parser.error("--q must be a comma-separated list of integers")
         if not q_list:
             parser.error("--q must name at least one modulus")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, mod_inverse, mu_of, phi_of, require_mq
+from .arith import factorize, mu_of, phi_of, require_mq
 from .multiplicative import euler_constant
 from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
                       _rounded)
@@ -49,9 +49,17 @@ def coprime_blocks(q: int):
 
 
 def _check_counts(q: int, counts: np.ndarray) -> None:
+    """One count per class mod q, in an integer dtype, in [0, 2^63): a
+    float would be truncated, and a count outside wraps the exact sums as
+    int64.  The sieve's uint8 to uint32 counts need no scan."""
     if counts.shape != (q,):
         raise ValueError(f"need one count per residue class mod {q}, "
                          f"got shape {counts.shape}")
+    kind = counts.dtype.kind
+    if (kind not in "iu" or kind == "i" and counts.min() < 0
+            or counts.dtype == np.uint64 and counts.max() >= 2 ** 63):
+        raise ValueError(f"counts must be nonnegative integers below 2^63, "
+                         f"got dtype {counts.dtype}")
 
 
 def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
@@ -325,7 +333,7 @@ def lattice_count_N(J: int, K: int, m1: int, m2: int, X: int, q: int) -> int:
             if q == 1:
                 total += uj * vk
                 continue
-            c = (m2 * k * k * mod_inverse(m1 * j * j, q)) % q
+            c = (m2 * k * k * pow(m1 * j * j, -1, q)) % q
             v = np.arange(1, vk + 1, dtype=np.int64)
             r = (c * v) % q
             hits = np.where((r >= 1) & (r <= uj), (uj - r) // q + 1, 0)

@@ -11,6 +11,10 @@ ratio of these two and zeta(2): C' = C/(2 C_2), sum h(d)/d^2 =
 1/(zeta(2) C_2) and sum h(d)/d^4 = 1/(zeta(2)^2 C_2).  zeta itself is
 computed in-house by Euler-Maclaurin summation; every extended-precision
 value is a Decimal in _CTX.
+
+f_q(l, m) and f_q(0, m) are an Euler constant times an exact rational, and
+their bars come from ApproxReal multiplication alone: the constant's bar,
+scaled, plus the roundings of the rational and of the product.
 """
 
 from __future__ import annotations
@@ -173,22 +177,16 @@ def f_q_rational_part(l: int, m: int, q: int) -> Fraction:
 
 def f_q_of(l: int, m: int, q: int) -> ApproxReal:
     """f_q(l, m) for l != 0: C_2 times an exact rational local product;
-    the error bound comes only from the C_2 truncation."""
-    rat = f_q_rational_part(l, m, q)
-    c2 = euler_constant("C2")
-    val = c2.value * float(rat)
-    err = c2.abs_err * float(abs(rat)) + abs(val) * 1e-15
-    return ApproxReal(val, err)
+    the bar is C_2's, scaled, plus the rounding of the rational and of the
+    product."""
+    return euler_constant("C2") * f_q_rational_part(l, m, q)
 
 
 def f_q_zero(m: int, q: int) -> ApproxReal:
     """f_q(0, m) via the closed form phi(|m|q)/(|m|q) * C(|m|q)."""
     require_mq(m, q)
     mq = abs(m) * q
-    rat = Fraction(phi_of(mq), mq)
-    c = euler_constant("C_of_q", arg=mq)
-    val = c.value * float(rat)
-    return ApproxReal(val, c.abs_err * float(rat) + abs(val) * 1e-15)
+    return euler_constant("C_of_q", arg=mq) * Fraction(phi_of(mq), mq)
 
 
 def f_q_zero_local_factors(p: int, m: int, q: int) -> tuple:

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqflab.arith import (_SEGMENT, factorize, is_prime, jacobi_symbol,
-                          mod_inverse, mu_of, phi_of,
-                          prime_factors, primes_up_to, squarefree_count,
+                          mu_of, phi_of, prime_factors, primes_up_to, squarefree_count,
                           squarefree_counts_by_moduli,
                           squarefree_counts_by_residue, squarefree_window,
                           tau_of)
@@ -165,12 +164,6 @@ def test_jacobi_euler_criterion():
 def test_jacobi_multiplicative_in_top(a, b):
     n = 15015  # odd, composite
     assert jacobi_symbol(a * b, n) == jacobi_symbol(a, n) * jacobi_symbol(b, n)
-
-
-def test_mod_inverse():
-    assert mod_inverse(3, 10) == 7
-    with pytest.raises(ValueError):
-        mod_inverse(4, 10)
 
 
 def test_squarefree_window_matches_mu():

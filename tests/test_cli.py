@@ -82,6 +82,7 @@ def test_bad_arguments_exit_2(capsys):
     for argv in (["verify", "--suite", "nope"],
                  ["scan", "--kind", "variance", "--x", "1000", "--q", "7,ab"],
                  ["scan", "--kind", "croft", "--x", "100", "--q", "abc"],
+                 ["scan", "--kind", "croft", "--x", "100", "--q", "1.5"],
                  ["scan", "--kind", "hooley", "--x", "1.5", "--q", "7"],
                  ["scan", "--kind", "hooley", "--x", "1e-3", "--q", "7"],
                  ["scan", "--kind", "hooley", "--x", "abc", "--q", "7"],
@@ -158,6 +159,29 @@ def test_scan_x_in_scientific_notation(x, X, capsys):
     assert main(["scan", "--kind", "hooley", "--x", str(X), "--q", "97"]) == 0
     assert capsys.readouterr().out == plain
     assert f"hooley,{X},97," in plain
+
+
+def test_scan_q_in_scientific_notation(capsys):
+    # --q reads each modulus with --x's grammar
+    argv = ["scan", "--kind", "croft", "--x", "2e4", "--q"]
+    assert main(argv + ["1e3,2.5e3"]) == 0
+    sci = capsys.readouterr().out
+    assert main(argv + ["1000,2500"]) == 0
+    assert capsys.readouterr().out == sci
+    assert "croft,20000,1000," in sci and "croft,20000,2500," in sci
+
+
+@pytest.mark.parametrize("fmt, empty", [("csv", ""), ("json", "[]\n")])
+def test_scan_with_every_modulus_skipped(fmt, empty, capsys):
+    # no rows: an empty CSV (no header line), exit 0, one warning per q
+    assert list(arith.squarefree_counts_by_moduli(100, [])) == []
+    for argv in (["--kind", "croft", "--x", "10", "--q", "20,30"],
+                 ["--kind", "correlation", "--x", "100", "--q", "4,6",
+                  "--m", "2"]):
+        assert main(["scan", *argv, "--format", fmt]) == 0
+        got = capsys.readouterr()
+        assert got.out == empty, argv
+        assert got.err.count("warning: skipping") == 2, argv
 
 
 def test_scan_variance_table(tmp_path, capsys):

@@ -72,6 +72,25 @@ def test_counts_of_the_wrong_modulus_are_rejected():
                 call()
 
 
+def test_negative_or_float_counts_are_rejected():
+    # a negative int64 count wraps the exact sums (c[1] = -2^40, c[2] = 3 at
+    # q = 7 gave S = 9, not 2^80 + 9), so does a uint64 count past 2^63
+    # once widened to int64, and float counts were truncated
+    X, q = 100, 7
+    negative = np.zeros(q, dtype=np.int64)
+    negative[1], negative[2] = -2 ** 40, 3
+    huge = np.zeros(q, dtype=np.uint64)
+    huge[1], huge[2] = 2 ** 63 + 5, 3
+    floats = squarefree_counts_by_residue(X, q).astype(np.float64)
+    floats[1] += 0.5
+    for counts in (negative, huge, floats):
+        for call in (lambda: variance_M2(X, q, 1, counts),
+                     lambda: croft_variance(X, q, counts),
+                     lambda: hooley_report(X, q, counts)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                call()
+
+
 @pytest.mark.parametrize("q", [97, 100])
 def test_statistics_equal_across_count_dtypes(q):
     # the CLI passes the narrowest unsigned counter that cannot wrap; every

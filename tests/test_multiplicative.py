@@ -270,6 +270,29 @@ def test_f_q_zero_matches_phi_over_mq_times_c():
         assert v.value == pytest.approx(phi_of(mq) / mq * cmq.value, rel=1e-13)
 
 
+def test_f_q_bars_are_the_constants_bar_plus_rounding():
+    # C_2 or C(|m|q) times an exact rational: the bar is the constant's bar
+    # scaled by the rational plus the rounding ApproxReal counts, under
+    # 3 ulp of the value (a 1e-15 relative pad alone is over 4.5 ulp)
+    from sqflab.arith import phi_of
+    c2 = euler_constant("C2")
+    for m in (1, 2, 3, -1, -5, 6, -30):
+        for q in (1, 5, 7, 12, 30, 49, 97):
+            if math.gcd(m, q) != 1:
+                continue
+            mq = abs(m) * q
+            v = f_q_zero(m, q)
+            bound = (Fraction(euler_constant("C_of_q", arg=mq).abs_err)
+                     * Fraction(phi_of(mq), mq) + 3 * Fraction(math.ulp(v.value)))
+            assert v.abs_err <= bound, (m, q)
+            for l in (1, 4, 9, 30, -36, 225, 1000):
+                v = f_q_of(l, m, q)
+                rat = abs(f_q_rational_part(l, m, q))
+                bound = (Fraction(c2.abs_err) * rat
+                         + 3 * Fraction(math.ulp(v.value)))
+                assert v.abs_err <= bound, (l, m, q)
+
+
 def test_zeta_em_matches_mpmath():
     for s in (Fraction(3, 2), 2, 4, Decimal("0.75"), Decimal("-0.5"),
               Decimal("3.25")):
