@@ -42,22 +42,10 @@ from .records import _SUM_BLOCK, ApproxReal, exact_sum
 # sawtooth
 # ---------------------------------------------------------------------------
 
-def psi(v: float) -> float:
-    """psi(v) = floor(v) - v + 1/2, the balanced sawtooth."""
-    return math.floor(v) - v + 0.5
-
-
-def psi_antiderivative(x: float) -> float:
-    """Psi_1(x) = integral of psi over [0,x] = ({x} - {x}^2)/2, in [0, 1/8]."""
-    if x < 0:
-        raise ValueError("psi_antiderivative requires x >= 0")
-    frac = x - math.floor(x)
-    return (frac - frac * frac) / 2
-
-
 def psi_mellin_integral(X: float, s: float) -> ApproxReal:
-    """integral_0^X psi(v) v^(-s/2) dv by exact per-interval antiderivatives;
-    converges to zeta(s/2-1)/(s/2-1) with remainder O(X^(-s/2))."""
+    """integral_0^X psi(v) v^(-s/2) dv, psi(v) = floor(v) - v + 1/2 the
+    balanced sawtooth, by exact per-interval antiderivatives; converges to
+    zeta(s/2-1)/(s/2-1) with remainder O(X^(-s/2))."""
     if not (0 < s < 2):
         raise ValueError("require 0 < s < 2")
     if X <= 1:

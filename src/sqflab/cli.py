@@ -191,7 +191,7 @@ def run_verify(suite: str, seed: int) -> list:
 def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
     mm = 1 if kind == "variance" else m
     cells = []
-    for q in sorted(q_list):
+    for q in sorted(set(q_list)):  # a repeated modulus is counted once
         if q > X:
             print(f"warning: skipping q={q} > X={X}", file=sys.stderr)
         elif kind in ("variance", "correlation") and math.gcd(abs(mm), q) != 1:
@@ -219,13 +219,11 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
                 "exact": v.value, "abs_err": v.abs_err,
                 "scale_X_sqrtq": scale, "ratio": v.value / scale,
             })
-        elif kind == "hooley":
+        else:  # hooley; argparse's choices admit no other kind
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
                 "max_error_over_envelope": counters.hooley_report(X, q, counts),
             })
-        else:
-            raise ValueError(f"unknown scan kind {kind!r}")
     return rows
 
 

@@ -1,6 +1,6 @@
 """Exact enumerative quantities: per-residue error terms, the variance and
-correlation sums, the double sum S[m], Croft's all-classes variance,
-interval geometry, the local counts u_p, and lattice counts.
+correlation sums, the double sum S[m], Croft's all-classes variance, the
+local counts u_p, and lattice counts.
 
 Everything here is either an exact integer count or a value built from
 exact counts plus one Euler-product constant.  M2 and Croft's variance are
@@ -230,49 +230,6 @@ def hooley_report(X: int, q: int, counts: np.ndarray) -> float:
     # fl(c - M) is monotone in c: max|c - M| from the extreme counts
     emax = max(top - main.value, main.value - bottom)
     return emax / (math.sqrt(X / q) + math.sqrt(q))
-
-
-# ---------------------------------------------------------------------------
-# interval geometry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntervalIL:
-    """I(l) = {n : n in (0,X) and mn + lq in (0,X)} as an open interval."""
-
-    l: int
-    m: int
-    q: int
-    X: float
-    lo: float
-    hi: float
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, t: float) -> bool:
-        return self.lo < t < self.hi
-
-    def member(self, n: int) -> bool:
-        """Exact integer membership per the defining set."""
-        return 0 < n < self.X and 0 < self.m * n + self.l * self.q < self.X
-
-
-def interval_I(l: int, m: int, q: int, X: float) -> IntervalIL:
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if q < 1 or X <= 0:
-        raise ValueError("require q >= 1 and X > 0")
-    if m > 0:
-        lo = max(0.0, (-l * q) / m)
-        hi = min(float(X), (X - l * q) / m)
-    else:
-        lo = max(0.0, (X - l * q) / m)
-        hi = min(float(X), (-l * q) / m)
-    if hi < lo:
-        hi = lo
-    return IntervalIL(l, m, q, float(X), lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def _require_s2_args(r_pow: int, q: int, m2: int) -> None:
         raise ValueError("require r coprime to q")
 
 
+def _s2_gamma(n: int, q: int, m2: int) -> tuple:
+    """alpha = 0..n-1 and gamma[alpha, beta], pinned by S2's congruence."""
+    coef = (m2 * pow(q, -1, n)) % n
+    alpha = np.arange(n, dtype=np.int64)
+    gamma = (coef * ((alpha * alpha) % n))[:, None] * alpha[None, :] % n
+    return alpha, gamma
+
+
 def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> complex:
     """S2(r^f, q, m2; b,c,d): the triple sum over alpha,beta,gamma mod r^f
     constrained by r^f | m2 alpha^2 beta - q gamma.  The constraint pins
@@ -109,9 +117,7 @@ def s2_sum(r_pow: int, q: int, m2: int, b: int, c: int, d: int) -> complex:
     if n > _MAX_LITERAL_MODULUS:
         raise ValueError("modulus too large for a literal sum")
     E = _phase_table(n)
-    coef = (m2 * pow(q, -1, n)) % n
-    alpha = np.arange(n, dtype=np.int64)
-    gamma = (coef * ((alpha * alpha) % n))[:, None] * alpha[None, :] % n
+    alpha, gamma = _s2_gamma(n, q, m2)
     idx = ((b % n) * alpha[:, None] + (c % n) * alpha[None, :] + (d % n) * gamma) % n
     return complex(np.sum(E[idx]))
 
@@ -164,12 +170,9 @@ def s2_table(r_pow: int, q: int, m2: int) -> np.ndarray:
     """All S2(r^f,q,m2;b,c,d) as a (n,n,n) complex array indexed [b,c,d]."""
     _require_s2_args(r_pow, q, m2)
     n = r_pow
-    coef = (m2 * pow(q, -1, n)) % n
-    alpha = np.arange(n, dtype=np.int64)
-    gamma = (coef * ((alpha * alpha) % n))[:, None] * alpha[None, :] % n
+    alpha, gamma = _s2_gamma(n, q, m2)
     cube = np.zeros((n, n, n))
-    ii, jj = np.meshgrid(alpha, alpha, indexing="ij")
-    cube[ii, jj, gamma] = 1.0
+    cube[alpha[:, None], alpha[None, :], gamma] = 1.0
     return np.conj(np.fft.fftn(cube))
 
 

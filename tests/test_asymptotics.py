@@ -8,8 +8,6 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from sqflab import asymptotics
@@ -17,10 +15,9 @@ from sqflab.arith import phi_of, tau_of
 from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 G_main_term, G_of, MainTermBreakdown,
                                 TheoremMainTerms, calibration_constant,
-                                frakS_exact, frakS_formula, psi,
-                                psi_antiderivative, psi_mellin_integral,
-                                psi_mellin_limit, theorem_main_terms)
-from sqflab.counters import interval_I
+                                frakS_exact, frakS_formula,
+                                psi_mellin_integral, psi_mellin_limit,
+                                theorem_main_terms)
 from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_of,
                                    f_q_rational_part, f_q_zero, gamma_an,
                                    gamma_ar, h_of)
@@ -31,18 +28,12 @@ from sqflab.records import ApproxReal
 # sawtooth
 # ---------------------------------------------------------------------------
 
-@given(st.integers(-50, 50), st.floats(0.001, 0.999))
-def test_psi_periodic_and_odd(k, t):
-    v = k + t
-    assert psi(v) == pytest.approx(psi(t), abs=1e-12)
-    assert abs(psi(v)) <= 0.5
-    # away from integers the sawtooth is odd
-    assert psi(v) + psi(-v) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_psi_antiderivative_range_and_brute():
+    # G_of's Psi_1(x) = ({x} - {x}^2)/2 is the integral of the sawtooth
+    # psi(v) = floor(v) - v + 1/2 over [0, x]
     for x in (0.0, 0.25, 1.0, 2.5, 7.85, 100.125):
-        val = psi_antiderivative(x)
+        frac = x % 1
+        val = (frac - frac * frac) / 2
         assert 0.0 <= val <= 0.125
         # midpoint rule per unit piece: psi is linear there, so the rule is
         # exact up to roundoff once no subcell straddles an integer
@@ -51,12 +42,11 @@ def test_psi_antiderivative_range_and_brute():
         while k < x:
             hi = min(k + 1.0, x)
             h = (hi - k) / 64
-            parts.extend(h * psi(k + (i + 0.5) * h) for i in range(64))
+            mids = (k + (i + 0.5) * h for i in range(64))
+            parts.extend(h * (math.floor(v) - v + 0.5) for v in mids)
             k += 1
         brute = math.fsum(parts)
         assert val == pytest.approx(brute, abs=1e-10)
-    with pytest.raises(ValueError):
-        psi_antiderivative(-0.1)
 
 
 def test_psi_mellin_vs_quadrature():
@@ -145,8 +135,12 @@ def test_G_split_sum_vs_literal_sum(Y, r):
     # by at most h_max Y/(2N), with h_max = 1/C_2.
     N = 20000
     h_max = 1 / euler_constant("C2").value
-    S_N = math.fsum(float(h_of(d)) * psi_antiderivative(Y / (d * d))
-                    for d in range(1, N + 1) if math.gcd(d, r) == 1)
+    parts = []
+    for d in range(1, N + 1):
+        if math.gcd(d, r) == 1:
+            frac = Y / (d * d) % 1
+            parts.append(float(h_of(d)) * (frac - frac * frac) / 2)
+    S_N = math.fsum(parts)
     gap = G_of(Y, r).value - S_N
     assert -1e-9 <= gap <= h_max * Y / (2 * N), (Y, r, gap)
 
@@ -248,16 +242,18 @@ def test_frakS_envelope_calibrated():
 # ---------------------------------------------------------------------------
 
 def test_A_exact_vs_interval_oracle(monkeypatch):
-    # at 2^8 values of l to a block, L + 1 = 1202 at (2, 5) spans five
-    # blocks, the last one partial
+    # f_q(l, m) times the exact |I(l)| + |I(-l)| of _exact_length; at 2^8
+    # values of l to a block, L + 1 = 1202 at (2, 5) spans five blocks, the
+    # last one partial
     X = 2000.0
+    Xx = Fraction(X)
     for (m, q) in [(2, 5), (-1, 12), (1, 7)]:
         L = int((abs(m) + 1) * X / q) + 1
-        total = f_q_zero(m, q).value * interval_I(0, m, q, X).length
+        total = f_q_zero(m, q).value * float(_exact_length(0, m, q, Xx))
         for l in range(1, L + 1):
             fl = f_q_of(l, m, q).value
-            total += fl * (interval_I(l, m, q, X).length
-                           + interval_I(-l, m, q, X).length)
+            total += fl * float(_exact_length(l, m, q, Xx)
+                                + _exact_length(-l, m, q, Xx))
         for block in (asymptotics._SUM_BLOCK, 2**8):
             monkeypatch.setattr(asymptotics, "_SUM_BLOCK", block)
             got = A_exact(X, q, m)

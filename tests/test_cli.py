@@ -171,6 +171,23 @@ def test_scan_q_in_scientific_notation(capsys):
     assert "croft,20000,1000," in sci and "croft,20000,2500," in sci
 
 
+def test_scan_counts_a_repeated_modulus_once(monkeypatch, capsys):
+    argv = ["scan", "--kind", "croft", "--x", "1000", "--q"]
+    assert main(argv + ["7,97"]) == 0
+    once = capsys.readouterr().out
+    seen = []
+    real = cli.squarefree_counts_by_moduli
+
+    def recording(X, qs):
+        seen.append(list(qs))
+        return real(X, qs)
+
+    monkeypatch.setattr(cli, "squarefree_counts_by_moduli", recording)
+    assert main(argv + ["7,97,7"]) == 0
+    assert capsys.readouterr().out == once
+    assert seen == [[7, 97]]
+
+
 @pytest.mark.parametrize("fmt, empty", [("csv", ""), ("json", "[]\n")])
 def test_scan_with_every_modulus_skipped(fmt, empty, capsys):
     # no rows: an empty CSV (no header line), exit 0, one warning per q

@@ -1,6 +1,6 @@
 """Counter layer: the coprime-class walk, the dispersion identity,
-Croft's variance, interval geometry, the local counts u_p, and lattice
-counts, each against an independent brute-force oracle."""
+Croft's variance, the local counts u_p, and lattice counts, each against an
+independent brute-force oracle."""
 
 import math
 import random
@@ -16,10 +16,9 @@ from sqflab.arith import (mu_of, phi_of, prime_factors,
                           squarefree_counts_by_residue, squarefree_window)
 from sqflab.counters import (CorrelationResult, _partner, _quadratic,
                              coprime_blocks, croft_variance, dispersion_check,
-                             error_vector, hooley_report, interval_I,
-                             lattice_count_N, lattice_count_brute,
-                             pair_enumeration_S, u_p_brute, u_p_local,
-                             variance_M2)
+                             error_vector, hooley_report, lattice_count_N,
+                             lattice_count_brute, pair_enumeration_S,
+                             u_p_brute, u_p_local, variance_M2)
 from sqflab.multiplicative import euler_constant
 from sqflab.records import _rounded, exact_sum
 
@@ -496,31 +495,6 @@ def test_statistics_memory_does_not_grow_with_q():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20, peak
-
-
-# ---------------------------------------------------------------------------
-# interval geometry
-# ---------------------------------------------------------------------------
-
-@given(st.integers(-8, 8), st.sampled_from([1, -1, 2, 3, -5]),
-       st.integers(1, 12), st.integers(10, 400))
-@settings(max_examples=120, deadline=None)
-def test_interval_matches_exact_membership(l, m, q, X):
-    iv = interval_I(l, m, q, X)
-    assert iv.length >= 0.0
-    for n in range(0, X + 1):
-        assert iv.contains(n) == iv.member(n), (l, m, q, X, n)
-
-
-def test_interval_rejections():
-    with pytest.raises(ValueError):
-        interval_I(0, 0, 5, 100)
-    with pytest.raises(ValueError):
-        interval_I(0, 1, 0, 100)
-    with pytest.raises(ValueError):
-        interval_I(0, 1, 5, 0)
-    # degenerate interval clamps to zero length
-    assert interval_I(1000, 1, 3, 10).length == 0.0
 
 
 # ---------------------------------------------------------------------------

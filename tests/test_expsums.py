@@ -5,6 +5,7 @@ exhaustive multiplier sweeps, and the CRT factorization identity."""
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,13 +169,28 @@ def test_s2_gcd_bound_array_matches_scalar(n):
                     assert arr[b, c, d] == s2_gcd_bound(n, m2, b, c, d)
 
 
-def test_s2_rejections():
+@pytest.mark.parametrize("s2", [s2_sum, s2_table])
+def test_s2_rejections(s2):
+    tail = (0, 0, 0) if s2 is s2_sum else ()
     with pytest.raises(ValueError):
-        s2_sum(6, 1, 1, 0, 0, 0)  # not a prime power
+        s2(6, 1, 1, *tail)  # not a prime power
     with pytest.raises(ValueError):
-        s2_sum(9, 3, 1, 0, 0, 0)  # q shares the prime
+        s2(9, 3, 1, *tail)  # q shares the prime
     with pytest.raises(ValueError):
-        s2_sum(9, 1, 0, 0, 0, 0)
+        s2(9, 1, 0, *tail)
+
+
+def test_s2_size_guard_runs_before_the_gamma_table():
+    # 10007 is a prime above the literal-sum limit 10^4; its int64 gamma
+    # table alone would take 10007^2 * 8 bytes, about 764 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            s2_sum(10007, 1, 1, 0, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
