@@ -13,13 +13,12 @@ A_formula is the S_main of theorem_main_terms, so the main-term closed form
 exists once.
 
 frakS_exact and A_exact share one builder, _f_weighted_sum: f_q(l, m) and
-the weights are built _SUM_BLOCK values of l at a time, and only their
-products are kept, in one float64 output of the full length.  That array
-stays because np.sum's pairwise order depends on the length it is given,
-so summing per block would change the last bits of the pinned values.
-Their error bars come from ApproxReal arithmetic on C_2, f_q(0, m) and the
-float sum, which carries a relative bar of its own (its terms are
-nonnegative).
+the weights are built at most _SUM_BLOCK values of l at a time, and the
+products are added leaf by leaf in np.sum's own pairwise order over the
+full length, so the float is that of one np.sum and the memory does not
+grow with X.  Their error bars come from ApproxReal arithmetic on C_2,
+f_q(0, m) and the float sum, which carries a relative bar of its own (its
+terms are nonnegative).
 """
 
 from __future__ import annotations
@@ -129,16 +128,30 @@ def G_main_term(Y: float, r: int) -> ApproxReal:
 # frakS[m](Y, q)
 # ---------------------------------------------------------------------------
 
+def _pairwise_sum(leaf, lo: int, k: int) -> float:
+    """np.sum of the float64 terms lo, ..., lo + k - 1, bit for bit, where
+    leaf(a, b) returns terms a, ..., b - 1 as an array.  np.sum adds k
+    terms in a fixed pairwise tree: it splits them at k//2 rounded down to
+    a multiple of 8 until a piece has at most 128.  Splitting the same way
+    down to pieces of at most _SUM_BLOCK (>= 128) terms and summing each
+    with np.sum builds the same float from one leaf at a time."""
+    if k <= _SUM_BLOCK:
+        return float(np.sum(leaf(lo, lo + k)))
+    k2 = k // 2 - k // 2 % 8
+    return _pairwise_sum(leaf, lo, k2) + _pairwise_sum(leaf, lo + k2, k - k2)
+
+
 def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
     """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a float64
-    arange of l to its nonnegative weights.  f is built _SUM_BLOCK values of
-    l at a time from the constant m,q factor, the kappa(gcd(l, m^2)) slices,
-    and the (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied to
-    each l in that order, so no value depends on the block holding it.  The
-    products go into one length-n output that one np.sum adds: np.sum's
-    pairwise order depends on the array's length, so summing block by block
-    would move the last bits.  As the terms are nonnegative, the sum's
-    rounding is bounded relative to it."""
+    arange of l to its nonnegative weights.  Each f is the constant m,q
+    factor times the kappa(gcd(l, m^2)) slices and the (p^2-1)/(p^2-2)
+    factors at p^2 | l, p coprime to mq, applied in that order, so no value
+    depends on the leaf holding it.  A leaf holds at most _SUM_BLOCK values,
+    so a p^2 > _SUM_BLOCK divides at most one; those factors, the ascending
+    tail, go in by one unbuffered np.multiply.at, so an l with two such p^2
+    takes both, smaller p first.  _pairwise_sum adds the n products as one
+    np.sum would.  As they are nonnegative, the sum's rounding is bounded
+    relative to it."""
     m_abs = abs(m)
     const = 1.0
     for p in prime_factors(m_abs):
@@ -150,21 +163,26 @@ def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
         k1 = (p * p - p - 1) / (p * p - 1)
         k2 = (p * p - p) / (p * p - 1)
         slices += [(p, k1), (p * p, k2 / k1)]
-    slices += [(p * p, (p * p - 1) / (p * p - 2))
-               for p in map(int, primes_up_to(math.isqrt(n - 1)))
+    coprime = [p * p for p in map(int, primes_up_to(math.isqrt(n - 1)))
                if m_abs % p and q % p]
-    out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _SUM_BLOCK):
-        hi = min(lo + _SUM_BLOCK, n)
+    slices += [(p2, (p2 - 1) / (p2 - 2)) for p2 in coprime if p2 <= _SUM_BLOCK]
+    big = np.array([p2 for p2 in coprime if p2 > _SUM_BLOCK], dtype=np.int64)
+    big_factor = (big - 1) / (big - 2)  # the floats Python int / int gives
+
+    def leaf(lo, hi):
         f = np.full(hi - lo, const, dtype=np.float64)
         if lo == 0:
             f[0] = 0.0  # l = 0 enters through f_q_zero
         for step, factor in slices:
             if step < hi:
                 f[-lo % step::step] *= factor
-        np.multiply(f, weight(np.arange(lo, hi, dtype=np.float64)),
-                    out=out[lo:hi])
-    total = float(np.sum(out))
+        at = -lo % big
+        hit = at < hi - lo
+        np.multiply.at(f, at[hit], big_factor[hit])
+        return np.multiply(f, weight(np.arange(lo, hi, dtype=np.float64)),
+                           out=f)
+
+    total = _pairwise_sum(leaf, 0, n)
     return ApproxReal(total, total * 2e-14)
 
 

@@ -171,9 +171,10 @@ def s2_table(r_pow: int, q: int, m2: int) -> np.ndarray:
     _require_s2_args(r_pow, q, m2)
     n = r_pow
     alpha, gamma = _s2_gamma(n, q, m2)
-    cube = np.zeros((n, n, n))
+    cube = np.zeros((n, n, n), dtype=np.complex128)
     cube[alpha[:, None], alpha[None, :], gamma] = 1.0
-    return np.conj(np.fft.fftn(cube))
+    np.fft.fftn(cube, out=cube)  # in place: one cube alive, not three
+    return np.conj(cube, out=cube)
 
 
 def s2_gcd_bound(r_pow: int, m2: int, b, c, d):

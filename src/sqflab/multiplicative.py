@@ -228,6 +228,13 @@ def _bernoulli_even(n: int) -> tuple:
         for k in range(1, n + 1))
 
 
+@lru_cache(maxsize=1)
+def _prime_logs(N: int, prec: int) -> tuple:
+    """(p, ln p) for the primes p <= N, ln p correctly rounded to prec."""
+    return tuple((p, Decimal(p).ln(Context(prec=prec)))
+                 for p in map(int, primes_up_to(N)))
+
+
 @lru_cache(maxsize=None)
 def zeta_em(s) -> Decimal:
     """zeta(s) for real s != 1 (s > -(2M-1)) by Euler-Maclaurin:
@@ -239,8 +246,11 @@ def zeta_em(s) -> Decimal:
     precision.  It sums with 12 guard digits beyond _CTX, whatever the
     caller's context.  Only the primes p <= N take a power p^-s: n^-s is
     the product of the p^-s over n's factorization, and N^(-s-k) is
-    N^-s / N^k.  Each product adds a few units of rounding in the 68th
-    digit, far below _CTX's 56.
+    N^-s / N^k.  p^-s is Decimal's power at integer s, else exp(-s ln p)
+    from a cached ln p.  Each step adds a few units of rounding in the 68th
+    digit, so _CTX's 56 digits hold while the sum cancels fewer than the
+    12 guard digits, about log10(N^-s / |zeta(s)|): at every s the package
+    calls, but not at s = -37/8, where about 12 cancel.
     """
     N, M = _EM_N, _EM_M
     bern = _bernoulli_even(M + 1)
@@ -248,7 +258,10 @@ def zeta_em(s) -> Decimal:
         s = _dec(Fraction(s))  # s: int, float, Fraction or Decimal
         if s == 1:
             raise ValueError("zeta pole at s = 1")
-        power = {p: Decimal(p) ** -s for p in map(int, primes_up_to(N))}
+        if s == s.to_integral_value():
+            power = {p: Decimal(p) ** -s for p in map(int, primes_up_to(N))}
+        else:
+            power = {p: (-s * ln).exp() for p, ln in _prime_logs(N, ctx.prec)}
         terms = [math.prod((power[p] ** e for p, e in factorize(n)),
                            start=Decimal(1)) for n in range(1, N + 1)]
         N_s = terms[-1]  # N^-s

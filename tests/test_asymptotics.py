@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -433,13 +434,11 @@ def test_exact_values_lie_inside_the_bars():
             assert f7.contains(C2 * rat[7 * q + 1]), (m, q)
 
 
-def test_A_and_frakS_memory_is_one_output_array():
-    # apart from the length-n output that np.sum adds, only a few blocks of
-    # 2^15 float64 values are alive at once (the whole-array build kept
-    # about seven length-n temporaries)
-    blocks = 8 * 8 * asymptotics._SUM_BLOCK
-    for f, args, n in ((A_exact, (1e5, 1, 3), 400_002),
-                       (frakS_exact, (1e6, 1, 1), 1_000_001)):
+def test_A_and_frakS_memory_does_not_grow_with_n():
+    # only a few leaves of at most 2^15 float64 values are alive at once,
+    # at n = 4,000,002 for A and 1,000,001 for frakS (one full-length
+    # output of the products took 8 n bytes)
+    for f, args in ((A_exact, (1e6, 1, 3)), (frakS_exact, (1e6, 1, 1))):
         f(*args)  # warm the cached constants and factorizations
         tracemalloc.start()
         try:
@@ -447,7 +446,42 @@ def test_A_and_frakS_memory_is_one_output_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n + blocks, (f.__name__, peak)
+        assert peak <= 8 * 8 * asymptotics._SUM_BLOCK, (f.__name__, peak)
+
+
+@pytest.mark.parametrize("block", [2**15, 2**8])
+def test_pairwise_sum_is_np_sum_bit_for_bit(monkeypatch, block):
+    # terms of both signs over 40 binades, so that another order of
+    # addition would change the last bits
+    monkeypatch.setattr(asymptotics, "_SUM_BLOCK", block)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(400_002) * 2.0 ** rng.integers(-20, 20, 400_002)
+    sizes = []
+
+    def leaf(lo, hi):
+        sizes.append(hi - lo)
+        return x[lo:hi]
+
+    for n in [*range(1, 301), 2**15 - 1, 2**15, 2**15 + 1, 2**16 + 7,
+              400_002]:
+        sizes.clear()
+        got = asymptotics._pairwise_sum(leaf, 0, n)
+        assert got.hex() == float(np.sum(x[:n])).hex(), n
+        assert sum(sizes) == n and max(sizes) <= block, n
+
+
+def test_two_large_square_factors_in_one_leaf(monkeypatch):
+    # at 2^8 values to a leaf, 17^2 and 19^2 both exceed a leaf, so
+    # l = 17^2 19^2 = 104329 takes both factors from one np.multiply.at;
+    # the values were taken from the whole-array build, where they were
+    # the same at both block sizes
+    for block in (asymptotics._SUM_BLOCK, 2**8):
+        monkeypatch.setattr(asymptotics, "_SUM_BLOCK", block)
+        s, a = frakS_exact(2e5, 1, 1), A_exact(1e5, 1, 1)
+        assert (s.value.hex(), s.abs_err.hex()) == (
+            "0x1.b89085d3b259fp+32", "0x1.3b1eb3ebd0247p-13"), block
+        assert (a.value.hex(), a.abs_err.hex()) == (
+            "0x1.b89173ace9ee3p+31", "0x1.3d1e13ce60784p-14"), block
 
 
 def test_A_decomposition_matches_exact():

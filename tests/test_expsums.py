@@ -193,6 +193,20 @@ def test_s2_size_guard_runs_before_the_gamma_table():
     assert peak < 2 ** 20, peak
 
 
+def test_s2_table_transforms_in_place():
+    # the 49^3 complex128 cube is 1.8 MiB; a copy for the FFT and another
+    # for the conjugate would add two more
+    s2_table(49, 3, 2)
+    tracemalloc.start()
+    try:
+        tab = s2_table(49, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.dtype == np.complex128 and tab.shape == (49, 49, 49)
+    assert peak <= 2.5 * 2 ** 20, peak
+
+
 # ---------------------------------------------------------------------------
 # S1: two paths, vanishing, bound, reality pattern
 # ---------------------------------------------------------------------------

@@ -294,14 +294,32 @@ def test_f_q_bars_are_the_constants_bar_plus_rounding():
 
 
 def test_zeta_em_matches_mpmath():
+    # at -37/8 the sum cancels about 12 of the 12 guard digits
     for s in (Fraction(3, 2), 2, 4, Decimal("0.75"), Decimal("-0.5"),
-              Decimal("3.25")):
+              Decimal("3.25"), Fraction(-37, 8)):
         ours = zeta_em(s)
         assert isinstance(ours, Decimal)
         with mp.workprec(180):
             ref = mp.zeta(mpf(s.numerator) / s.denominator
                           if isinstance(s, Fraction) else mpf(str(s)))
             assert abs(mpf(str(ours)) - ref) < mpf(10) ** -50, s
+
+
+def test_zeta_em_pinned_at_the_non_integer_s_in_use():
+    # psi_mellin_limit's -3/4, -1/2, -1/4 and C's 3/2: every digit as
+    # taken when p^-s was Decimal's power, before exp(-s ln p)
+    pins = {
+        Fraction(-3, 4):
+            "-0.13364277443658456240761443736798310818310470577700792483",
+        Fraction(-1, 2):
+            "-0.20788622497735456601730672539704930222626853128767253761",
+        Fraction(-1, 4):
+            "-0.32045126422857728279044449305487246970591083908511093271",
+        Fraction(3, 2):
+            "2.6123753486854883433485675679240716305708006524000634076",
+    }
+    for s, pin in pins.items():
+        assert str(zeta_em.__wrapped__(s)) == pin, s  # bypass the cache
 
 
 def test_zeta_em_ignores_caller_context():
