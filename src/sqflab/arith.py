@@ -16,7 +16,8 @@ columns, in the narrowest unsigned dtype that cannot wrap; a window's full
 rows of length w are summed in uint8 blocks of 255 rows, and the w columns
 fold to the q classes at the end.
 
-All functions are pure; the shared tables are immutable after first use.
+The counts of the latest X are kept, read-only, until another X is counted
+(_counts_at); the rest is pure, the shared tables immutable after first use.
 """
 
 from __future__ import annotations
@@ -251,17 +252,35 @@ def _count_dtype(n: int) -> np.dtype:
     return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
 
 
+@lru_cache(maxsize=1)
+def _counts_at(X: int) -> dict:
+    """{q: counts} held for the latest X; a call at another X drops them."""
+    return {}
+
+
 def squarefree_counts_by_moduli(X: int, qs):
-    """Yield, for each q of qs in turn, the counts of squarefree n <= X by
-    residue mod q from one pass over [0, X], in the narrowest unsigned dtype
-    holding ceil(X/q).  Each q sums into w = q ceil(256/q) >= 256 columns
-    sized by ceil(X/w) (a column meets that many n in [1, X] at most; 0 is
-    never squarefree), then folds them to q; no reference is kept."""
+    """Yield, for each q of qs in turn, the read-only counts of squarefree
+    n <= X by residue mod q, in the narrowest unsigned dtype holding ceil(X/q).
+    They outlive the call until another X is counted: one pass counts each q
+    not yet held once, so a repeated q yields the same array."""
     qs = list(qs)
     if any(q < 1 or q > X for q in qs):
         raise ValueError("require 1 <= q <= X")
     if not qs:
         return
+    have = _counts_at(X)
+    missing = [q for q in dict.fromkeys(qs) if q not in have]
+    for q, counts in zip(missing, _count_pass(X, missing) if missing else ()):
+        counts.flags.writeable = False
+        have[q] = counts
+    for q in qs:
+        yield have[q]
+
+
+def _count_pass(X: int, qs):
+    """Yield the counts mod each q of a nonempty qs from one pass over [0, X]:
+    q sums into w = q ceil(256/q) >= 256 columns sized by ceil(X/w) (a column
+    meets that many n <= X at most; 0 is never squarefree), then folds to q."""
     widths = [q * -(-256 // q) for q in qs]
     accs = [np.zeros(w, dtype=_count_dtype(-(-X // w))) for w in widths]
     for lo in range(0, X + 1, _SEGMENT):
@@ -278,7 +297,7 @@ def squarefree_counts_by_moduli(X: int, qs):
             if k > blocks:
                 acc += rows[blocks:].sum(axis=0, dtype=np.uint8)
             acc[:tail] += flags[len(flags) - tail :]
-    del acc, flags, rows  # the last accumulator dies once it is yielded
+    del acc, flags, rows  # the pass holds no accumulator it has yielded
     for q, w in zip(qs, widths):  # w = q for q >= 256: nothing to fold
         yield accs.pop(0) if w == q else accs.pop(0).reshape(-1, q).sum(
             axis=0, dtype=_count_dtype(-(-X // q)))

@@ -34,7 +34,7 @@ from .arith import phi_of, prime_factors, primes_up_to, require_mq
 from .multiplicative import (MAX_ABS_ERR, _CTX, _WORK_PREC, _dec,
                              _local_product, euler_constant, euler_product_mp,
                              f_q_zero, gamma_an, gamma_ar, h_of, zeta_em)
-from .records import _SUM_BLOCK, ApproxReal, exact_sum
+from .records import _SUM_BLOCK, ApproxReal, _block_sum
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +53,21 @@ def psi_mellin_integral(X: float, s: float) -> ApproxReal:
     b = 2 - s / 2
     N = int(math.floor(X))
     # [0,1): psi(v) = 1/2 - v; then [n, n+1) for 1 <= n < N, on which
-    # psi(v) = n + 1/2 - v
-    n = np.arange(1, N, dtype=np.float64)
-    da = n ** a * np.expm1(a * np.log1p(1.0 / n))
-    db = n ** b * np.expm1(b * np.log1p(1.0 / n))
-    total_parts = [[0.5 / a - 1.0 / b], (n + 0.5) * da / a - db / b]
-    abs_parts = [[0.5 / a + 1.0 / b], (n + 0.5) * da / a + db / b]
+    # psi(v) = n + 1/2 - v: _SUM_BLOCK values of n at a time, summed exactly
+    total, abs_total = Fraction(0.5 / a - 1.0 / b), Fraction(0.5 / a + 1.0 / b)
+    for lo in range(1, N, _SUM_BLOCK):
+        n = np.arange(lo, min(lo + _SUM_BLOCK, N), dtype=np.float64)
+        da = n ** a * np.expm1(a * np.log1p(1.0 / n))
+        db = n ** b * np.expm1(b * np.log1p(1.0 / n))
+        total += _block_sum((n + 0.5) * da / a - db / b)
+        abs_total += _block_sum((n + 0.5) * da / a + db / b)
     if X > N:
         da = X ** a - N ** a
         db = X ** b - N ** b
-        total_parts.append([(N + 0.5) * da / a - db / b])
-        abs_parts.append([abs((N + 0.5) * da / a) + abs(db / b)])
-    value = exact_sum(np.concatenate(total_parts))
-    err = exact_sum(np.concatenate(abs_parts)) * 2e-16 + abs(value) * 1e-16
-    return ApproxReal(value, err)
+        total += Fraction((N + 0.5) * da / a - db / b)
+        abs_total += Fraction(abs((N + 0.5) * da / a) + abs(db / b))
+    value = float(total)
+    return ApproxReal(value, float(abs_total) * 2e-16 + abs(value) * 1e-16)
 
 
 def psi_mellin_limit(s: float) -> float:

@@ -219,7 +219,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
                 "exact": v.value, "abs_err": v.abs_err,
                 "scale_X_sqrtq": scale, "ratio": v.value / scale,
             })
-        else:  # hooley; argparse's choices admit no other kind
+        else:  # hooley; _kind_list admits no other kind
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
                 "max_error_over_envelope": counters.hooley_report(X, q, counts),
@@ -270,6 +270,15 @@ def _exact_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not an integer below 2^63: {text!r}")
 
 
+def _kind_list(text: str) -> list:
+    """Scan kinds from a comma list (a repeated kind once), or all of them."""
+    known = ["variance", "correlation", "croft", "hooley"]
+    kinds = known if text == "all" else list(dict.fromkeys(text.split(",")))
+    if not set(kinds) <= set(known):
+        raise argparse.ArgumentTypeError(f"not in {', '.join(known)}: {text!r}")
+    return kinds
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, no usage; subcommands inherit it
         self.exit(2, f"sqflab: error: {message}\n")
@@ -288,8 +297,8 @@ def main(argv=None) -> int:
     pv.add_argument("--out", default=None)
 
     ps = sub.add_parser("scan", help="tabulate exact statistics vs main terms")
-    ps.add_argument("--kind", choices=["variance", "correlation", "croft", "hooley"],
-                    required=True)
+    ps.add_argument("--kind", type=_kind_list, required=True,
+                    help="comma-separated list of kinds, or all")
     ps.add_argument("--x", type=_exact_int, required=True)
     ps.add_argument("--q", required=True,
                     help="comma-separated list of moduli")
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
             parser.error("--q must name at least one modulus")
         if any(q < 1 for q in q_list):
             parser.error("--q moduli must be positive")
-        if args.kind == "correlation" and not (
+        if "correlation" in args.kind and not (
                 0 < abs(args.m) < 2 ** 63 and mu_of(abs(args.m)) != 0):
             parser.error("--m must be a nonzero squarefree integer below 2^63")
 
@@ -322,9 +331,10 @@ def main(argv=None) -> int:
             summary = (f"suite={args.suite} records={len(records)} "
                        f"failures={len(failures)}")
         else:
-            rows = _scan_rows(args.kind, args.x, q_list, args.m)
+            rows = [row for kind in args.kind
+                    for row in _scan_rows(kind, args.x, q_list, args.m)]
             status = 0
-            summary = f"kind={args.kind} rows={len(rows)}"
+            summary = f"kind={','.join(args.kind)} rows={len(rows)}"
     except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"sqflab: error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqflab import arith
 from sqflab.arith import (_SEGMENT, factorize, is_prime, jacobi_symbol,
                           mu_of, phi_of, prime_factors, primes_up_to, squarefree_count,
                           squarefree_counts_by_moduli,
@@ -319,10 +321,12 @@ def test_counts_by_moduli_match_oracles(X, data):
 
 def test_counts_by_moduli_edge_moduli():
     # q = 1, q = X, q above 2^20 and a repeated q in one pass over four
-    # windows; 256,020 = 255 * 1004, so 1004 and 1003 put ceil(X/q) at 255
-    # (uint8) and 256 (uint16)
+    # windows; the repeated q is counted once and yields the same array.
+    # 256,020 = 255 * 1004, so 1004 and 1003 put ceil(X/q) at 255 (uint8)
+    # and 256 (uint16)
+    arith._counts_at.cache_clear()
     outs = _check_moduli(_X3, [1000, 1, _X3, _SEGMENT + 3, 1000])
-    assert outs[0] is not outs[4]
+    assert outs[0] is outs[4]
     outs = _check_moduli(256020, [1004, 1003, 256020])
     assert [o.dtype for o in outs] == [np.uint8, np.uint16, np.uint8]
 
@@ -344,3 +348,63 @@ def test_counts_by_moduli_reject_before_sieving(qs, monkeypatch):
     monkeypatch.setattr("sqflab.arith.squarefree_window", no_sieve)
     with pytest.raises(ValueError):
         next(squarefree_counts_by_moduli(100, qs))
+
+
+# ---------------------------------------------------------------------------
+# the counts of the latest X are kept: one pass per modulus per X
+# ---------------------------------------------------------------------------
+
+def _record_passes(monkeypatch):
+    """Record the moduli of each count pass and the number of windows."""
+    passes, windows = [], []
+    count_pass, window = arith._count_pass, arith.squarefree_window
+
+    def recording_pass(X, qs):
+        passes.append(list(qs))
+        return count_pass(X, qs)
+
+    def recording_window(lo, hi):
+        windows.append((lo, hi))
+        return window(lo, hi)
+
+    monkeypatch.setattr(arith, "_count_pass", recording_pass)
+    monkeypatch.setattr(arith, "squarefree_window", recording_window)
+    return passes, windows
+
+
+def test_counts_memo_passes_once_for_the_missing_modulus(monkeypatch):
+    arith._counts_at.cache_clear()
+    passes, windows = _record_passes(monkeypatch)
+    first = _check_moduli(_X3, [1000, 7])
+    assert passes == [[1000, 7]] and len(windows) == 4
+    outs = _check_moduli(_X3, [7, 1003, 1000, 1003])
+    assert passes == [[1000, 7], [1003]] and len(windows) == 8
+    assert outs[0] is first[1] and outs[2] is first[0] and outs[1] is outs[3]
+    assert list(squarefree_counts_by_moduli(_X3, [])) == []
+    _check_moduli(_X3, [1000])
+    assert len(passes) == 2 and len(windows) == 8
+
+
+def test_counts_memo_holds_one_X(monkeypatch):
+    arith._counts_at.cache_clear()
+    passes, _ = _record_passes(monkeypatch)
+    X1, X2 = 3000, 4000
+    held = weakref.ref(_check_moduli(X1, [300])[0])
+    assert held() is not None  # alive in the memo alone
+    _check_moduli(X2, [300])
+    assert held() is None
+    _check_moduli(X1, [300])
+    assert passes == [[300], [300], [300]]
+
+
+def test_counts_are_read_only():
+    arith._counts_at.cache_clear()
+    for counts in squarefree_counts_by_moduli(1000, [7, 300]):
+        with pytest.raises(ValueError):
+            counts[0] = 0
+        with pytest.raises(ValueError):
+            counts += 1
+    # the int64 copy of squarefree_counts_by_residue is the caller's own
+    counts = squarefree_counts_by_residue(1000, 7)
+    counts[0] += 1
+    assert next(squarefree_counts_by_moduli(1000, [7]))[0] == counts[0] - 1

@@ -88,6 +88,27 @@ def test_psi_mellin_rejections():
         psi_mellin_limit(2.5)
 
 
+@pytest.mark.parametrize("X, s, value, bar", [
+    (1e6, 1.0, "0x1.a9aa68c1eacbap-2", "0x1.1e54c674c6697p-22"),
+    (65537.5, 0.5, "0x1.72445fde17424p-3", "0x1.078914a030c92p-24"),
+    (32769.0, 1.5, "0x1.482222455b256p+0", "0x1.363faac52df74p-33"),
+])
+def test_psi_mellin_pinned_in_block_memory(X, s, value, bar):
+    # value and bar pinned from one exact_sum over all ~X terms at once;
+    # taking them 2^15 values of n at a time keeps the bytes (both sums are
+    # exact before one rounding), across a block edge (65537 = 2^16 + 1)
+    # and with a partial last interval, while the peak stays that of a
+    # block, not ~46 bytes per n
+    tracemalloc.start()
+    try:
+        got = psi_mellin_integral(X, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.value.hex(), got.abs_err.hex()) == (value, bar)
+    assert peak <= 2 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # G(Y, r)
 # ---------------------------------------------------------------------------

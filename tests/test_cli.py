@@ -86,6 +86,9 @@ def test_bad_arguments_exit_2(capsys):
                  ["scan", "--kind", "hooley", "--x", "1.5", "--q", "7"],
                  ["scan", "--kind", "hooley", "--x", "1e-3", "--q", "7"],
                  ["scan", "--kind", "hooley", "--x", "abc", "--q", "7"],
+                 ["scan", "--kind", "variance,nope", "--x", "100", "--q", "7"],
+                 ["scan", "--kind", "variance,", "--x", "100", "--q", "7"],
+                 ["scan", "--kind", "all,croft", "--x", "100", "--q", "7"],
                  [],
                  ["verify", "--precision", "1e-12"]):  # the removed option
         with pytest.raises(SystemExit) as exc:
@@ -143,12 +146,14 @@ def test_bad_m_rejected_before_sieving(monkeypatch, capsys):
         raise AssertionError("sieved before --m was checked")
 
     monkeypatch.setattr("sqflab.cli.squarefree_counts_by_moduli", no_sieve)
-    for m in ("0", "4", "-12", "1000000000000000000000"):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "--kind", "correlation", "--x", "1000000",
-                  "--q", "7,97", "--m", m])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("sqflab: error: --m "), m
+    for kind in ("correlation", "croft,correlation", "all"):
+        for m in ("0", "4", "-12", "1000000000000000000000"):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", "--kind", kind, "--x", "1000000",
+                      "--q", "7,97", "--m", m])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("sqflab: error: --m "), (kind, m)
 
 
 @pytest.mark.parametrize("x, X", [("2e4", 20000), ("1E4", 10000),
@@ -269,7 +274,7 @@ _SCAN_PIN_X = 3 * 2 ** 20 + 5
 _SCAN_PIN_Q = "1,1000,30030,1048579"
 
 
-@pytest.mark.parametrize("kind, extra, digest", [
+_SCAN_PINS = [
     ("variance", [],
      "bce8c8b7dca1947d7ef1002a739925885fd2c0b7524cf5871d5ec2efbe590718"),
     ("correlation", ["--m", "-1"],
@@ -280,12 +285,65 @@ _SCAN_PIN_Q = "1,1000,30030,1048579"
      "f9b5cc3bf3d85d43ef397fd1fa5eaf789821a627277b8cb86807998e4cd26cbc"),
     ("variance", ["--format", "json"],
      "4099a8ac60b92bde60a6c6f9d4cc4fb504da03bab96fbd0ff32087f905f2d2b7"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, extra, digest", _SCAN_PINS)
 def test_scan_bytes_pinned(tmp_path, kind, extra, digest):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--kind", kind, "--x", str(_SCAN_PIN_X),
                  "--q", _SCAN_PIN_Q, "--out", str(out)] + extra) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, extra, digest", _SCAN_PINS)
+def test_scan_bytes_pinned_cold_and_from_another_kinds_counts(
+        monkeypatch, tmp_path, kind, extra, digest):
+    # the same bytes from a fresh count pass, and from the counts that a
+    # scan of another kind left at the same X and moduli, with no sieving
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--x", str(_SCAN_PIN_X), "--q", _SCAN_PIN_Q,
+            "--out", str(out)]
+    arith._counts_at.cache_clear()
+    assert main(argv + ["--kind", kind] + extra) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    arith._counts_at.cache_clear()
+    assert main(argv + ["--kind", "croft" if kind == "hooley" else "hooley"]) == 0
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved counts that were already held")
+
+    monkeypatch.setattr(arith, "squarefree_window", no_sieve)
+    assert main(argv + ["--kind", kind] + extra) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _scan_csv(argv, capsys):
+    assert main(argv + ["--format", "csv"]) == 0
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_scan_kind_lists_equal_the_single_kind_runs(capsys):
+    # m = 3 skips q = 9 in the correlation only, so the kinds have
+    # different row counts
+    base = ["scan", "--x", "20000", "--q", "97,9,7", "--m", "3"]
+    kinds = ["variance", "correlation", "croft", "hooley"]
+    single = {}
+    for kind in kinds:
+        assert main(base + ["--kind", kind, "--format", "json"]) == 0
+        single[kind] = json.loads(capsys.readouterr().out)
+    assert main(base + ["--kind", "all", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        [row for kind in kinds for row in single[kind]]
+    for arg, listed in (("all", kinds), ("croft,variance,croft",
+                                         ["croft", "variance"])):
+        want = [row for kind in listed
+                for row in _scan_csv(base + ["--kind", kind], capsys)]
+        got = _scan_csv(base + ["--kind", arg], capsys)
+        assert [r["kind"] for r in got] == [r["kind"] for r in want]
+        for g, w in zip(got, want):  # field for field; the other kinds' empty
+            assert {k: g[k] for k in w} == w
+            assert all(v == "" for k, v in g.items() if k not in w)
 
 
 def test_run_verify_all_suites_green():
