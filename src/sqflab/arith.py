@@ -16,8 +16,7 @@ columns, in the narrowest unsigned dtype that cannot wrap; a window's full
 rows of length w are summed in uint8 blocks of 255 rows, and the w columns
 fold to the q classes at the end.
 
-The counts of the latest X are kept, read-only, until another X is counted
-(_counts_at); the rest is pure, the shared tables immutable after first use.
+All functions are pure but the count memo (_counts_at); tables are immutable.
 """
 
 from __future__ import annotations
@@ -261,20 +260,20 @@ def _counts_at(X: int) -> dict:
 def squarefree_counts_by_moduli(X: int, qs):
     """Yield, for each q of qs in turn, the read-only counts of squarefree
     n <= X by residue mod q, in the narrowest unsigned dtype holding ceil(X/q).
-    They outlive the call until another X is counted: one pass counts each q
-    not yet held once, so a repeated q yields the same array."""
+    A call lacking some q keeps only its own held q and counts the rest in one
+    pass; a call holding all of them, or a repeated q, counts nothing again."""
     qs = list(qs)
     if any(q < 1 or q > X for q in qs):
         raise ValueError("require 1 <= q <= X")
-    if not qs:
-        return
     have = _counts_at(X)
     missing = [q for q in dict.fromkeys(qs) if q not in have]
-    for q, counts in zip(missing, _count_pass(X, missing) if missing else ()):
-        counts.flags.writeable = False
-        have[q] = counts
-    for q in qs:
-        yield have[q]
+    if missing:  # no held counts but this call's live through its pass
+        for q in set(have).difference(qs):
+            del have[q]
+        for q, counts in zip(missing, _count_pass(X, missing)):
+            counts.flags.writeable = False
+            have[q] = counts
+    yield from (have[q] for q in qs)
 
 
 def _count_pass(X: int, qs):

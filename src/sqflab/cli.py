@@ -192,9 +192,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
     mm = 1 if kind == "variance" else m
     cells = []
     for q in sorted(set(q_list)):  # a repeated modulus is counted once
-        if q > X:
-            print(f"warning: skipping q={q} > X={X}", file=sys.stderr)
-        elif kind in ("variance", "correlation") and math.gcd(abs(mm), q) != 1:
+        if kind in ("variance", "correlation") and math.gcd(abs(mm), q) != 1:
             print(f"warning: skipping q={q}, gcd(m,q)>1", file=sys.stderr)
         else:
             cells.append(q)
@@ -331,6 +329,9 @@ def main(argv=None) -> int:
             summary = (f"suite={args.suite} records={len(records)} "
                        f"failures={len(failures)}")
         else:
+            for q in sorted({q for q in q_list if q > args.x}):
+                print(f"warning: skipping q={q} > X={args.x}", file=sys.stderr)
+            q_list = [q for q in q_list if q <= args.x]
             rows = [row for kind in args.kind
                     for row in _scan_rows(kind, args.x, q_list, args.m)]
             status = 0

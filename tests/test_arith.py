@@ -397,6 +397,29 @@ def test_counts_memo_holds_one_X(monkeypatch):
     assert passes == [[300], [300], [300]]
 
 
+def test_counts_memo_holds_the_latest_counting_call(monkeypatch):
+    # a loop of single-modulus calls at one X holds only the last modulus;
+    # a call holding all its moduli drops nothing, and a call that counts
+    # drops the held moduli it does not ask for before its pass starts
+    arith._counts_at.cache_clear()
+    held = [weakref.ref(_check_moduli(3000, [q])[0]) for q in (7, 300, 11)]
+    assert [h() is None for h in held] == [True, True, False]
+    held = dict(zip((1000, 7), map(weakref.ref, _check_moduli(_X3, [1000, 7]))))
+    _check_moduli(_X3, [7])
+    assert held[1000]() is not None
+    alive_in_pass = []
+    count_pass = arith._count_pass
+
+    def recording_pass(X, qs):
+        alive_in_pass.append({q: h() is not None for q, h in held.items()})
+        return count_pass(X, qs)
+
+    monkeypatch.setattr(arith, "_count_pass", recording_pass)
+    _check_moduli(_X3, [7, 1003])
+    assert alive_in_pass == [{1000: False, 7: True}]
+    assert held[1000]() is None and held[7]() is not None
+
+
 def test_counts_are_read_only():
     arith._counts_at.cache_clear()
     for counts in squarefree_counts_by_moduli(1000, [7, 300]):

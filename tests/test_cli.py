@@ -323,18 +323,29 @@ def _scan_csv(argv, capsys):
     return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
 
 
-def test_scan_kind_lists_equal_the_single_kind_runs(capsys):
+def test_scan_kind_lists_equal_the_single_kind_runs(monkeypatch, capsys):
     # m = 3 skips q = 9 in the correlation only, so the kinds have
-    # different row counts
-    base = ["scan", "--x", "20000", "--q", "97,9,7", "--m", "3"]
+    # different row counts. In the list, q = 30000 > X is warned about
+    # once, not once per kind, and the correlation, holding all its
+    # moduli, keeps 9 for croft and hooley: one count pass for four kinds
+    base = ["scan", "--x", "20000", "--q", "30000,97,9,7", "--m", "3"]
     kinds = ["variance", "correlation", "croft", "hooley"]
     single = {}
     for kind in kinds:
         assert main(base + ["--kind", kind, "--format", "json"]) == 0
         single[kind] = json.loads(capsys.readouterr().out)
+    arith._counts_at.cache_clear()
+    passes, count_pass = [], arith._count_pass
+    monkeypatch.setattr(arith, "_count_pass",
+                        lambda X, qs: passes.append(qs) or count_pass(X, qs))
     assert main(base + ["--kind", "all", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == \
-        [row for kind in kinds for row in single[kind]]
+    got = capsys.readouterr()
+    assert json.loads(got.out) == [row for kind in kinds for row in single[kind]]
+    assert got.err.splitlines() == [
+        "warning: skipping q=30000 > X=20000",
+        "warning: skipping q=9, gcd(m,q)>1",
+        "kind=variance,correlation,croft,hooley rows=11"]
+    assert passes == [[7, 9, 97]]
     for arg, listed in (("all", kinds), ("croft,variance,croft",
                                          ["croft", "variance"])):
         want = [row for kind in listed
