@@ -242,7 +242,7 @@ def squarefree_count(X: int) -> int:
 def squarefree_counts_by_residue(X: int, q: int) -> np.ndarray:
     """Entry a counts squarefree n <= X with n = a (mod q), 0 <= a < q, as
     int64: the one-modulus case of squarefree_counts_by_moduli."""
-    return next(squarefree_counts_by_moduli(X, (q,))).astype(np.int64)
+    return squarefree_counts_by_moduli(X, (q,))[0].astype(np.int64)
 
 
 def _count_dtype(n: int) -> np.dtype:
@@ -257,8 +257,8 @@ def _counts_at(X: int) -> dict:
     return {}
 
 
-def squarefree_counts_by_moduli(X: int, qs):
-    """Yield, for each q of qs in turn, the read-only counts of squarefree
+def squarefree_counts_by_moduli(X: int, qs) -> list:
+    """Return, for each q of qs in turn, the read-only counts of squarefree
     n <= X by residue mod q, in the narrowest unsigned dtype holding ceil(X/q).
     A call lacking some q keeps only its own held q and counts the rest in one
     pass; a call holding all of them, or a repeated q, counts nothing again."""
@@ -273,11 +273,11 @@ def squarefree_counts_by_moduli(X: int, qs):
         for q, counts in zip(missing, _count_pass(X, missing)):
             counts.flags.writeable = False
             have[q] = counts
-    yield from (have[q] for q in qs)
+    return [have[q] for q in qs]
 
 
-def _count_pass(X: int, qs):
-    """Yield the counts mod each q of a nonempty qs from one pass over [0, X]:
+def _count_pass(X: int, qs) -> list:
+    """Return the counts mod each q of a nonempty qs from one pass over [0, X]:
     q sums into w = q ceil(256/q) >= 256 columns sized by ceil(X/w) (a column
     meets that many n <= X at most; 0 is never squarefree), then folds to q."""
     widths = [q * -(-256 // q) for q in qs]
@@ -296,7 +296,6 @@ def _count_pass(X: int, qs):
             if k > blocks:
                 acc += rows[blocks:].sum(axis=0, dtype=np.uint8)
             acc[:tail] += flags[len(flags) - tail :]
-    del acc, flags, rows  # the pass holds no accumulator it has yielded
-    for q, w in zip(qs, widths):  # w = q for q >= 256: nothing to fold
-        yield accs.pop(0) if w == q else accs.pop(0).reshape(-1, q).sum(
-            axis=0, dtype=_count_dtype(-(-X // q)))
+    return [acc if w == q else acc.reshape(-1, q).sum(
+                axis=0, dtype=_count_dtype(-(-X // q)))
+            for q, w, acc in zip(qs, widths, accs)]  # w = q for q >= 256

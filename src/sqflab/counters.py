@@ -6,11 +6,11 @@ Everything here is either an exact integer count or a value built from
 exact counts plus one Euler-product constant.  M2 and Croft's variance are
 quadratics in the float main terms over integer moments of the counts,
 evaluated exactly, so their error bars come from the main terms' bars
-alone.  The direct float sum of E(a) E(ma), correctly rounded as
-records.exact_sum rounds, is the other side of the dispersion identity,
-checked to 1e-8 relative.  The residue-class statistics never sieve: they
-take the caller's counts, one vector per (X, q), and read them in blocks of
-_BLOCK residues, so apart from the counts no array they build grows with q.
+alone.  The direct float sum of E(a) E(ma), exact by records._block_sum
+and rounded once, is the other side of the dispersion identity, checked to
+1e-8 relative.  The residue-class statistics never sieve: they read the
+caller's counts, one vector per (X, q), in blocks of _SUM_BLOCK residues, so
+apart from the counts no array they build grows with q.
 """
 
 from __future__ import annotations
@@ -31,18 +31,13 @@ from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
 # the coprime residues in blocks, and the error terms on them
 # ---------------------------------------------------------------------------
 
-# every residue-class statistic reads the counts this many residues at a
-# time: a few 256 KB arrays, in cache and independent of q
-_BLOCK = _SUM_BLOCK
-
-
 def coprime_blocks(q: int):
     """The residues 0 <= b < q coprime to q, ascending, as int64 arrays: one
-    per window of _BLOCK residues, from a bool mask with every p-th entry
-    cleared for each prime p | q."""
+    per window of _SUM_BLOCK residues (one _block_sum each), from a bool mask
+    with every p-th entry cleared for each prime p | q."""
     primes = [p for p, _ in factorize(q)]
-    for start in range(0, q, _BLOCK):
-        keep = np.ones(min(_BLOCK, q - start), dtype=bool)
+    for start in range(0, q, _SUM_BLOCK):
+        keep = np.ones(min(_SUM_BLOCK, q - start), dtype=bool)
         for p in primes:
             keep[-start % p::p] = False
         yield start + np.flatnonzero(keep)
@@ -197,8 +192,8 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     # the float weights' totals are exact integers below 2^53
     float_totals = q * int(counts.max()) < 2 ** 53
     sq, T = 0, np.zeros(2 ** k + 1) if float_totals else [0] * (2 ** k + 1)
-    for start in range(0, q, _BLOCK):
-        c = counts[start:start + _BLOCK].astype(np.int64)
+    for start in range(0, q, _SUM_BLOCK):
+        c = counts[start:start + _SUM_BLOCK].astype(np.int64)
         code = np.zeros(len(c), dtype=np.intp)
         for i, (p, _) in enumerate(fac):
             code[-start % p::p] += 1 << i

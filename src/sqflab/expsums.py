@@ -93,7 +93,7 @@ def _prime_power(n: int) -> tuple:
 
 
 def _require_s2_args(r_pow: int, q: int, m2: int) -> None:
-    r, f = _prime_power(r_pow)
+    r = _prime_power(r_pow)[0]
     if m2 == 0:
         raise ValueError("m2 must be nonzero")
     if q % r == 0:

@@ -1,4 +1,4 @@
-"""Shared value-with-error and check-outcome records used across modules."""
+"""Shared value-with-error and check-outcome records, and exact block sums."""
 
 from __future__ import annotations
 
@@ -76,39 +76,28 @@ def as_approx(x) -> ApproxReal:
     return ApproxReal(r, 0.0 if r == x else math.ulp(r) / 2 or math.ulp(r))
 
 
-# exact_sum works through its input in blocks of this many elements: two
-# 256 KB buffers, in cache and independent of the array's length
+# callers cut a float64 array into blocks of at most this many elements for
+# _block_sum: two 256 KB buffers, in cache and independent of the length
 _SUM_BLOCK = 2**15
 
 
-def exact_sum(x) -> float:
-    """The correctly rounded sum of a finite float64 array, the same float
-    as the standard library's fsum, in a few numpy passes (the extraction
-    of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008).
-
-    With max|block| < 2^e and n elements to a block, each level rounds the
-    block to hi on the grid of ulp(sigma)/2, sigma = 2^(e + shift).  Since
-    n max|hi| < sigma/2, hi.sum() is exact in any order; block - hi is
-    exact too, and each level removes at least 53 - shift bits.  The level
-    sums are added as Fractions and rounded once.  Non-finite input raises
-    ValueError (a NaN would loop forever); an overflowing sigma (|x| near
-    1e308) raises OverflowError, as fsum does on intermediate overflow.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    total = sum((_block_sum(x[start:start + _SUM_BLOCK].copy())
-                 for start in range(0, x.size, _SUM_BLOCK)), Fraction(0))
-    return float(total)
-
-
 def _block_sum(block: np.ndarray) -> Fraction:
-    """The exact sum of one float64 block of at most _SUM_BLOCK elements, as
-    a Fraction, by exact_sum's extraction; the block is overwritten."""
+    """The exact sum of a float64 block of at most _SUM_BLOCK elements as a
+    Fraction, overwriting the block; rounded once, it (or a sum of them) is
+    the correctly rounded sum that fsum gives.  The extraction of Rump,
+    Ogita and Oishi (SIAM J. Sci. Comput. 31(1), 2008): with max|block| <
+    2^e and n elements, each level rounds the block to hi on the grid of
+    ulp(sigma)/2, sigma = 2^(e + shift).  Since n max|hi| < sigma/2,
+    hi.sum() is exact in any order; block - hi is exact too, and each level
+    removes at least 53 - shift bits.  Non-finite input raises ValueError
+    (a NaN would loop forever); an overflowing sigma (|x| near 1e308) raises
+    OverflowError, as fsum does on intermediate overflow."""
     shift = block.size.bit_length() + 1
     total = Fraction(0)
     while True:
         top = max(-block.min(), block.max())
         if not math.isfinite(top):
-            raise ValueError("exact_sum requires finite input")
+            raise ValueError("an exact sum requires finite input")
         if top == 0:
             break
         sigma = 2.0 ** (math.frexp(top)[1] + shift)

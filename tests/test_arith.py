@@ -347,7 +347,19 @@ def test_counts_by_moduli_reject_before_sieving(qs, monkeypatch):
 
     monkeypatch.setattr("sqflab.arith.squarefree_window", no_sieve)
     with pytest.raises(ValueError):
-        next(squarefree_counts_by_moduli(100, qs))
+        squarefree_counts_by_moduli(100, qs)[0]
+
+
+def test_counts_by_moduli_reject_at_the_call(monkeypatch):
+    # the counts are a list, so a bad modulus raises at the call itself,
+    # before anything is iterated or sieved
+    def no_pass(*args):
+        raise AssertionError("counted before checking the moduli")
+
+    monkeypatch.setattr(arith, "squarefree_window", no_pass)
+    monkeypatch.setattr(arith, "_count_pass", no_pass)
+    with pytest.raises(ValueError):
+        squarefree_counts_by_moduli(100, [5, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,4 +442,4 @@ def test_counts_are_read_only():
     # the int64 copy of squarefree_counts_by_residue is the caller's own
     counts = squarefree_counts_by_residue(1000, 7)
     counts[0] += 1
-    assert next(squarefree_counts_by_moduli(1000, [7]))[0] == counts[0] - 1
+    assert squarefree_counts_by_moduli(1000, [7])[0][0] == counts[0] - 1

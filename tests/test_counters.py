@@ -20,7 +20,7 @@ from sqflab.counters import (CorrelationResult, _partner, _quadratic,
                              lattice_count_brute, pair_enumeration_S,
                              u_p_brute, u_p_local, variance_M2)
 from sqflab.multiplicative import euler_constant
-from sqflab.records import _rounded, exact_sum
+from sqflab.records import _SUM_BLOCK, _block_sum, _rounded
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,10 @@ def test_croft_variance_vs_brute():
 
 
 def test_exact_sum_equals_fsum_on_spiked_blocks():
-    # the direct dispersion sum goes through records.exact_sum; on 10^5
-    # elements (four 2^15 blocks) with +-1e300 spikes in every block it
-    # must give fsum's correctly rounded float, which np.sum misses
+    # the direct dispersion sum adds each block's records._block_sum
+    # Fraction and rounds once; on 10^5 elements (four 2^15 blocks) with
+    # +-1e300 spikes in every block that gives fsum's correctly rounded
+    # float, which np.sum misses
     rng = np.random.default_rng(8)
     n = 10 ** 5
     x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.integers(-30, 31, n) \
@@ -245,7 +246,9 @@ def test_exact_sum_equals_fsum_on_spiked_blocks():
     x[::1000] = 1e300
     x[1::1000] = -1e300
     exact = math.fsum(x.tolist())
-    assert exact_sum(x) == exact
+    blocks = [x[i:i + _SUM_BLOCK].copy() for i in range(0, n, _SUM_BLOCK)]
+    assert len(blocks) == 4
+    assert float(sum(map(_block_sum, blocks))) == exact
     assert exact != float(np.sum(x))  # naive summation loses this one
 
 

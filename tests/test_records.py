@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sqflab.records import ApproxReal, VerificationRecord, as_approx, exact_sum
+from sqflab.records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
+                            as_approx)
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 errs = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -127,10 +128,12 @@ def test_verification_record_modes():
 
 @st.composite
 def _float_arrays(draw):
-    """Float64 arrays of 0-5000 elements with 53-bit mantissas: exponents
-    spread across a drawn part of [-300, 300], x beside -x (exact
-    cancellation, plus a tail far below it), subnormals, or all equal."""
-    n = draw(st.integers(0, 5000))
+    """Float64 blocks of 1 to _SUM_BLOCK elements, the length log-uniform,
+    with 53-bit mantissas: exponents spread across a drawn part of
+    [-300, 300], x beside -x (exact cancellation, plus a tail far below it),
+    subnormals, or all equal."""
+    top = min(2 ** draw(st.integers(0, 15)), _SUM_BLOCK - 3)  # cancel adds 3
+    n = draw(st.integers(1, top))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = draw(st.integers(-300, 300))
     hi = draw(st.integers(lo, 300))
@@ -142,7 +145,7 @@ def _float_arrays(draw):
     elif kind == "subnormal":  # 2^-1074 is the least subnormal, 2^-1022 normal
         x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, -1000, n))
     elif kind == "equal":
-        x = np.full(n, x[0] if n else 0.0)
+        x = np.full(n, x[0])
     return x
 
 
@@ -152,29 +155,30 @@ def _float_arrays(draw):
 # exact only on the grid that shift = bit_length(7) + 1 = 4 leaves
 @example(np.full(7, -(1 - 2.0**-52)))
 def test_exact_sum_is_correctly_rounded(x):
-    got = exact_sum(x)
-    assert type(got) is float
-    assert got == math.fsum(x.tolist()) == float(sum(map(Fraction, x.tolist())))
+    got = _block_sum(x.copy())
+    assert type(got) is Fraction
+    assert float(got) == math.fsum(x.tolist()) \
+        == float(sum(map(Fraction, x.tolist())))
 
 
 def test_exact_sum_needs_three_levels():
-    # 2^20 + 1 elements in 33 blocks of 2^15, whose sums cancel down to the
-    # last element: the exact sum is 2^-60.  A level keeps at most
-    # 53 - 17 = 36 bits below the largest element of its block, so the
-    # first block takes 2^60 in its first level and needs two more for the
+    # one block of 2^15 elements that cancels down to 2^-61 + 2^-61.  A
+    # level keeps at most 53 - 17 = 36 bits below the largest element of the
+    # block, so the first level takes 2^60 and two more are needed for the
     # 53-bit values in (-1, -1/2]
-    v = -np.random.default_rng(17).uniform(0.5, 1.0, 2**19 - 1)
-    x = np.concatenate([[2.0**60], v, -v, [-2.0**60, 2.0**-60]])
-    assert x.size == 2**20 + 1
-    assert exact_sum(x) == 2.0**-60 == math.fsum(x.tolist())
+    v = -np.random.default_rng(17).uniform(0.5, 1.0, 2**14 - 2)
+    x = np.concatenate([[2.0**60], v, -v, [-2.0**60, 2.0**-61, 2.0**-61]])
+    assert x.size == _SUM_BLOCK
+    assert _block_sum(x.copy()) == Fraction(2) ** -60
+    assert 2.0**-60 == math.fsum(x.tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_exact_sum_rejects_non_finite(bad):
     with pytest.raises(ValueError):
-        exact_sum(np.array([1.0, bad, -1.0]))
+        _block_sum(np.array([1.0, bad, -1.0]))
 
 
 def test_exact_sum_overflow():
     with pytest.raises(OverflowError):
-        exact_sum(np.array([1e308, -1e308]))
+        _block_sum(np.array([1e308, -1e308]))
