@@ -5,7 +5,9 @@ calibrate-then-enforce envelopes (`_envelope`).
 
 Exit codes: 0 pass; 1 an asserted record failed; 2 bad input (argument
 errors, a computation that rejects its inputs, or one too large to
-allocate) or output that cannot be written, with one line on stderr.
+allocate) or output that cannot be written, with one line on stderr.  A
+stderr that is missing, closed or gone loses its lines and nothing else:
+stdout and the exit code stay those of a run that could write them.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
     cells = []
     for q in sorted(set(q_list)):  # a repeated modulus is counted once
         if kind in ("variance", "correlation") and math.gcd(abs(mm), q) != 1:
-            print(f"warning: skipping q={q}, gcd(m,q)>1", file=sys.stderr)
+            _diagnose(f"warning: skipping q={q}, gcd(m,q)>1")
         else:
             cells.append(q)
     rows = []
@@ -228,6 +230,18 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
+
+def _diagnose(line: str) -> None:
+    """One line on stderr, dropped when stderr cannot take it: without fd 2
+    sys.stderr is None (and print would fall back to stdout), and a closed
+    or unwritable descriptor or a pipe without a reader raises OSError."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except (OSError, ValueError):  # ValueError: the file object is closed
+        pass
+
 
 def _fmt(v):
     if isinstance(v, float):
@@ -330,14 +344,14 @@ def main(argv=None) -> int:
                        f"failures={len(failures)}")
         else:
             for q in sorted({q for q in q_list if q > args.x}):
-                print(f"warning: skipping q={q} > X={args.x}", file=sys.stderr)
+                _diagnose(f"warning: skipping q={q} > X={args.x}")
             q_list = [q for q in q_list if q <= args.x]
             rows = [row for kind in args.kind
                     for row in _scan_rows(kind, args.x, q_list, args.m)]
             status = 0
             summary = f"kind={','.join(args.kind)} rows={len(rows)}"
     except (ValueError, ArithmeticError, MemoryError) as exc:
-        print(f"sqflab: error: {exc}", file=sys.stderr)
+        _diagnose(f"sqflab: error: {exc}")
         return 2
 
     try:
@@ -351,9 +365,9 @@ def main(argv=None) -> int:
         if not args.out:
             # the interpreter flushes stdout again at exit: let it hit devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"sqflab: error: cannot write output: {exc}", file=sys.stderr)
+        _diagnose(f"sqflab: error: cannot write output: {exc}")
         return 2
-    print(summary, file=sys.stderr)
+    _diagnose(summary)
     return status
 
 

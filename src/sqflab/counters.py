@@ -10,7 +10,9 @@ alone.  The direct float sum of E(a) E(ma), exact by records._block_sum
 and rounded once, is the other side of the dispersion identity, checked to
 1e-8 relative.  The residue-class statistics never sieve: they read the
 caller's counts, one vector per (X, q), in blocks of _SUM_BLOCK residues, so
-apart from the counts no array they build grows with q.
+apart from the counts no array they build grows with q.  The blocks keep the
+counts' own dtype; their integer moments are float64 sums while every
+partial sum is an integer below 2^53, and Python-int sums past that.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ def coprime_blocks(q: int):
 
 def _check_counts(q: int, counts: np.ndarray) -> None:
     """One count per class mod q, in an integer dtype, in [0, 2^63): a
-    float would be truncated, and a count outside wraps the exact sums as
-    int64.  The sieve's uint8 to uint32 counts need no scan."""
+    float would be truncated, and _block_sums' float path is exact only for
+    nonnegative counts.  The sieve's uint8 to uint32 counts need no scan."""
     if counts.shape != (q,):
         raise ValueError(f"need one count per residue class mod {q}, "
                          f"got shape {counts.shape}")
@@ -60,11 +62,11 @@ def _check_counts(q: int, counts: np.ndarray) -> None:
 def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
     """(C(q) X/q, blocks) from the caller's squarefree counts mod q on
     [1, X]: the main term, and an iterator over (a, count(a)) for the blocks
-    of coprime_blocks(q), the counts gathered and widened to int64, so
+    of coprime_blocks(q), the counts gathered in the caller's dtype, so
     E(X,q,a) = count(a) - C(q) X/q."""
     _check_counts(q, counts)
     main = euler_constant("C_of_q", arg=q) * X / q
-    return main, ((a, counts[a].astype(np.int64)) for a in coprime_blocks(q))
+    return main, ((a, counts[a]) for a in coprime_blocks(q))
 
 
 def _partner(a: np.ndarray, m: int, q: int) -> np.ndarray:
@@ -81,12 +83,15 @@ def _partner(a: np.ndarray, m: int, q: int) -> np.ndarray:
 
 def _block_sums(c: np.ndarray, c_partner: np.ndarray) -> tuple:
     """(sum_i c[i], sum_i c[i] c_partner[i]) exactly for one block of
-    nonnegative int64 counts.  Every partial sum of either is at most
-    len(c) max(c) max(1, max(c_partner)), so the int64 sums cannot wrap
-    while that is below 2^62; otherwise sum Python ints."""
+    nonnegative integer counts in any dtype.  Every partial sum of either is
+    an integer of at most len(c) max(c) max(1, max(c_partner)); while that
+    is below 2^53 a float64 sum and dot are exact in any order, otherwise
+    sum Python ints."""
     top = int(c.max(initial=0)) * max(1, int(c_partner.max(initial=0)))
-    if len(c) * top < 2 ** 62:
-        return int(np.sum(c)), int(np.dot(c, c_partner))
+    if len(c) * top < 2 ** 53:
+        cf = c.astype(np.float64)
+        cpf = cf if c_partner is c else c_partner.astype(np.float64)
+        return int(cf.sum()), int(np.dot(cf, cpf))
     return (sum(c.tolist()),
             sum(x * y for x, y in zip(c.tolist(), c_partner.tolist())))
 
@@ -124,7 +129,7 @@ def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     M, self_partner = main.value, m % q == 1 % q
     phi = total = S = direct = 0  # direct: exact, a sum of Fractions
     for a, ca in blocks:
-        cp = ca if self_partner else counts[_partner(a, m, q)].astype(np.int64)
+        cp = ca if self_partner else counts[_partner(a, m, q)]
         t, s = _block_sums(ca, cp)
         phi, total, S = phi + len(a), total + t, S + s
         e = ca - M
@@ -193,7 +198,7 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     float_totals = q * int(counts.max()) < 2 ** 53
     sq, T = 0, np.zeros(2 ** k + 1) if float_totals else [0] * (2 ** k + 1)
     for start in range(0, q, _SUM_BLOCK):
-        c = counts[start:start + _SUM_BLOCK].astype(np.int64)
+        c = counts[start:start + _SUM_BLOCK]
         code = np.zeros(len(c), dtype=np.intp)
         for i, (p, _) in enumerate(fac):
             code[-start % p::p] += 1 << i

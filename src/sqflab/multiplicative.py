@@ -1,16 +1,18 @@
 """Multiplicative functions (kappa, h, f_q), the Gamma factors, and
 Euler-product constants with rigorous truncation-error bounds.
 
-Two infinite products over primes are evaluated by zeta-factor
-acceleration, C's prod (1 - 3/p^2 + 2/p^3) and C_2 = prod (1 - 2/p^2): the
-polynomial local factor f(p) = poly(1/p) is rewritten as
-prod_k zeta(k)^{-e_k} times a residual local factor r(p) = 1 + O(p^-(J+1)),
-so the product truncated at the fixed P = 1000 carries a rigorous tail
-bound far below double precision.  Every other Euler constant is an exact
-ratio of these two and zeta(2): C' = C/(2 C_2), sum h(d)/d^2 =
-1/(zeta(2) C_2) and sum h(d)/d^4 = 1/(zeta(2)^2 C_2).  zeta itself is
-computed in-house by Euler-Maclaurin summation; every extended-precision
-value is a Decimal in _CTX.
+Two infinite products over primes, C's prod (1 - 3/p^2 + 2/p^3) and
+C_2 = prod (1 - 2/p^2), come from zeta-factor acceleration: the polynomial
+local factor f(p) = poly(1/p) is rewritten as prod_k zeta(k)^{-e_k} times a
+residual local factor r(p) = 1 + O(p^-(J+1)), so the product truncated at
+the fixed P = 1000 carries a rigorous tail bound far below double
+precision.  The two products and zeta(2), zeta(3/2) are the same in every
+process, so they are data here: Decimal literals, with each product's tail,
+that the tests hold to the derivation in tests/oracles.py.  Every other
+Euler constant is an exact ratio of these: C' = C/(2 C_2),
+sum h(d)/d^2 = 1/(zeta(2) C_2) and sum h(d)/d^4 = 1/(zeta(2)^2 C_2).  zeta
+at other s is computed in-house by Euler-Maclaurin summation; every
+extended-precision value is a Decimal in _CTX.
 
 f_q(l, m) and f_q(0, m) are an Euler constant times an exact rational, and
 their bars come from ApproxReal multiplication alone: the constant's bar,
@@ -280,89 +282,24 @@ def zeta_em(s) -> Decimal:
 
 
 # ---------------------------------------------------------------------------
-# accelerated Euler products
+# Euler products
 # ---------------------------------------------------------------------------
 
-_SERIES_ORDER = 64
-_ZETA_DEPTH = 8        # extract zeta(2)..zeta(8); residual is 1 + O(p^-9)
-_EULER_P = 1000        # truncation point of every accelerated product
-
-
-def _log_series(coeffs: tuple) -> tuple:
-    """Power-series log of 1 + a_1 x + ... with integer a_i (exact
-    Fractions, _SERIES_ORDER).  With s_k = k * [x^k] log, the Newton
-    recurrence s_k = k a_k - sum_{j>=1} a_j s_(k-j) stays in the integers."""
-    if any(not isinstance(c, int) for c in coeffs):
-        raise ValueError("local factor coefficients must be integers")
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("local factor must have constant term 1")
-    n = len(coeffs)
-    s = [0] * (_SERIES_ORDER + 1)
-    for k in range(1, _SERIES_ORDER + 1):
-        s[k] = (k * coeffs[k] if k < n else 0) \
-            - sum(coeffs[j] * s[k - j] for j in range(1, min(k, n)))
-    return (Fraction(0),) + tuple(Fraction(s[k], k)
-                                  for k in range(1, _SERIES_ORDER + 1))
-
-
-# local factors f(p) = sum_i c_i p^-i as coefficients in x = 1/p; the tail
-# bound of _accelerated_product needs every root in x of modulus >= 1/2
-LOCAL_FACTORS = {
-    "C": (1, 0, -3, 2),  # (1-x)^2 (1+2x)
-    "C2": (1, 0, -2),
+# The values every process would derive identically, in _CTX's 56 digits:
+# zeta(2) and zeta(3/2) as zeta_em gives them, and the (value, tail-factor
+# bound) of the zeta-accelerated products over all primes of C's local
+# factor 1 - 3/p^2 + 2/p^3 and C_2's 1 - 2/p^2.  Each product extracts
+# zeta(2)..zeta(8) and truncates the residual product at p <= P = 1000; its
+# bound covers every p > P.  tests/oracles.py holds the derivation, and the
+# tests hold these literals to it bit for bit.
+_ZETA_2 = Decimal("1.6449340668482264364724151666460251892189499012067984377")
+_ZETA_3_2 = Decimal("2.6123753486854883433485675679240716305708006524000634076")
+_PRODUCTS = {
+    "C": (Decimal("0.28674742843447873410789242212658215810208515125764604082"),
+          7.011685297173803e-24),
+    "C2": (Decimal("0.32263409893924467057953169257962098041720458208396296305"),
+           6.666674848498695e-28),
 }
-
-
-def _local_factor(coeffs: tuple, p: int) -> Fraction:
-    """sum_i c_i p^-i, by integer Horner as an integer over p^deg."""
-    num = 0
-    for c in coeffs:
-        num = num * p + c
-    return Fraction(num, p ** (len(coeffs) - 1))
-
-
-@lru_cache(maxsize=None)
-def _accelerated_product(coeffs: tuple) -> tuple:
-    """prod over all primes of the local factor with coefficients coeffs,
-    with zeta acceleration.
-
-    Returns (Decimal value, float tail bound) computed in _CTX with the
-    product truncated at p <= _EULER_P; the bound covers every p > _EULER_P.
-    """
-    with localcontext(_CTX):
-        series = list(_log_series(coeffs))
-        if series[1] != 0:
-            raise ArithmeticError("divergent product: x^1 term present")
-        exponents = {}
-        for k in range(2, _ZETA_DEPTH + 1):
-            e_k = series[k]
-            if e_k == 0:
-                continue
-            exponents[k] = _dec(e_k)
-            # subtract e_k * -log(1 - x^k) = e_k * sum_j x^(kj)/j
-            for j in range(1, _SERIES_ORDER // k + 1):
-                series[k * j] -= e_k / j
-        # bound sum_{p>P} |log r(p)| by sum_{p>P} p^-k <= P^(1-k)/(k-1)
-        P = _EULER_P
-        tail = sum(abs(_dec(series[k])) * Decimal(P) ** (1 - k) / (k - 1)
-                   for k in range(_ZETA_DEPTH + 1, _SERIES_ORDER + 1))
-        # past _SERIES_ORDER: roots of modulus >= 1/2 give |series[k]| <=
-        # (deg 2^k + E)/k, E = sum_j j |e_j| from the extracted zeta factors;
-        # the terms over k >= K fall by a ratio of at most 2/P
-        K = _SERIES_ORDER + 1
-        E = sum(k * abs(e_k) for k, e_k in exponents.items())
-        tail += ((len(coeffs) - 1) * Decimal(2) ** K + E) \
-            * Decimal(P) ** (1 - K) / (K * (K - 1)) / (1 - Decimal(2) / P)
-        primes = primes_up_to(P).tolist()
-        value = Decimal(1)
-        for k, e_k in exponents.items():  # (zeta(k) prod_{p<=P} (1-p^-k))^e_k
-            zk = zeta_em(k)
-            for p in primes:
-                zk *= 1 - Decimal(p) ** -k
-            value *= zk ** e_k
-        for p in primes:
-            value *= _dec(_local_factor(coeffs, p))
-        return value, float(tail.exp() - 1)
 
 
 def _local_product(n: int, factor) -> Fraction:
@@ -382,10 +319,10 @@ def euler_product_mp(kind: str, r: int = 1):
     if k is None:
         raise ValueError(f"euler_product_mp has no kind {kind!r}")
     with localcontext(_CTX):
-        c2, tail = _accelerated_product(LOCAL_FACTORS["C2"])
+        c2, tail = _PRODUCTS["C2"]
         at_r = _local_product(r, lambda p: Fraction(
             (p * p - 1) ** k, p ** (2 * k - 2) * (p * p - 2)))
-        return 1 / (zeta_em(2) ** k * c2 * _dec(at_r)), tail
+        return 1 / (_ZETA_2 ** k * c2 * _dec(at_r)), tail
 
 
 def euler_constant(kind: str, arg: int = None) -> ApproxReal:
@@ -404,20 +341,20 @@ def _euler_decimal(kind: str, arg) -> tuple:
     with localcontext(_CTX):
         if kind == "C_of_q":
             q = _require_arg(arg)
-            val = 1 / zeta_em(2)
+            val = 1 / _ZETA_2
             val *= _dec(_local_product(q, lambda p: Fraction(p * p, p * p - 1)))
             return val, Decimal(2) ** (60 - _WORK_PREC) * abs(val)
         if kind == "hall_factor":
             rat = _local_product(_require_arg(arg), lambda p: Fraction(p, p + 2))
             return _dec(rat), 0
         if kind == "C2":
-            val, tail = _accelerated_product(LOCAL_FACTORS["C2"])
+            val, tail = _PRODUCTS["C2"]
         elif kind in ("C", "Cprime"):
-            val, tail = _accelerated_product(LOCAL_FACTORS["C"])
+            val, tail = _PRODUCTS["C"]
             # C = zeta(3/2)/pi times the product, pi = sqrt(6 zeta(2))
-            val *= zeta_em(Fraction(3, 2)) / (6 * zeta_em(2)).sqrt()
+            val *= _ZETA_3_2 / (6 * _ZETA_2).sqrt()
             if kind == "Cprime":  # C' = C / (2 C_2); relative tails compound
-                c2, tail2 = _accelerated_product(LOCAL_FACTORS["C2"])
+                c2, tail2 = _PRODUCTS["C2"]
                 val /= 2 * c2
                 tail = tail + tail2 + tail * tail2
         elif kind in ("sum_h_d2", "sum_h_d4"):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -406,13 +407,22 @@ def test_verify_identities_counts_in_one_pass(monkeypatch):
     assert passes == [(20000, (7, 97, 100, 1009))]
 
 
-def test_verify_all_builds_each_product_once():
-    # two accelerated products (C and C2), every other constant derived;
-    # the memoised constants are cleared too, or C would not be rebuilt
+def test_verify_all_builds_no_product(monkeypatch):
+    # C, C2, zeta(2) and zeta(3/2) are literals: with the memoised constants
+    # cleared, zeta_em runs only at the psi-Mellin limits' s = -3/4, -1/2,
+    # -1/4, and never at 2 to 8, where the products' derivation calls it
+    seen = []
+    real = multiplicative.zeta_em
+
+    def recording(s):
+        seen.append(s)
+        return real(s)
+
+    for mod in (multiplicative, asymptotics):
+        monkeypatch.setattr(mod, "zeta_em", recording)
     multiplicative._euler_decimal.cache_clear()
-    multiplicative._accelerated_product.cache_clear()
     run_verify("all", 0)
-    assert multiplicative._accelerated_product.cache_info().misses == 2
+    assert set(seen) == {Fraction(-3, 4), Fraction(-1, 2), Fraction(-1, 4)}
 
 
 def test_stdout_default(capsys):
@@ -475,3 +485,59 @@ def test_closed_stdout_pipe_exits_2():
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("sqflab: error: "), err
+
+
+# a scan that warns (q = 2000 > X) and a verify run with its summary line:
+# a stderr that cannot take those lines must change neither stdout's bytes
+# nor the exit code, which a run with a working stderr gives
+_DIAGNOSING = {
+    "scan": ["scan", "--kind", "hooley", "--x", "1000", "--q", "1000,2000"],
+    "verify": ["verify", "--suite", "identities"],
+}
+
+
+def _sqflab(argv, prefix=("-m", "sqflab.cli"), **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *prefix, *argv], env=env,
+                          stdout=subprocess.PIPE, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def working_stderr_runs():
+    return {name: _sqflab(argv, stderr=subprocess.PIPE)
+            for name, argv in _DIAGNOSING.items()}
+
+
+def _same_as_working_stderr(name, proc, working_stderr_runs):
+    ref = working_stderr_runs[name]
+    assert ref.returncode == 0 and ref.stderr  # it did write diagnostics
+    assert (proc.returncode, proc.stdout) == (ref.returncode, ref.stdout)
+
+
+@pytest.mark.parametrize("name", list(_DIAGNOSING))
+def test_unwritable_stderr_is_skipped(name, working_stderr_runs):
+    # fd 2 open read-only: every write raises EBADF, as under `2>&-` when
+    # the interpreter's start-up reuses the closed descriptor
+    with open(os.devnull, "rb") as read_only:
+        proc = _sqflab(_DIAGNOSING[name], stderr=read_only)
+    _same_as_working_stderr(name, proc, working_stderr_runs)
+
+
+@pytest.mark.parametrize("name", list(_DIAGNOSING))
+def test_stderr_pipe_without_reader_is_skipped(name, working_stderr_runs):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _sqflab(_DIAGNOSING[name], stderr=write_end)
+    finally:
+        os.close(write_end)
+    _same_as_working_stderr(name, proc, working_stderr_runs)
+
+
+@pytest.mark.parametrize("name", list(_DIAGNOSING))
+def test_missing_stderr_stays_out_of_stdout(name, working_stderr_runs):
+    # started without fd 2, the interpreter sets sys.stderr to None
+    launch = ("import os, sys; os.close(2); os.execv(sys.executable, "
+              "[sys.executable, '-m', 'sqflab.cli', *sys.argv[1:]])")
+    proc = _sqflab(_DIAGNOSING[name], prefix=("-c", launch))
+    _same_as_working_stderr(name, proc, working_stderr_runs)

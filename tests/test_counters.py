@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from sqflab.arith import (mu_of, phi_of, prime_factors,
                           squarefree_counts_by_residue, squarefree_window)
-from sqflab.counters import (CorrelationResult, _partner, _quadratic,
-                             coprime_blocks, croft_variance, dispersion_check,
-                             error_vector, hooley_report, lattice_count_N,
-                             lattice_count_brute, pair_enumeration_S,
-                             u_p_brute, u_p_local, variance_M2)
+from sqflab.counters import (CorrelationResult, _block_sums, _partner,
+                             _quadratic, coprime_blocks, croft_variance,
+                             dispersion_check, error_vector, hooley_report,
+                             lattice_count_N, lattice_count_brute,
+                             pair_enumeration_S, u_p_brute, u_p_local,
+                             variance_M2)
 from sqflab.multiplicative import euler_constant
 from sqflab.records import _SUM_BLOCK, _block_sum, _rounded
 
@@ -43,10 +44,14 @@ def test_error_vector_counts_and_errors():
     # the full count vector is checked against the bincount oracle in
     # test_arith.py; here only the coprime gather and the main term
     X, q = 3000, 12
-    a, ca, main = _gathered(X, q, squarefree_counts_by_residue(X, q))
+    counts = squarefree_counts_by_residue(X, q)
+    a, ca, main = _gathered(X, q, counts)
     assert list(a) == [r for r in range(q) if math.gcd(r, q) == 1]
     assert len(a) == phi_of(q)
+    # the gathered counts keep the caller's dtype, never widened
     assert ca.dtype == np.int64
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        assert _gathered(X, q, counts.astype(dtype))[1].dtype == dtype
     assert np.array_equal(ca, _brute_counts(X, q)[a])
     # main term = C(q) X / q
     cq = euler_constant("C_of_q", arg=q)
@@ -149,6 +154,32 @@ def test_double_sum_matches_pair_enumeration_seeded():
         S = variance_M2(X, q, m, squarefree_counts_by_residue(X, q)).S_exact
         assert S == pair_enumeration_S(X, q, m), (X, q, m)
         checked += 1
+
+
+@pytest.mark.parametrize("bound", [2 ** 53 - 2 ** 32, 2 ** 53,
+                                   2 ** 62 + 2 ** 32],
+                         ids=["below-2^53", "at-2^53", "past-2^62"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+def test_block_sums_exact_around_the_float_limit(dtype, bound):
+    # len(c) max(c) max(c') equals the bound: below 2^53 the float64 sum and
+    # dot are exact, from 2^53 on Python ints take over.  c is in the dtype
+    # under test; where the bound needs a partner past that dtype (uint8
+    # and uint16), the partner is int64.  Counts sit just under their
+    # maxima, so the sums come near the bound with every low bit in play
+    n = 2 ** 11
+    top = min(2 ** 21, 2 ** (8 * np.dtype(dtype).itemsize - 1))
+    ptop = bound // (n * top)
+    assert n * top * ptop == bound
+    partner = dtype if ptop <= np.iinfo(dtype).max else np.int64
+    rng = np.random.default_rng(bound % 1009)
+    c = (top - rng.integers(0, 2, n)).astype(dtype)
+    cp = (ptop - rng.integers(0, 2 ** 10, n)).astype(partner)
+    c[0], cp[0] = top, ptop
+    exact = (sum(c.tolist()),
+             sum(x * y for x, y in zip(c.tolist(), cp.tolist())))
+    assert _block_sums(c, cp) == exact
+    assert _block_sums(cp, cp) == (sum(cp.tolist()),
+                                   sum(x * x for x in cp.tolist()))
 
 
 def test_double_sum_exact_past_int64():

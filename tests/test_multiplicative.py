@@ -10,16 +10,16 @@ from mpmath import bernfrac, mp, mpf
 
 from sqflab import multiplicative
 from sqflab.arith import factorize, mu_of, prime_factors, primes_up_to
-from sqflab.multiplicative import (LOCAL_FACTORS, euler_constant,
-                                   euler_product_mp, f_q_of,
-                                   f_q_rational_part, f_q_zero,
+from sqflab.multiplicative import (euler_constant, euler_product_mp,
+                                   f_q_of, f_q_rational_part, f_q_zero,
                                    f_q_zero_local_factors, gamma_an, gamma_ar,
                                    gq_product, gq_sum, h_of, h_series_partials,
                                    identity_suite, kappa, kappa_mu_products,
-                                   kappa_mu_sums, zeta_em,
-                                   _accelerated_product, _bernoulli_even,
-                                   _divisors, _h_table, _local_factor,
-                                   _log_series, _SERIES_ORDER)
+                                   kappa_mu_sums, zeta_em, _bernoulli_even,
+                                   _divisors, _h_table)
+
+from oracles import (LOCAL_FACTORS, SERIES_ORDER, accelerated_product,
+                     local_factor, log_series)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
 # by two independent extraction depths and a 2*10^6-prime direct log sum
@@ -144,7 +144,7 @@ def test_gq_exact_record_reports_injected_faults(monkeypatch, side):
                 == (0.0, 0, True)
 
 
-def _log_series_oracle(coeffs, order=_SERIES_ORDER):
+def _log_series_oracle(coeffs, order=SERIES_ORDER):
     """The Fraction form of the log-series recurrence."""
     a = [Fraction(c) for c in coeffs] + [Fraction(0)] * order
     ell = [Fraction(0)] * (order + 1)
@@ -164,10 +164,10 @@ def test_log_series_matches_fraction_recurrence():
     polys += [(1,) + tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
               for _ in range(8)]
     for poly in polys:
-        assert _log_series(poly) == _log_series_oracle(poly), poly
+        assert log_series(poly) == _log_series_oracle(poly), poly
     for bad in [(), (2, 1), (0, 1), (1, Fraction(1, 2)), (1, 0.5)]:
         with pytest.raises(ValueError):
-            _log_series(bad)
+            log_series(bad)
 
 
 def test_local_factor_matches_fraction_evaluation():
@@ -175,11 +175,11 @@ def test_local_factor_matches_fraction_evaluation():
         for p in primes_up_to(10**4).tolist():
             x = Fraction(1, p)
             value = sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
-            assert _local_factor(coeffs, p) == value, (name, p)
+            assert local_factor(coeffs, p) == value, (name, p)
 
 
 def test_local_factor_roots_have_modulus_at_least_half():
-    # _accelerated_product's tail past _SERIES_ORDER bounds the log-series
+    # accelerated_product's tail past SERIES_ORDER bounds the log-series
     # coefficients by deg 2^k / k, which needs every root |x| >= 1/2
     # (C: 1, 1 and -1/2 exactly; C2: +-1/sqrt(2))
     for name, coeffs in LOCAL_FACTORS.items():
@@ -426,10 +426,72 @@ def _prime_zeta_log_product(num, den=(1,), r=1):
             * tails[k] for k in range(2, _ORACLE_ORDER + 1))
 
 
+def test_product_literals_equal_their_derivation():
+    # the shipped Decimals and tails are the derivation's, digit for digit
+    # and bit for bit; zeta(2) and zeta(3/2) are zeta_em's
+    for name, coeffs in LOCAL_FACTORS.items():
+        value, tail = multiplicative._PRODUCTS[name]
+        derived, derived_tail = accelerated_product(coeffs)
+        assert isinstance(value, Decimal) and isinstance(tail, float)
+        assert str(value) == str(derived), name
+        assert tail.hex() == derived_tail.hex(), name
+    assert str(multiplicative._ZETA_2) == str(zeta_em(2))
+    assert str(multiplicative._ZETA_3_2) == str(zeta_em(Fraction(3, 2)))
+
+
+# euler_constant(kind, arg) as (value.hex(), abs_err.hex()), taken while
+# every process still derived the products and zeta values at run time
+_EULER_CONSTANT_PINS = {
+    ("C", None): ("0x1.e854fe42cd65dp-3", "0x1.b7d9b2a7c0550p-55"),
+    ("C2", None): ("0x1.4a6097de12ed8p-2", "0x1.2993d29ff6589p-54"),
+    ("Cprime", None): ("0x1.7a6504945d76dp-2", "0x1.54d3db8dd3061p-54"),
+    ("C_of_q", 1): ("0x1.37423899a1558p-1", "0x1.185b5d3f32e9fp-53"),
+    ("C_of_q", 2): ("0x1.9f02f6222c720p-1", "0x1.75cf26feee8d4p-53"),
+    ("C_of_q", 30): ("0x1.e65778700c159p-1", "0x1.b60ec1b2bf8d8p-53"),
+    ("C_of_q", 999983): ("0x1.37423899a2abcp-1", "0x1.185b5d3f341e3p-53"),
+    ("hall_factor", 1): ("0x1.0000000000000p+0", "0x1.cd2b297d889bcp-53"),
+    ("hall_factor", 2): ("0x1.0000000000000p-1", "0x1.cd2b297d889bcp-54"),
+    ("hall_factor", 30): ("0x1.b6db6db6db6dbp-3", "0x1.8b4991470760ep-55"),
+    ("hall_factor", 999983): ("0x1.ffffbce3df846p-1",
+                              "0x1.cd2aed0b0d0f8p-53"),
+    ("sum_h_d2", 1): ("0x1.e25efae62bb34p+0", "0x1.b27b2ef936e19p-52"),
+    ("sum_h_d2", 2): ("0x1.4194a7441d222p+0", "0x1.21a774a624966p-52"),
+    ("sum_h_d2", 30): ("0x1.0da8a6ed1dc35p+0", "0x1.e5c62ba14d5c4p-53"),
+    ("sum_h_d2", 999983): ("0x1.e25efae629a0dp+0", "0x1.b27b2ef93503dp-52"),
+    ("sum_h_d4", 1): ("0x1.253f14f848099p+0", "0x1.082204f146d13p-52"),
+    ("sum_h_d4", 2): ("0x1.04a9d9c040088p+0", "0x1.d591cfe5d33b0p-53"),
+    ("sum_h_d4", 30): ("0x1.00252809faec6p+0", "0x1.cd6e18db4761cp-53"),
+    ("sum_h_d4", 999983): ("0x1.253f14f848099p+0", "0x1.082204f146d13p-52"),
+}
+
+
+def test_euler_constants_pinned():
+    for (kind, arg), pin in _EULER_CONSTANT_PINS.items():
+        c = euler_constant(kind, arg=arg)
+        assert (c.value.hex(), c.abs_err.hex()) == pin, (kind, arg)
+
+
+def test_euler_product_mp_pinned():
+    tail = "0x1.a68cfbe5ef8a3p-91"  # C_2's
+    pins = {
+        ("sum_h_d2", 1):
+            "1.8842617809238619067282912805635455033243830136952934798",
+        ("sum_h_d2", 6):
+            "1.0991527055389194455915032469954015436058900913222545299",
+        ("sum_h_d4", 1):
+            "1.1454938036113502069631301071481986138160444414418891159",
+        ("sum_h_d4", 6):
+            "1.0023070781599314310927388437546737870890388862616529764",
+    }
+    for (kind, r), pin in pins.items():
+        value, t = euler_product_mp(kind, r)
+        assert (str(value), t.hex()) == (pin, tail), (kind, r)
+
+
 def test_products_match_prime_zeta_oracle():
     with mp.workprec(200):
         for name, coeffs in LOCAL_FACTORS.items():
-            value, tail = _accelerated_product(coeffs)
+            value, tail = multiplicative._PRODUCTS[name]
             oracle = mp.exp(_prime_zeta_log_product(coeffs))
             assert abs(mpf(str(value)) - oracle) <= mpf(str(value)) * tail, name
         c2 = (1, 0, -2)
