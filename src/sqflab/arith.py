@@ -16,7 +16,7 @@ columns, in the narrowest unsigned dtype that cannot wrap; a window's full
 rows of length w are summed in uint8 blocks of 255 rows, and the w columns
 fold to the q classes at the end.
 
-All functions are pure but the count memo (_counts_at); tables are immutable.
+All functions are pure; tables are immutable.
 """
 
 from __future__ import annotations
@@ -251,36 +251,18 @@ def _count_dtype(n: int) -> np.dtype:
     return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
 
 
-@lru_cache(maxsize=1)
-def _counts_at(X: int) -> dict:
-    """{q: counts} held for the latest X; a call at another X drops them."""
-    return {}
-
-
 def squarefree_counts_by_moduli(X: int, qs) -> list:
-    """Return, for each q of qs in turn, the read-only counts of squarefree
-    n <= X by residue mod q, in the narrowest unsigned dtype holding ceil(X/q).
-    A call lacking some q keeps only its own held q and counts the rest in one
-    pass; a call holding all of them, or a repeated q, counts nothing again."""
+    """Return, for each q of qs in turn, the caller's own counts of squarefree
+    n <= X by residue mod q, in the narrowest unsigned dtype holding ceil(X/q),
+    from one pass; a repeated q shares one array.  Accumulators are sized by
+    ceil(X/w): each of q's w = q ceil(256/q) columns meets that many n <= X."""
     qs = list(qs)
     if any(q < 1 or q > X for q in qs):
         raise ValueError("require 1 <= q <= X")
-    have = _counts_at(X)
-    missing = [q for q in dict.fromkeys(qs) if q not in have]
-    if missing:  # no held counts but this call's live through its pass
-        for q in set(have).difference(qs):
-            del have[q]
-        for q, counts in zip(missing, _count_pass(X, missing)):
-            counts.flags.writeable = False
-            have[q] = counts
-    return [have[q] for q in qs]
-
-
-def _count_pass(X: int, qs) -> list:
-    """Return the counts mod each q of a nonempty qs from one pass over [0, X]:
-    q sums into w = q ceil(256/q) >= 256 columns sized by ceil(X/w) (a column
-    meets that many n <= X at most; 0 is never squarefree), then folds to q."""
-    widths = [q * -(-256 // q) for q in qs]
+    if not qs:
+        return []
+    distinct = list(dict.fromkeys(qs))
+    widths = [q * -(-256 // q) for q in distinct]
     accs = [np.zeros(w, dtype=_count_dtype(-(-X // w))) for w in widths]
     for lo in range(0, X + 1, _SEGMENT):
         flags = squarefree_window(lo, min(lo + _SEGMENT, X + 1)).view(np.uint8)
@@ -296,6 +278,7 @@ def _count_pass(X: int, qs) -> list:
             if k > blocks:
                 acc += rows[blocks:].sum(axis=0, dtype=np.uint8)
             acc[:tail] += flags[len(flags) - tail :]
-    return [acc if w == q else acc.reshape(-1, q).sum(
-                axis=0, dtype=_count_dtype(-(-X // q)))
-            for q, w, acc in zip(qs, widths, accs)]  # w = q for q >= 256
+    counts = {q: acc if w == q else acc.reshape(-1, q).sum(
+                  axis=0, dtype=_count_dtype(-(-X // q)))
+              for q, w, acc in zip(distinct, widths, accs)}  # w = q, q >= 256
+    return [counts[q] for q in qs]

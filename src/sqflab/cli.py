@@ -190,18 +190,32 @@ def run_verify(suite: str, seed: int) -> list:
 # scans
 # ---------------------------------------------------------------------------
 
-def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
+_held_counts = {}  # the latest scan's {(X, moduli): counts}; see _scan_counts
+
+
+def _scan_counts(X: int, cells: tuple) -> dict:
+    """{q: counts} for the moduli of cells: the latest scan's if it had this X
+    and these moduli, else from one pass, which first drops the held ones."""
+    if (X, cells) not in _held_counts:
+        _held_counts.clear()
+        _held_counts[X, cells] = squarefree_counts_by_moduli(X, cells)
+    return dict(zip(cells, _held_counts[X, cells]))
+
+
+def _skips(kind: str, m: int, q: int) -> bool:
+    """The correlation skips q where gcd(m, q) > 1; no other kind skips."""
+    return kind == "correlation" and math.gcd(abs(m), q) != 1
+
+
+def _scan_rows(kind: str, X: int, qs: list, m: int, counts: dict) -> list:
     mm = 1 if kind == "variance" else m
-    cells = []
-    for q in sorted(set(q_list)):  # a repeated modulus is counted once
-        if kind in ("variance", "correlation") and math.gcd(abs(mm), q) != 1:
-            _diagnose(f"warning: skipping q={q}, gcd(m,q)>1")
-        else:
-            cells.append(q)
     rows = []
-    for q, counts in zip(cells, squarefree_counts_by_moduli(X, cells)):
+    for q in qs:
+        if _skips(kind, m, q):
+            _diagnose(f"warning: skipping q={q}, gcd(m,q)>1")
+            continue
         if kind in ("variance", "correlation"):
-            res = counters.variance_M2(X, q, mm, counts)
+            res = counters.variance_M2(X, q, mm, counts[q])
             main = asymptotics.theorem_main_terms(float(X), q, mm)
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": mm,
@@ -212,7 +226,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
                 "dispersion_residual": res.decomposition_residual,
             })
         elif kind == "croft":
-            v = counters.croft_variance(X, q, counts)
+            v = counters.croft_variance(X, q, counts[q])
             scale = X * math.sqrt(q)
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
@@ -222,7 +236,7 @@ def _scan_rows(kind: str, X: int, q_list: list, m: int) -> list:
         else:  # hooley; _kind_list admits no other kind
             rows.append({
                 "kind": kind, "X": X, "q": q, "m": "",
-                "max_error_over_envelope": counters.hooley_report(X, q, counts),
+                "max_error_over_envelope": counters.hooley_report(X, q, counts[q]),
             })
     return rows
 
@@ -345,9 +359,11 @@ def main(argv=None) -> int:
         else:
             for q in sorted({q for q in q_list if q > args.x}):
                 _diagnose(f"warning: skipping q={q} > X={args.x}")
-            q_list = [q for q in q_list if q <= args.x]
+            qs = sorted({q for q in q_list if q <= args.x})  # a repeat once
+            counts = _scan_counts(args.x, tuple(q for q in qs if not all(
+                _skips(kind, args.m, q) for kind in args.kind)))
             rows = [row for kind in args.kind
-                    for row in _scan_rows(kind, args.x, q_list, args.m)]
+                    for row in _scan_rows(kind, args.x, qs, args.m, counts)]
             status = 0
             summary = f"kind={','.join(args.kind)} rows={len(rows)}"
     except (ValueError, ArithmeticError, MemoryError) as exc:

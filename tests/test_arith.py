@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -324,7 +323,6 @@ def test_counts_by_moduli_edge_moduli():
     # windows; the repeated q is counted once and yields the same array.
     # 256,020 = 255 * 1004, so 1004 and 1003 put ceil(X/q) at 255 (uint8)
     # and 256 (uint16)
-    arith._counts_at.cache_clear()
     outs = _check_moduli(_X3, [1000, 1, _X3, _SEGMENT + 3, 1000])
     assert outs[0] is outs[4]
     outs = _check_moduli(256020, [1004, 1003, 256020])
@@ -357,89 +355,23 @@ def test_counts_by_moduli_reject_at_the_call(monkeypatch):
         raise AssertionError("counted before checking the moduli")
 
     monkeypatch.setattr(arith, "squarefree_window", no_pass)
-    monkeypatch.setattr(arith, "_count_pass", no_pass)
     with pytest.raises(ValueError):
         squarefree_counts_by_moduli(100, [5, 0])
 
 
-# ---------------------------------------------------------------------------
-# the counts of the latest X are kept: one pass per modulus per X
-# ---------------------------------------------------------------------------
-
-def _record_passes(monkeypatch):
-    """Record the moduli of each count pass and the number of windows."""
-    passes, windows = [], []
-    count_pass, window = arith._count_pass, arith.squarefree_window
-
-    def recording_pass(X, qs):
-        passes.append(list(qs))
-        return count_pass(X, qs)
-
-    def recording_window(lo, hi):
-        windows.append((lo, hi))
-        return window(lo, hi)
-
-    monkeypatch.setattr(arith, "_count_pass", recording_pass)
-    monkeypatch.setattr(arith, "squarefree_window", recording_window)
-    return passes, windows
-
-
-def test_counts_memo_passes_once_for_the_missing_modulus(monkeypatch):
-    arith._counts_at.cache_clear()
-    passes, windows = _record_passes(monkeypatch)
-    first = _check_moduli(_X3, [1000, 7])
-    assert passes == [[1000, 7]] and len(windows) == 4
-    outs = _check_moduli(_X3, [7, 1003, 1000, 1003])
-    assert passes == [[1000, 7], [1003]] and len(windows) == 8
-    assert outs[0] is first[1] and outs[2] is first[0] and outs[1] is outs[3]
-    assert list(squarefree_counts_by_moduli(_X3, [])) == []
-    _check_moduli(_X3, [1000])
-    assert len(passes) == 2 and len(windows) == 8
-
-
-def test_counts_memo_holds_one_X(monkeypatch):
-    arith._counts_at.cache_clear()
-    passes, _ = _record_passes(monkeypatch)
-    X1, X2 = 3000, 4000
-    held = weakref.ref(_check_moduli(X1, [300])[0])
-    assert held() is not None  # alive in the memo alone
-    _check_moduli(X2, [300])
-    assert held() is None
-    _check_moduli(X1, [300])
-    assert passes == [[300], [300], [300]]
-
-
-def test_counts_memo_holds_the_latest_counting_call(monkeypatch):
-    # a loop of single-modulus calls at one X holds only the last modulus;
-    # a call holding all its moduli drops nothing, and a call that counts
-    # drops the held moduli it does not ask for before its pass starts
-    arith._counts_at.cache_clear()
-    held = [weakref.ref(_check_moduli(3000, [q])[0]) for q in (7, 300, 11)]
-    assert [h() is None for h in held] == [True, True, False]
-    held = dict(zip((1000, 7), map(weakref.ref, _check_moduli(_X3, [1000, 7]))))
-    _check_moduli(_X3, [7])
-    assert held[1000]() is not None
-    alive_in_pass = []
-    count_pass = arith._count_pass
-
-    def recording_pass(X, qs):
-        alive_in_pass.append({q: h() is not None for q, h in held.items()})
-        return count_pass(X, qs)
-
-    monkeypatch.setattr(arith, "_count_pass", recording_pass)
-    _check_moduli(_X3, [7, 1003])
-    assert alive_in_pass == [{1000: False, 7: True}]
-    assert held[1000]() is None and held[7]() is not None
-
-
-def test_counts_are_read_only():
-    arith._counts_at.cache_clear()
-    for counts in squarefree_counts_by_moduli(1000, [7, 300]):
-        with pytest.raises(ValueError):
-            counts[0] = 0
-        with pytest.raises(ValueError):
-            counts += 1
-    # the int64 copy of squarefree_counts_by_residue is the caller's own
+def test_counts_are_the_callers_own(monkeypatch):
+    # one pass over _X3's four windows counts both moduli; the arrays are
+    # fresh and writable, so a write leaves a later call's counts alone
+    windows, window = [], arith.squarefree_window
+    monkeypatch.setattr(arith, "squarefree_window",
+                        lambda lo, hi: windows.append(lo) or window(lo, hi))
+    outs = squarefree_counts_by_moduli(_X3, [1000, 7])
+    assert len(windows) == 4
+    for counts in outs:
+        counts += 1
+    for counts, fresh in zip(outs, _check_moduli(_X3, [1000, 7])):
+        assert np.array_equal(counts, fresh + 1)
+    # so is the int64 copy of squarefree_counts_by_residue
     counts = squarefree_counts_by_residue(1000, 7)
     counts[0] += 1
     assert squarefree_counts_by_moduli(1000, [7])[0][0] == counts[0] - 1

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -189,14 +190,20 @@ def test_scan_counts_a_repeated_modulus_once(monkeypatch, capsys):
         return real(X, qs)
 
     monkeypatch.setattr(cli, "squarefree_counts_by_moduli", recording)
+    cli._held_counts.clear()
     assert main(argv + ["7,97,7"]) == 0
     assert capsys.readouterr().out == once
     assert seen == [[7, 97]]
 
 
 @pytest.mark.parametrize("fmt, empty", [("csv", ""), ("json", "[]\n")])
-def test_scan_with_every_modulus_skipped(fmt, empty, capsys):
-    # no rows: an empty CSV (no header line), exit 0, one warning per q
+def test_scan_with_every_modulus_skipped(fmt, empty, monkeypatch, capsys):
+    # no rows: an empty CSV (no header line), exit 0, one warning per q,
+    # and nothing sieved
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved for a scan without cells")
+
+    monkeypatch.setattr(arith, "squarefree_window", no_sieve)
     assert list(arith.squarefree_counts_by_moduli(100, [])) == []
     for argv in (["--kind", "croft", "--x", "10", "--q", "20,30"],
                  ["--kind", "correlation", "--x", "100", "--q", "4,6",
@@ -234,7 +241,7 @@ def test_scan_correlation_negative_m(tmp_path):
     assert float(rows[0]["main_term"]) < 0  # Gamma_an(-1) < 0
 
 
-def test_scan_skips_bad_moduli(tmp_path, capsys):
+def test_scan_skips_bad_moduli(tmp_path, monkeypatch, capsys):
     out = tmp_path / "scan.csv"
     rc = main(["scan", "--kind", "variance", "--x", "100",
                "--q", "7,500", "--out", str(out)])
@@ -249,6 +256,15 @@ def test_scan_skips_bad_moduli(tmp_path, capsys):
                "--q", "9", "--m", "3", "--out", str(out)])
     assert rc == 0
     assert "gcd(m,q)>1" in capsys.readouterr().err
+    # and left out of the count pass
+    passes, real = [], cli.squarefree_counts_by_moduli
+    monkeypatch.setattr(cli, "squarefree_counts_by_moduli",
+                        lambda X, qs: passes.append(list(qs)) or real(X, qs))
+    cli._held_counts.clear()
+    assert main(["scan", "--kind", "correlation", "--x", "1000",
+                 "--q", "4,7", "--m", "2", "--out", str(out)]) == 0
+    assert passes == [[7]]
+    assert capsys.readouterr().err.count("skipping q=4, gcd(m,q)>1") == 1
 
 
 def test_scan_croft_and_hooley(tmp_path):
@@ -305,10 +321,10 @@ def test_scan_bytes_pinned_cold_and_from_another_kinds_counts(
     out = tmp_path / "scan.csv"
     argv = ["scan", "--x", str(_SCAN_PIN_X), "--q", _SCAN_PIN_Q,
             "--out", str(out)]
-    arith._counts_at.cache_clear()
+    cli._held_counts.clear()
     assert main(argv + ["--kind", kind] + extra) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    arith._counts_at.cache_clear()
+    cli._held_counts.clear()
     assert main(argv + ["--kind", "croft" if kind == "hooley" else "hooley"]) == 0
 
     def no_sieve(lo, hi):
@@ -327,18 +343,18 @@ def _scan_csv(argv, capsys):
 def test_scan_kind_lists_equal_the_single_kind_runs(monkeypatch, capsys):
     # m = 3 skips q = 9 in the correlation only, so the kinds have
     # different row counts. In the list, q = 30000 > X is warned about
-    # once, not once per kind, and the correlation, holding all its
-    # moduli, keeps 9 for croft and hooley: one count pass for four kinds
+    # once, not once per kind, and 9 is counted for the other kinds in
+    # the one count pass that serves all four
     base = ["scan", "--x", "20000", "--q", "30000,97,9,7", "--m", "3"]
     kinds = ["variance", "correlation", "croft", "hooley"]
     single = {}
     for kind in kinds:
         assert main(base + ["--kind", kind, "--format", "json"]) == 0
         single[kind] = json.loads(capsys.readouterr().out)
-    arith._counts_at.cache_clear()
-    passes, count_pass = [], arith._count_pass
-    monkeypatch.setattr(arith, "_count_pass",
-                        lambda X, qs: passes.append(qs) or count_pass(X, qs))
+    cli._held_counts.clear()
+    passes, real = [], cli.squarefree_counts_by_moduli
+    monkeypatch.setattr(cli, "squarefree_counts_by_moduli",
+                        lambda X, qs: passes.append(list(qs)) or real(X, qs))
     assert main(base + ["--kind", "all", "--format", "json"]) == 0
     got = capsys.readouterr()
     assert json.loads(got.out) == [row for kind in kinds for row in single[kind]]
@@ -356,6 +372,29 @@ def test_scan_kind_lists_equal_the_single_kind_runs(monkeypatch, capsys):
         for g, w in zip(got, want):  # field for field; the other kinds' empty
             assert {k: g[k] for k in w} == w
             assert all(v == "" for k, v in g.items() if k not in w)
+
+
+def test_scan_holds_only_the_latest_scans_counts(monkeypatch, capsys):
+    # a scan at the X and moduli of the scan before it, of any kind, reads
+    # that scan's counts; another X or other moduli count once, and the
+    # held counts are gone before that pass starts
+    calls, held, real = [], [], cli.squarefree_counts_by_moduli
+
+    def recording(X, qs):
+        calls.append((X, list(qs), [h() is None for h in held]))
+        return real(X, qs)
+
+    monkeypatch.setattr(cli, "squarefree_counts_by_moduli", recording)
+    cli._held_counts.clear()
+    assert main(["scan", "--kind", "croft", "--x", "20000", "--q", "7,97"]) == 0
+    for kind in ("croft", "hooley", "variance", "correlation", "all"):
+        assert main(["scan", "--kind", kind, "--x", "2e4", "--q", "97,7"]) == 0
+    assert calls == [(20000, [7, 97], [])]
+    for x, q in (("30000", "7,97"), ("30000", "7,101")):
+        held = [weakref.ref(c) for c in next(iter(cli._held_counts.values()))]
+        assert main(["scan", "--kind", "hooley", "--x", x, "--q", q]) == 0
+    assert calls[1:] == [(30000, [7, 97], [True, True]),
+                         (30000, [7, 101], [True, True])]
 
 
 def test_run_verify_all_suites_green():
