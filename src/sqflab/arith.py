@@ -278,6 +278,7 @@ def squarefree_counts_by_moduli(X: int, qs) -> list:
             if k > blocks:
                 acc += rows[blocks:].sum(axis=0, dtype=np.uint8)
             acc[:tail] += flags[len(flags) - tail :]
+        del flags, rows  # free this window before the next is sieved
     counts = {q: acc if w == q else acc.reshape(-1, q).sum(
                   axis=0, dtype=_count_dtype(-(-X // q)))
               for q, w, acc in zip(distinct, widths, accs)}  # w = q, q >= 256

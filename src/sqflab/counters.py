@@ -9,10 +9,13 @@ evaluated exactly, so their error bars come from the main terms' bars
 alone.  The direct float sum of E(a) E(ma), exact by records._block_sum
 and rounded once, is the other side of the dispersion identity, checked to
 1e-8 relative.  The residue-class statistics never sieve: they read the
-caller's counts, one vector per (X, q), in blocks of _SUM_BLOCK residues, so
-apart from the counts no array they build grows with q.  The blocks keep the
-counts' own dtype; their integer moments are float64 sums while every
-partial sum is an integer below 2^53, and Python-int sums past that.
+caller's counts, one vector per (X, q), in one mirror walk, blocks of at
+most _SUM_BLOCK residues a of [1, ceil(q/2)) each read with its reflection
+q - a, so apart from the counts no array they build grows with q, and the
+index work of a block (and at m = -1 its products) serves both halves.
+The blocks keep the counts' own dtype; their integer moments are float64
+sums while every partial sum is an integer below 2^53, and Python-int sums
+past that.
 """
 
 from __future__ import annotations
@@ -30,19 +33,38 @@ from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
 
 
 # ---------------------------------------------------------------------------
-# the coprime residues in blocks, and the error terms on them
+# the mirror walk, and the error terms on it
 # ---------------------------------------------------------------------------
 
-def coprime_blocks(q: int):
-    """The residues 0 <= b < q coprime to q, ascending, as int64 arrays: one
-    per window of _SUM_BLOCK residues (one _block_sum each), from a bool mask
-    with every p-th entry cleared for each prime p | q."""
+def _mirror_walk(q: int, counts: np.ndarray):
+    """(lo, halves) over the residues mod q, each once: for the blocks
+    [lo, hi) of at most _SUM_BLOCK residues that cut [1, ceil(q/2)), halves
+    is [counts[lo:hi], the counts at the reflections q - a in the same
+    order]; the residues that are their own reflection, 0 and q/2 for even
+    q, come as (a, [counts[a:a+1]]).  gcd(q - a, q) = gcd(a, q), so one
+    coprime index or class code made for [lo, hi) serves both halves."""
+    yield 0, [counts[:1]]
+    end = (q + 1) // 2
+    for lo in range(1, end, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, end)
+        yield lo, [counts[lo:hi], counts[q - hi + 1:q - lo + 1][::-1]]
+    if q % 2 == 0:
+        yield q // 2, [counts[q // 2:q // 2 + 1]]
+
+
+def _coprime_walk(q: int, counts: np.ndarray):
+    """(a, halves) per piece of _mirror_walk that holds a residue coprime to
+    q: a those residues of the piece's own half, as int64, from a bool mask
+    with every p-th entry cleared for each prime p | q, and halves its
+    halves' counts at a (and at q - a), gathered in the caller's dtype."""
     primes = [p for p, _ in factorize(q)]
-    for start in range(0, q, _SUM_BLOCK):
-        keep = np.ones(min(_SUM_BLOCK, q - start), dtype=bool)
+    for lo, halves in _mirror_walk(q, counts):
+        keep = np.ones(len(halves[0]), dtype=bool)
         for p in primes:
-            keep[-start % p::p] = False
-        yield start + np.flatnonzero(keep)
+            keep[-lo % p::p] = False
+        idx = np.flatnonzero(keep)
+        if len(idx):
+            yield lo + idx, [h[idx] for h in halves]
 
 
 def _check_counts(q: int, counts: np.ndarray) -> None:
@@ -60,13 +82,16 @@ def _check_counts(q: int, counts: np.ndarray) -> None:
 
 
 def error_vector(X: int, q: int, counts: np.ndarray) -> tuple:
-    """(C(q) X/q, blocks) from the caller's squarefree counts mod q on
-    [1, X]: the main term, and an iterator over (a, count(a)) for the blocks
-    of coprime_blocks(q), the counts gathered in the caller's dtype, so
-    E(X,q,a) = count(a) - C(q) X/q."""
+    """(C(q) X/q, walk) from the caller's squarefree counts mod q on [1, X]:
+    the main term, and an iterator over (a, halves) that meets every residue
+    coprime to q once, either as an a or as its reflection q - a.  a holds
+    the coprime residues of one block of [1, ceil(q/2)), and halves is
+    [count(a), count(q - a)]; a residue that is its own reflection (0 for
+    q = 1, 1 for q = 2) comes with the one half [count(a)].  The counts are
+    gathered in the caller's dtype, so E(X,q,a) = count(a) - C(q) X/q."""
     _check_counts(q, counts)
     main = euler_constant("C_of_q", arg=q) * X / q
-    return main, ((a, counts[a]) for a in coprime_blocks(q))
+    return main, _coprime_walk(q, counts)
 
 
 def _partner(a: np.ndarray, m: int, q: int) -> np.ndarray:
@@ -82,18 +107,19 @@ def _partner(a: np.ndarray, m: int, q: int) -> np.ndarray:
 
 
 def _block_sums(c: np.ndarray, c_partner: np.ndarray) -> tuple:
-    """(sum_i c[i], sum_i c[i] c_partner[i]) exactly for one block of
-    nonnegative integer counts in any dtype.  Every partial sum of either is
-    an integer of at most len(c) max(c) max(1, max(c_partner)); while that
-    is below 2^53 a float64 sum and dot are exact in any order, otherwise
-    sum Python ints."""
-    top = int(c.max(initial=0)) * max(1, int(c_partner.max(initial=0)))
+    """(sum_i c[i], sum_i c_partner[i], sum_i c[i] c_partner[i]) exactly for
+    one block of nonnegative integer counts in any dtype.  Every partial sum
+    of each is an integer of at most len(c) max(1, max(c)) max(1,
+    max(c_partner)); while that is below 2^53 float64 sums and a dot are
+    exact in any order, otherwise sum Python ints."""
+    top = max(1, int(c.max(initial=0))) * max(1, int(c_partner.max(initial=0)))
     if len(c) * top < 2 ** 53:
         cf = c.astype(np.float64)
         cpf = cf if c_partner is c else c_partner.astype(np.float64)
-        return int(cf.sum()), int(np.dot(cf, cpf))
-    return (sum(c.tolist()),
-            sum(x * y for x, y in zip(c.tolist(), c_partner.tolist())))
+        t = int(cf.sum())
+        return t, t if cpf is cf else int(cpf.sum()), int(np.dot(cf, cpf))
+    c, cp = c.tolist(), c_partner.tolist()
+    return sum(c), sum(cp), sum(x * y for x, y in zip(c, cp))
 
 
 @dataclass(frozen=True)
@@ -123,20 +149,35 @@ def _quadratic(base: int, terms: list) -> ApproxReal:
 
 def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     """(M2 from the integer moments as ApproxReal, direct M2, exact S,
-    comparison scale) for one cell, in one walk over the coprime blocks."""
+    comparison scale) for one cell, in one mirror walk.  Each half of a
+    piece is paired with its partners' counts c(ma): itself for m = 1, the
+    other half for m = -1 (whose two pairs have the same products, so one
+    is taken len(halves) times), else the counts at pa = (ma) mod q and at
+    m(q - a) = q - pa.  Over all pairs sum c + sum c' = 2 sum c, since c'
+    permutes the coprime counts."""
     require_mq(m, q)
-    main, blocks = error_vector(X, q, counts)
-    M, self_partner = main.value, m % q == 1 % q
-    phi = total = S = direct = 0  # direct: exact, a sum of Fractions
-    for a, ca in blocks:
-        cp = ca if self_partner else counts[_partner(a, m, q)]
-        t, s = _block_sums(ca, cp)
-        phi, total, S = phi + len(a), total + t, S + s
-        e = ca - M
-        e *= e if self_partner else cp - M
-        direct += _block_sum(e)
+    main, walk = error_vector(X, q, counts)
+    M, m = main.value, m % q
+    phi = twice_total = S = direct = 0  # direct: exact, a sum of Fractions
+    for a, halves in walk:
+        weight = 1
+        if m == 1 % q:
+            pairs = [(h, h) for h in halves]
+        elif m == q - 1:
+            pairs, weight = [(halves[0], halves[-1])], len(halves)
+        else:  # pa > 0: 0 is coprime only to q = 1, where m = 1
+            pa = _partner(a, m, q)
+            pairs = zip(halves, (counts[pa], counts[q - pa]))
+        for c, cp in pairs:
+            t, tp, s = _block_sums(c, cp)
+            phi += weight * len(c)
+            twice_total += weight * (t + tp)
+            S += weight * s
+            e = c - M
+            e *= e if cp is c else cp - M
+            direct += weight * _block_sum(e)
     direct = float(direct)
-    m2 = _quadratic(S, [(phi, M, main.abs_err, total)])
+    m2 = _quadratic(S, [(phi, M, main.abs_err, twice_total // 2)])
     scale = max(1.0, abs(direct), abs(m2.value))
     return m2, direct, S, scale
 
@@ -187,36 +228,41 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     each class's quadratic moves by at most
     2 |phi(q0) e_d - T_d| de_d + phi(q0) de_d^2 over e_d's interval.
 
-    One walk over the counts in blocks gives sum c^2 and every T_d: each
-    residue gets the class code sum of 2^i over the primes p_i | a, or
-    2^k (k primes) where p^2 | gcd(a, q) for some p, and the codes are
-    binned with the counts as weights."""
+    One mirror walk over the counts gives sum c^2 and every T_d: each
+    residue a of a piece's own half gets the class code sum of 2^i over the
+    primes p_i | a, or 2^k (k primes) where p^2 | gcd(a, q) for some p, which
+    is also the code of q - a, and the codes are binned with the halves'
+    counts as weights."""
     _check_counts(q, counts)
     fac = factorize(q)
     k = len(fac)
     # the float weights' totals are exact integers below 2^53
     float_totals = q * int(counts.max()) < 2 ** 53
     sq, T = 0, np.zeros(2 ** k + 1) if float_totals else [0] * (2 ** k + 1)
-    for start in range(0, q, _SUM_BLOCK):
-        c = counts[start:start + _SUM_BLOCK]
-        code = np.zeros(len(c), dtype=np.intp)
+    for lo, halves in _mirror_walk(q, counts):
+        code = np.zeros(len(halves[0]), dtype=np.intp)
         for i, (p, _) in enumerate(fac):
-            code[-start % p::p] += 1 << i
+            code[-lo % p::p] += 1 << i
         for p, e in fac:
             if e > 1:
-                code[-start % (p * p)::p * p] = 1 << k
-        sq += _block_sums(c, c)[1]
+                code[-lo % (p * p)::p * p] = 1 << k
+        sq += sum(_block_sums(h, h)[2] for h in halves)
         if float_totals:
-            T += np.bincount(code, weights=c, minlength=len(T))
+            w = halves[0].astype(np.float64)
+            if len(halves) == 2:
+                w += halves[1]
+            T += np.bincount(code, weights=w, minlength=len(T))
         else:
-            T = [t + sum(c[code == i].tolist()) for i, t in enumerate(T)]
+            T = [t + sum(sum(h[code == i].tolist()) for h in halves)
+                 for i, t in enumerate(T)]
     six_over_pi2 = euler_constant("C_of_q", arg=1)
-    hq = Fraction(math.prod(p for p, _ in fac), math.prod(p + 1 for p, _ in fac))
+    num = math.prod(p for p, _ in fac)
+    den = math.prod(p + 1 for p, _ in fac)
     terms = []
     for i in range(2 ** k):
         d = math.prod(p for j, (p, _) in enumerate(fac) if i >> j & 1)
         n = phi_of(q // d)
-        e = six_over_pi2 * (Fraction(X) * hq * (q // d) / (q * n))
+        e = six_over_pi2 * Fraction(X * num * (q // d), den * q * n)
         terms.append((n, e.value, e.abs_err, int(T[i])))
     return _quadratic(sq, terms)
 
@@ -224,8 +270,8 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
 def hooley_report(X: int, q: int, counts: np.ndarray) -> float:
     """max_a |E(X,q,a)| / ((X/q)^(1/2) + q^(1/2)) from the caller's counts;
     the bound's constant is unspecified, so this is only ever reported."""
-    main, blocks = error_vector(X, q, counts)
-    ends = [(int(ca.max()), int(ca.min())) for _, ca in blocks]
+    main, walk = error_vector(X, q, counts)
+    ends = [(int(h.max()), int(h.min())) for _, halves in walk for h in halves]
     top, bottom = max(t for t, _ in ends), min(b for _, b in ends)
     # fl(c - M) is monotone in c: max|c - M| from the extreme counts
     emax = max(top - main.value, main.value - bottom)

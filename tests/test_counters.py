@@ -1,4 +1,4 @@
-"""Counter layer: the coprime-class walk, the dispersion identity,
+"""Counter layer: the mirror walk over the residues, the dispersion identity,
 Croft's variance, the local counts u_p, and lattice counts, each against an
 independent brute-force oracle."""
 
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from sqflab.arith import (mu_of, phi_of, prime_factors,
                           squarefree_counts_by_residue, squarefree_window)
-from sqflab.counters import (CorrelationResult, _block_sums, _partner,
-                             _quadratic, coprime_blocks, croft_variance,
+from sqflab.counters import (CorrelationResult, _block_sums, _mirror_walk,
+                             _partner, _quadratic, croft_variance,
                              dispersion_check, error_vector, hooley_report,
                              lattice_count_N, lattice_count_brute,
                              pair_enumeration_S, u_p_brute, u_p_local,
@@ -34,10 +34,16 @@ def _brute_counts(X, q):
 
 
 def _gathered(X, q, counts):
-    """(a, count(a), main) with error_vector's blocks joined."""
-    main, blocks = error_vector(X, q, counts)
-    a, ca = zip(*blocks)
-    return np.concatenate(a), np.concatenate(ca), main
+    """(a, count(a), main) with error_vector's halves joined, a ascending:
+    the first half of each piece is at a, the second at q - a."""
+    main, walk = error_vector(X, q, counts)
+    a, ca = [], []
+    for r, halves in walk:
+        a += [r, q - r][:len(halves)]
+        ca += halves
+    a = np.concatenate(a)
+    order = np.argsort(a)
+    return a[order], np.concatenate(ca)[order], main
 
 
 def test_error_vector_counts_and_errors():
@@ -116,14 +122,38 @@ def test_statistics_equal_across_count_dtypes(q):
         assert stats(wide.astype(dtype)) == expected, dtype
 
 
-def test_coprime_blocks_match_np_gcd():
-    for q in list(range(1, 2000)) + [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
-                                     30030, 510510, 2 ** 20, 3 ** 12]:
-        blocks = list(coprime_blocks(q))
-        assert all(b.dtype == np.int64 for b in blocks)
-        assert len(blocks) == -(-q // 2 ** 15)
-        assert np.array_equal(np.concatenate(blocks),
-                              np.flatnonzero(np.gcd(np.arange(q), q) == 1)), q
+_WALK_MODULI = [1, 2, 3, 4, 8, 9, 12, 44100, 65537, 131075]
+
+
+def test_mirror_walk_meets_each_residue_once():
+    # counts equal to the residues themselves show which residue each half
+    # holds.  Every residue mod q lies in exactly one piece, as itself or
+    # as its reflection q - a, and the coprime walk keeps exactly the
+    # coprime ones; the own half of a piece spans at most 2^15 residues, and
+    # at 65537 the half-range [1, 32769) is exactly one block
+    for q in sorted(set(range(1, 2000)) | set(_WALK_MODULI) | {
+            2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 30030, 510510, 2 ** 20}):
+        counts = np.arange(q, dtype=np.int64)
+        seen = []
+        for lo, halves in _mirror_walk(q, counts):
+            own = halves[0]
+            assert 0 < len(own) <= _SUM_BLOCK
+            assert np.array_equal(own, np.arange(lo, lo + len(own)))
+            if len(halves) == 1:  # a residue that is its own reflection
+                assert len(own) == 1 and 2 * lo % q == 0
+            else:
+                assert np.array_equal(halves[1], q - own)
+            seen += halves
+        assert np.array_equal(np.sort(np.concatenate(seen)), counts), q
+        coprime = []
+        for a, halves in error_vector(q, q, counts)[1]:
+            assert a.dtype == np.int64 and len(a) > 0
+            assert np.array_equal(halves[0], a)
+            if len(halves) == 2:
+                assert np.array_equal(halves[1], q - a)
+            coprime += halves
+        assert np.array_equal(np.sort(np.concatenate(coprime)),
+                              np.flatnonzero(np.gcd(counts, q) == 1)), q
 
 
 def test_partner_index_past_int64_products():
@@ -175,10 +205,10 @@ def test_block_sums_exact_around_the_float_limit(dtype, bound):
     c = (top - rng.integers(0, 2, n)).astype(dtype)
     cp = (ptop - rng.integers(0, 2 ** 10, n)).astype(partner)
     c[0], cp[0] = top, ptop
-    exact = (sum(c.tolist()),
+    exact = (sum(c.tolist()), sum(cp.tolist()),
              sum(x * y for x, y in zip(c.tolist(), cp.tolist())))
     assert _block_sums(c, cp) == exact
-    assert _block_sums(cp, cp) == (sum(cp.tolist()),
+    assert _block_sums(cp, cp) == (exact[1], exact[1],
                                    sum(x * x for x in cp.tolist()))
 
 
@@ -429,9 +459,9 @@ def test_bars_are_the_main_terms_change_plus_rounding(X, q, m):
 # ---------------------------------------------------------------------------
 
 def _whole_vector_stats(X, q, m, counts):
-    """(S, sum c, M2, direct, Croft) from phi(q)- and q-length arrays, by the
-    formulas the statistics used before they walked the residues in blocks:
-    the reference the blockwise statistics must match bit for bit."""
+    """(S, sum c, M2, direct, Croft, Hooley) from phi(q)- and q-length
+    arrays, by the formulas the statistics used before they walked the
+    residues in blocks: the reference the walk must match bit for bit."""
     g = np.gcd(np.arange(q), q)
     a = np.flatnonzero(g == 1)
     main = euler_constant("C_of_q", arg=q) * X / q
@@ -450,18 +480,22 @@ def _whole_vector_stats(X, q, m, counts):
         ev, de = Fraction(e.value), Fraction(e.abs_err)
         value += n * ev * ev - 2 * ev * t
         err += 2 * abs(n * ev - t) * de + n * de * de
-    return S, total, m2, direct, _rounded(float(value), float(err))
+    hooley = float(np.max(np.abs(counts[a] - main.value))) \
+        / (math.sqrt(X / q) + math.sqrt(q))
+    return S, total, m2, direct, _rounded(float(value), float(err)), hooley
 
 
 @st.composite
 def _block_cells(draw):
-    # q at and around multiples of the 2^15 block, prime powers, and
-    # moduli with many prime factors, some square; counts of every width
-    # from a seed (so nonzero counts sit at every gcd class); m = +-1 or a
-    # random m coprime to q
-    q = draw(st.sampled_from([1, 2, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
-                              2 ** 16 + 3, 2 ** 16, 3 ** 10, 30030, 44100,
-                              510510]))
+    # q at and around multiples of the 2^15 block, with the half-range
+    # [1, ceil(q/2)) ending on a block edge (65537) or just past one
+    # (131075), q <= 12, where 0 and q/2 are their own reflections, prime
+    # powers, and moduli with many prime factors, some square; counts of
+    # every width from a seed (so nonzero counts sit at every gcd class);
+    # m = 1, -1 and its other forms, q + 1, 2, -3 or a random m coprime to q
+    q = draw(st.sampled_from(_WALK_MODULI + [
+        2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 + 3, 2 ** 16, 3 ** 10,
+        30030, 510510]))
     dtype = draw(st.sampled_from(list(_COUNT_LIMITS)))
     # a block's sum of c^2 passes 2^63 from c ~ 2^25 on
     top = draw(st.sampled_from([3, min(2 ** 25, _COUNT_LIMITS[dtype]),
@@ -469,26 +503,28 @@ def _block_cells(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     counts = rng.integers(0, top, q, endpoint=True, dtype=np.int64) \
         .astype(dtype)
-    m = draw(st.one_of(st.sampled_from([1, -1]),
-                       st.integers(-10 ** 6, 10 ** 6).filter(
-                           lambda k: k != 0 and math.gcd(k, q) == 1)))
+    coprime = lambda k: k != 0 and math.gcd(k, q) == 1
+    fixed = [k for k in (1, -1, q - 1, q + 1, 2, -3) if coprime(k)]
+    m = draw(st.one_of(st.sampled_from(fixed),
+                       st.integers(-10 ** 6, 10 ** 6).filter(coprime)))
     X = draw(st.integers(1, 2 * q * top + 1))
     return X, q, m, counts
 
 
 @given(_block_cells())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_blockwise_statistics_equal_the_whole_vector_formulas(cell):
     X, q, m, counts = cell
-    S, total, m2, direct, croft = _whole_vector_stats(X, q, m, counts)
+    S, total, m2, direct, croft, hooley = _whole_vector_stats(X, q, m, counts)
     res = variance_M2(X, q, m, counts)
     rec = dispersion_check(X, q, m, counts)
     assert res.S_exact == S == rec.params["S"]
-    assert sum(sum(ca.tolist()) for _, ca in error_vector(X, q, counts)[1]) \
-        == total
+    assert sum(sum(h.tolist()) for _, halves in error_vector(X, q, counts)[1]
+               for h in halves) == total
     assert res.M2_exact == m2 and rec.rhs == m2.value
     assert rec.lhs == direct
     assert croft_variance(X, q, counts) == croft
+    assert hooley_report(X, q, counts) == hooley
 
 
 def test_quadratic_in_ints_equals_the_fraction_loop():
