@@ -1,6 +1,5 @@
 """Exact enumerative quantities: per-residue error terms, the variance and
-correlation sums, the double sum S[m], Croft's all-classes variance, the
-local counts u_p, and lattice counts.
+correlation sums, the double sum S[m], and Croft's all-classes variance.
 
 Everything here is either an exact integer count or a value built from
 exact counts plus one Euler-product constant.  M2 and Croft's variance are
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, mu_of, phi_of, require_mq
+from .arith import factorize, phi_of, require_mq
 from .multiplicative import euler_constant
 from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
                       _rounded)
@@ -202,18 +201,6 @@ def dispersion_check(X: int, q: int, m: int,
         direct, m2.value, 1e-8 * scale)
 
 
-def pair_enumeration_S(X: int, q: int, m: int) -> int:
-    """Literal O(X^2)-pair oracle for variance_M2's S_exact (test use;
-    X <= a few 10^3).  It lists squarefree n by mu_of, never through the
-    sieve that counts variance_M2's classes."""
-    require_mq(m, q)
-    vals = np.array([n for n in range(1, X + 1)
-                     if mu_of(n) != 0 and math.gcd(n, q) == 1], dtype=np.int64)
-    lhs = (m % q * vals) % q  # m reduced first: m * vals wraps in int64
-    rhs = vals % q
-    return int(np.sum(lhs[:, None] == rhs[None, :]))
-
-
 # ---------------------------------------------------------------------------
 # Croft's all-classes variance and the Hooley envelope report
 # ---------------------------------------------------------------------------
@@ -276,88 +263,3 @@ def hooley_report(X: int, q: int, counts: np.ndarray) -> float:
     # fl(c - M) is monotone in c: max|c - M| from the extreme counts
     emax = max(top - main.value, main.value - bottom)
     return emax / (math.sqrt(X / q) + math.sqrt(q))
-
-
-# ---------------------------------------------------------------------------
-# local counts u_p
-# ---------------------------------------------------------------------------
-
-def u_p_local(p: int, l: int, m: int, q: int) -> int:
-    """#{v mod p^2 : p^2 | v or p^2 | mv + lq} by the five-case table
-    (p coprime to q, m squarefree)."""
-    if q % p == 0:
-        raise ValueError("u_p requires p coprime to q")
-    if m == 0 or mu_of(abs(m)) == 0:
-        raise ValueError("u_p requires squarefree m")
-    p2 = p * p
-    if m % p == 0:
-        if l % p2 == 0:
-            return p
-        if l % p == 0:
-            return p + 1
-        return 1
-    if l % p2 == 0:
-        return 1
-    return 2
-
-
-def u_p_brute(p: int, l: int, m: int, q: int) -> int:
-    """Direct count over all p^2 residues; oracle for u_p_local."""
-    p2 = p * p
-    return sum(1 for v in range(p2) if v % p2 == 0 or (m * v + l * q) % p2 == 0)
-
-
-# ---------------------------------------------------------------------------
-# lattice counts
-# ---------------------------------------------------------------------------
-
-def lattice_count_N(J: int, K: int, m1: int, m2: int, X: int, q: int) -> int:
-    """#{(j,k,u,v): J<j<=2J, K<k<=2K, gcd(jk,q)=1, 0<j^2 u<X, 0<k^2 v<X,
-    m1 j^2 u = m2 k^2 v (mod q)}; per-class counting, O(JK + K*X/K^2)."""
-    if J < 1 or K < 1 or X < 1 or q < 1:
-        raise ValueError("require J, K, X, q >= 1")
-    if math.gcd(abs(m1) * abs(m2), q) != 1:
-        raise ValueError("require gcd(m1 m2, q) = 1")
-    if q * X >= 2 ** 63:
-        raise ValueError("require q X < 2^63 for the int64 class counts")
-    total = 0
-    for j in range(J + 1, 2 * J + 1):
-        if math.gcd(j, q) != 1:
-            continue
-        uj = (X - 1) // (j * j)
-        if uj < 1:
-            continue
-        for k in range(K + 1, 2 * K + 1):
-            if math.gcd(k, q) != 1:
-                continue
-            vk = (X - 1) // (k * k)
-            if vk < 1:
-                continue
-            if q == 1:
-                total += uj * vk
-                continue
-            c = (m2 * k * k * pow(m1 * j * j, -1, q)) % q
-            v = np.arange(1, vk + 1, dtype=np.int64)
-            r = (c * v) % q
-            hits = np.where((r >= 1) & (r <= uj), (uj - r) // q + 1, 0)
-            hits = hits + np.where(r == 0, uj // q, 0)
-            total += int(hits.sum())
-    return total
-
-
-def lattice_count_brute(J: int, K: int, m1: int, m2: int, X: int, q: int) -> int:
-    """Four nested loops; oracle for lattice_count_N at small X."""
-    total = 0
-    for j in range(J + 1, 2 * J + 1):
-        for k in range(K + 1, 2 * K + 1):
-            if math.gcd(j * k, q) != 1:
-                continue
-            u = 1
-            while j * j * u < X:
-                v = 1
-                while k * k * v < X:
-                    if (m1 * j * j * u - m2 * k * k * v) % q == 0:
-                        total += 1
-                    v += 1
-                u += 1
-    return total

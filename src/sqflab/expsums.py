@@ -1,12 +1,11 @@
-"""Complete exponential sums: Kloosterman sums, Gauss sums, and the
-character sums S1, S2 whose explicit bounds power the large-modulus range.
+"""Complete exponential sums: Kloosterman sums (the Weil ratio, by one FFT
+table), Gauss sums, and the character sums S1, S2 whose explicit bounds
+power the large-modulus range.
 
 All sums are evaluated exactly (complex double accumulation over per-modulus
-root-of-unity tables) and returned as plain complex numbers.  The literal
-kloosterman_K is the oracle for the FFT table behind
-kloosterman_weil_report.  S1 carries two independent paths — the
-Gauss-times-S2 factorization (s1_sum) and the literal triple sum
-(s1_literal) — and the CRT product identity over a
+root-of-unity tables) and returned as plain complex numbers.  S1 carries
+two independent paths — the Gauss-times-S2 factorization (s1_sum) and the
+literal triple sum (s1_literal) — and the CRT product identity over a
 composite modulus is checked against a direct, CRT-free evaluation of the
 full sum (full_sum_S), itself checked against the literal double loop in
 the tests.  Full-sweep helpers return (n, n, n) tables computed with FFTs
@@ -41,18 +40,6 @@ def _symbol_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # classical sums
 # ---------------------------------------------------------------------------
-
-def kloosterman_K(a: int, b: int, q: int) -> complex:
-    """K(a,b;q) = sum over x coprime to q of e((a x + b xbar)/q), summed
-    literally: the oracle for kloosterman_weil_report's FFT table."""
-    if q <= 1:
-        raise ValueError("require q >= 2")
-    if q > _MAX_LITERAL_MODULUS:
-        raise ValueError("modulus too large for a literal sum")
-    E = _phase_table(q)
-    idx = [(a * x + b * pow(x, -1, q)) % q for x in range(1, q) if math.gcd(x, q) == 1]
-    return complex(np.sum(E[idx]))
-
 
 def kloosterman_weil_report(p: int) -> VerificationRecord:
     """max |K(a,b;p)| / (2 sqrt(p)) over a,b != 0 mod p — report only; the

@@ -1,4 +1,4 @@
-"""Multiplicative functions (kappa, h, f_q), the Gamma factors, and
+"""Multiplicative functions (kappa, h, f_q(0, m)), the Gamma factors, and
 Euler-product constants with rigorous truncation-error bounds.
 
 Two infinite products over primes, C's prod (1 - 3/p^2 + 2/p^3) and
@@ -14,9 +14,10 @@ sum h(d)/d^2 = 1/(zeta(2) C_2) and sum h(d)/d^4 = 1/(zeta(2)^2 C_2).  zeta
 at other s is computed in-house by Euler-Maclaurin summation; every
 extended-precision value is a Decimal in _CTX.
 
-f_q(l, m) and f_q(0, m) are an Euler constant times an exact rational, and
-their bars come from ApproxReal multiplication alone: the constant's bar,
-scaled, plus the roundings of the rational and of the product.
+f_q(0, m) is an Euler constant times an exact rational, and its bar comes
+from ApproxReal multiplication alone: the constant's bar, scaled, plus the
+roundings of the rational and of the product.  f_q(l, m) at l != 0 is
+built in bulk by asymptotics; its one-l form is a test oracle.
 """
 
 from __future__ import annotations
@@ -161,56 +162,11 @@ def gamma_ar(m: int) -> float:
 # f_q
 # ---------------------------------------------------------------------------
 
-def f_q_rational_part(l: int, m: int, q: int) -> Fraction:
-    """The exact finite-product part of f_q(l, m): everything except the
-    leading C_2 constant.  Divisibility conditions use |m| and |l|."""
-    require_mq(m, q)
-    if l == 0:
-        raise ValueError("l = 0 goes through f_q_zero")
-    m_abs = abs(m)
-    out = _local_product(m_abs, lambda p: Fraction(p * p - 1, p * p - 2)) \
-        * _local_product(q, lambda p: Fraction(p * p - p, p * p - 2))
-    out *= kappa(math.gcd(abs(l), m_abs * m_abs))
-    for p, e in factorize(abs(l)):
-        if e >= 2 and m_abs % p != 0 and q % p != 0:
-            out *= Fraction(p * p - 1, p * p - 2)
-    return out
-
-
-def f_q_of(l: int, m: int, q: int) -> ApproxReal:
-    """f_q(l, m) for l != 0: C_2 times an exact rational local product;
-    the bar is C_2's, scaled, plus the rounding of the rational and of the
-    product."""
-    return euler_constant("C2") * f_q_rational_part(l, m, q)
-
-
 def f_q_zero(m: int, q: int) -> ApproxReal:
     """f_q(0, m) via the closed form phi(|m|q)/(|m|q) * C(|m|q)."""
     require_mq(m, q)
     mq = abs(m) * q
     return euler_constant("C_of_q", arg=mq) * Fraction(phi_of(mq), mq)
-
-
-def f_q_zero_local_factors(p: int, m: int, q: int) -> tuple:
-    """Local factor at prime p of the literal infinite product defining
-    f_q(0, m), paired with the local factor of the closed form
-    phi(|m|q)/(|m|q) * C(|m|q).  Both exact rationals; they must be equal."""
-    require_mq(m, q)
-    m_abs = abs(m)
-    p2 = p * p
-    literal = Fraction(p2 - 2, p2)            # C_2 local factor
-    if m_abs % p == 0:
-        literal *= Fraction(p2 - 1, p2 - 2)   # p | m product
-        literal *= Fraction(p2 - p, p2 - 1)   # kappa(m^2) local factor, exponent 2
-    if q % p == 0:
-        literal *= Fraction(p2 - p, p2 - 2)   # p | q product
-    if m_abs % p != 0 and q % p != 0:
-        literal *= Fraction(p2 - 1, p2 - 2)   # p^2 | 0 holds for every p
-    if (m_abs * q) % p == 0:
-        closed = Fraction(p - 1, p)
-    else:
-        closed = Fraction(p2 - 1, p2)
-    return literal, closed
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +342,19 @@ def _to_approx(val, err, kind: str) -> ApproxReal:
 def kappa_mu_sums(m: int) -> tuple:
     """The three sums over rho*sigma | m^2 of kappa(rho)mu(sigma) weighted by
     1/(rho sigma), 1, and sqrt(rho sigma); m squarefree.  Returns
-    (Fraction, Fraction, float).  Every kappa(rho) is an integer over
-    K = prod_{p|m} (p^2-1), so the first two sums are integers over K m^2
-    and K; Decimal(int)/int is correctly rounded, so the sqrt sum's terms
-    are the same Decimals as from the reduced kappa(rho)mu(sigma)."""
+    (Fraction, Fraction, float).  sigma runs over the squarefree divisors
+    of m^2/rho in ascending order: the products of the primes p | m with
+    p^2 not dividing rho, each signed mu(sigma).  Every kappa(rho) is an
+    integer over K = prod_{p|m} (p^2-1), so the first two sums are integers
+    over K m^2 and K; Decimal(int)/int is correctly rounded, so the sqrt
+    sum's terms are the same Decimals as from the reduced
+    kappa(rho)mu(sigma)."""
     m_abs = abs(m)
     if mu_of(m_abs) == 0:
         raise ValueError("kappa_mu_sums requires squarefree m")
     m2 = m_abs * m_abs
-    K = math.prod(p * p - 1 for p in prime_factors(m_abs))
+    primes = prime_factors(m_abs)
+    K = math.prod(p * p - 1 for p in primes)
     n_recip = n_plain = 0
     roots = {}  # rho sigma -> its Decimal sqrt; few products are distinct
     with localcontext(_CTX):
@@ -402,10 +362,11 @@ def kappa_mu_sums(m: int) -> tuple:
         for rho in _divisors(factorize(m2)):
             krho = kappa(rho)  # nonzero: rho | m^2 has no cube factor
             n_rho = krho.numerator * (K // krho.denominator)
-            for sigma in _divisors(factorize(m2 // rho)):
-                msig = mu_of(sigma)
-                if msig == 0:
-                    continue
+            sigmas = [(1, 1)]
+            for p in primes:
+                if rho % (p * p):
+                    sigmas += [(sigma * p, -msig) for sigma, msig in sigmas]
+            for sigma, msig in sorted(sigmas):
                 term, rs = n_rho * msig, rho * sigma
                 n_recip += term * (m2 // rs)
                 n_plain += term

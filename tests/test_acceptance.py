@@ -12,17 +12,19 @@ import numpy as np
 from conftest import criterion
 
 from sqflab.arith import (mu_of, primes_up_to, squarefree_count,
-                          squarefree_counts_by_residue, squarefree_window)
+                          squarefree_counts_by_residue, squarefree_window,
+                          tau_of)
 from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
-                                G_main_term, G_of, calibration_constant,
-                                frakS_exact, frakS_formula,
+                                G_main_term, G_of, frakS_exact, frakS_formula,
                                 psi_mellin_integral, psi_mellin_limit)
-from sqflab.counters import (lattice_count_N, lattice_count_brute,
-                             pair_enumeration_S, u_p_brute, u_p_local,
-                             variance_M2)
+from sqflab.cli import _envelope
+from sqflab.counters import variance_M2
 from sqflab.expsums import (crt_product, full_sum_S, s1_table, s2_table)
-from sqflab.multiplicative import (euler_constant, f_q_zero_local_factors,
-                                   identity_suite)
+from sqflab.multiplicative import euler_constant, identity_suite
+
+from oracles import (f_q_zero_local_factors, lattice_count_N,
+                     lattice_count_brute, pair_enumeration_S, u_p_brute,
+                     u_p_local)
 
 _SEED = 20240917
 
@@ -162,49 +164,28 @@ def test_criterion_5_psi_mellin():
 
 @criterion(6, "calibrated remainder envelopes for frakS, G, and A")
 def test_criterion_6_envelopes():
-    from sqflab.arith import tau_of
-    mq = [(m, q) for m in (1, 2, 3, -1) for q in (1, 5, 12)
+    mq = [{"m": m, "q": q} for m in (1, 2, 3, -1) for q in (1, 5, 12)
           if math.gcd(abs(m), q) == 1]
-
-    ratios = []
-    for (m, q) in mq:
-        bd = frakS_formula(q, m)
-        for Y in (100.0, 300.0, 1000.0):
-            resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
-            ratios.append(resid / (tau_of(q) * Y ** (1 / 3)))
-    c_s = calibration_constant(ratios)
-    for (m, q) in mq:
-        bd = frakS_formula(q, m)
-        for Y in (1e4, 1e5, 1e6):
-            resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
-            assert resid <= c_s * tau_of(q) * Y ** (1 / 3), \
-                f"frakS envelope broken at m={m}, q={q}, Y={Y:g}"
-
-    ratios = []
-    for r in (1, 5, 12):
-        for Y in (100.0, 300.0, 1000.0):
-            resid = abs(G_of(Y, r).value - G_main_term(Y, r).value)
-            ratios.append(resid / (tau_of(r) * Y ** (1 / 3)))
-    c_g = calibration_constant(ratios)
-    for r in (1, 5, 12):
-        for Y in (1e4, 1e5, 1e6):
-            resid = abs(G_of(Y, r).value - G_main_term(Y, r).value)
-            assert resid <= c_g * tau_of(r) * Y ** (1 / 3), \
-                f"G envelope broken at r={r}, Y={Y:g}"
-
-    ratios = []
-    for (m, q) in mq:
-        for X in (1000.0, 10000.0):
-            resid = abs(A_exact(X, q, m).value - A_formula(X, q, m).value)
-            ratios.append(resid / (tau_of(q) * X ** (1 / 3) * q ** (2 / 3)))
-    c_a = calibration_constant(ratios)
-    for (m, q) in mq:
-        for X in (1e5, 1e6):
-            resid = abs(A_exact(X, q, m).value - A_formula(X, q, m).value)
-            assert resid <= c_a * tau_of(q) * X ** (1 / 3) * q ** (2 / 3), \
-                f"A envelope broken at m={m}, q={q}, X={X:g}"
-
-    return f"c_frakS={c_s:.3g}, c_G={c_g:.3g}, c_A={c_a:.3g}, all enforced"
+    records = _envelope(
+        "frakS", "Y", mq, (100.0, 300.0, 1000.0), (1e4, 1e5, 1e6),
+        lambda c, Y: abs(frakS_exact(Y, c["q"], c["m"]).value
+                         - frakS_formula(c["q"], c["m"]).at(Y)),
+        lambda c, Y: (tau_of(c["q"]), Y ** (1 / 3)))
+    records += _envelope(
+        "G", "Y", [{"r": r} for r in (1, 5, 12)], (100.0, 300.0, 1000.0),
+        (1e4, 1e5, 1e6),
+        lambda c, Y: abs(G_of(Y, c["r"]).value - G_main_term(Y, c["r"]).value),
+        lambda c, Y: (tau_of(c["r"]), Y ** (1 / 3)))
+    records += _envelope(
+        "A", "X", mq, (1000.0, 10000.0), (1e5, 1e6),
+        lambda c, X: abs(A_exact(X, c["q"], c["m"]).value
+                         - A_formula(X, c["q"], c["m"]).value),
+        lambda c, X: (tau_of(c["q"]), X ** (1 / 3), c["q"] ** (2 / 3)))
+    for r in records:
+        assert r.passed, f"{r.check_id} envelope broken at {r.params}"
+    c = {r.check_id: r.params["c"] for r in records}
+    return (f"c_frakS={c['frakS']:.3g}, c_G={c['G']:.3g}, c_A={c['A']:.3g}, "
+            "all enforced")
 
 
 @criterion(7, "A[m](X,q): both computation paths agree to rel 1e-9")

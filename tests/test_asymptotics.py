@@ -19,10 +19,12 @@ from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 frakS_exact, frakS_formula,
                                 psi_mellin_integral, psi_mellin_limit,
                                 theorem_main_terms)
-from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_of,
-                                   f_q_rational_part, f_q_zero, gamma_an,
-                                   gamma_ar, h_of)
+from sqflab.cli import _envelope
+from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_zero,
+                                   gamma_an, gamma_ar, h_of)
 from sqflab.records import ApproxReal
+
+from oracles import f_q_of, f_q_rational_part
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +186,12 @@ def test_G_error_guard(monkeypatch):
 
 def test_G_envelope_calibrated():
     # calibrate the remainder constant on small Y, enforce at larger Y
-    ratios = []
-    for r in (1, 2, 6):
-        for Y in (100.0, 300.0, 1000.0):
-            resid = abs(G_of(Y, r).value - G_main_term(Y, r).value)
-            ratios.append(resid / (tau_of(r) * Y ** (1 / 3)))
-    c = calibration_constant(ratios)
-    for r in (1, 2, 6):
-        for Y in (1e4, 1e5):
-            resid = abs(G_of(Y, r).value - G_main_term(Y, r).value)
-            assert resid <= c * tau_of(r) * Y ** (1 / 3), (r, Y, c)
+    records = _envelope(
+        "G", "Y", [{"r": r} for r in (1, 2, 6)], (100.0, 300.0, 1000.0),
+        (1e4, 1e5),
+        lambda c, Y: abs(G_of(Y, c["r"]).value - G_main_term(Y, c["r"]).value),
+        lambda c, Y: (tau_of(c["r"]), Y ** (1 / 3)))
+    assert not [r.params for r in records if not r.passed]
 
 
 def test_G_main_term_shape():
@@ -244,19 +242,13 @@ def test_frakS_formula_coefficients():
 
 
 def test_frakS_envelope_calibrated():
-    mq = [(1, 1), (2, 5), (3, 5), (-1, 12)]
-    ratios = []
-    for (m, q) in mq:
-        bd = frakS_formula(q, m)
-        for Y in (100.0, 300.0, 1000.0):
-            resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
-            ratios.append(resid / (tau_of(q) * Y ** (1 / 3)))
-    c = calibration_constant(ratios)
-    for (m, q) in mq:
-        bd = frakS_formula(q, m)
-        for Y in (1e4, 1e5):
-            resid = abs(frakS_exact(Y, q, m).value - bd.at(Y))
-            assert resid <= c * tau_of(q) * Y ** (1 / 3), (m, q, Y, c)
+    mq = [{"m": m, "q": q} for m, q in [(1, 1), (2, 5), (3, 5), (-1, 12)]]
+    records = _envelope(
+        "frakS", "Y", mq, (100.0, 300.0, 1000.0), (1e4, 1e5),
+        lambda c, Y: abs(frakS_exact(Y, c["q"], c["m"]).value
+                         - frakS_formula(c["q"], c["m"]).at(Y)),
+        lambda c, Y: (tau_of(c["q"]), Y ** (1 / 3)))
+    assert not [r.params for r in records if not r.passed]
 
 
 # ---------------------------------------------------------------------------

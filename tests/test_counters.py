@@ -1,6 +1,7 @@
-"""Counter layer: the mirror walk over the residues, the dispersion identity,
-Croft's variance, the local counts u_p, and lattice counts, each against an
-independent brute-force oracle."""
+"""Counter layer: the mirror walk over the residues, the dispersion identity
+and Croft's variance, each against an independent brute-force oracle; then
+the local counts u_p and lattice counts of tests/oracles.py against their
+brute-force forms."""
 
 import math
 import random
@@ -17,11 +18,12 @@ from sqflab.arith import (mu_of, phi_of, prime_factors,
 from sqflab.counters import (CorrelationResult, _block_sums, _mirror_walk,
                              _partner, _quadratic, croft_variance,
                              dispersion_check, error_vector, hooley_report,
-                             lattice_count_N, lattice_count_brute,
-                             pair_enumeration_S, u_p_brute, u_p_local,
                              variance_M2)
 from sqflab.multiplicative import euler_constant
 from sqflab.records import _SUM_BLOCK, _block_sum, _rounded
+
+from oracles import (lattice_count_N, lattice_count_brute, pair_enumeration_S,
+                     u_p_brute, u_p_local)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +570,7 @@ def test_statistics_memory_does_not_grow_with_q():
 
 
 # ---------------------------------------------------------------------------
-# local counts u_p
+# the oracles' local counts u_p and lattice counts
 # ---------------------------------------------------------------------------
 
 def test_u_p_local_vs_brute_exhaustive():
@@ -592,10 +594,6 @@ def test_u_p_rejections():
     with pytest.raises(ValueError):
         u_p_local(3, 1, 4, 5)
 
-
-# ---------------------------------------------------------------------------
-# lattice counts
-# ---------------------------------------------------------------------------
 
 def test_lattice_count_matches_brute():
     for (J, K) in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]:

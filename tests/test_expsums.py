@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from sqflab.arith import jacobi_symbol, phi_of
 from sqflab.expsums import (crt_factor_check, crt_product, full_sum_S,
-                            gauss_sum, kloosterman_K, kloosterman_weil_report,
-                            s1_literal, s1_sum, s1_table, s2_gcd_bound, s2_sum,
-                            s2_table)
+                            gauss_sum, kloosterman_weil_report, s1_literal,
+                            s1_sum, s1_table, s2_gcd_bound, s2_sum, s2_table)
+
+from oracles import kloosterman_K
 
 
 def _e(k, n):

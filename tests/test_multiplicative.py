@@ -11,14 +11,14 @@ from mpmath import bernfrac, mp, mpf
 from sqflab import asymptotics, multiplicative
 from sqflab.arith import factorize, mu_of, prime_factors, primes_up_to
 from sqflab.multiplicative import (euler_constant, euler_product_mp,
-                                   f_q_of, f_q_rational_part, f_q_zero,
-                                   f_q_zero_local_factors, gamma_an, gamma_ar,
-                                   gq_product, gq_sum, h_of, h_series_partials,
+                                   f_q_zero, gamma_an, gamma_ar, gq_product,
+                                   gq_sum, h_of, h_series_partials,
                                    identity_suite, kappa, kappa_mu_products,
                                    kappa_mu_sums, zeta_em, _bernoulli_even,
                                    _divisors, _h_table)
 
 from oracles import (LOCAL_FACTORS, SERIES_ORDER, accelerated_product,
+                     f_q_of, f_q_rational_part, f_q_zero_local_factors,
                      local_factor, log_series)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
@@ -221,6 +221,23 @@ def test_kappa_mu_sums_match_products():
         assert s_sqrt == pytest.approx(p_sqrt, rel=1e-12)
     with pytest.raises(ValueError):
         kappa_mu_sums(4)
+
+
+def test_kappa_mu_sums_match_the_divisor_pair_formula():
+    # sigma over every divisor of m^2/rho, weighted by mu(sigma): the same
+    # Decimal terms (a correctly rounded quotient of the same rational) in
+    # the same order, so the same bits
+    for m in filter(mu_of, range(1, 201)):
+        pairs = [(rho * sigma, kappa(rho) * mu_of(sigma))
+                 for rho in _divisors(factorize(m * m))
+                 for sigma in _divisors(factorize(m * m // rho))
+                 if mu_of(sigma)]
+        with localcontext(multiplicative._CTX):
+            s_sqrt = sum((multiplicative._dec(t) * Decimal(rs).sqrt()
+                          for rs, t in pairs), Decimal(0))
+        want = (sum(t / rs for rs, t in pairs), sum(t for _, t in pairs),
+                float(s_sqrt))
+        assert kappa_mu_sums(m) == kappa_mu_sums(-m) == want, m
 
 
 def test_f_q_rational_part_matches_local_product():
