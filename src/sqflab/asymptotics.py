@@ -19,9 +19,11 @@ full length, so the float is that of one np.sum and the memory does not
 grow with X.  Within a leaf every l takes its factors in one fixed order:
 the kappa slices, then the factor of each coprime p^2 | l in ascending p,
 those past the sieve wheel's p <= 7 from one np.multiply.at, whose hits
-are indexed in a fixed number of numpy calls.  Their error bars come from
-ApproxReal arithmetic on C_2, f_q(0, m) and the float sum, which carries a
-relative bar of its own (its terms are nonnegative).
+are indexed in a fixed number of numpy calls.  A leaf whose weights are
+all +0.0 (A_exact's lengths past l q = m X at m > 0) is not built.  The
+error bars of both sums come from ApproxReal arithmetic on C_2, f_q(0, m)
+and the float sum, which carries a relative bar of its own (its terms are
+nonnegative).
 """
 
 from __future__ import annotations
@@ -160,9 +162,11 @@ def _pairwise_sum(leaf, lo: int, k: int) -> float:
     return _pairwise_sum(leaf, lo, k2) + _pairwise_sum(leaf, lo + k2, k - k2)
 
 
-def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
+def _f_weighted_sum(n: int, m: int, q: int, weight, end=None) -> ApproxReal:
     """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a float64
-    arange of l, which it may overwrite, to its nonnegative weights.  Each f
+    arange of l, which it may overwrite, to its nonnegative weights.  Given
+    end, every weight from l = end on must be +0.0: a leaf that starts
+    there builds neither f nor weights and returns its +0.0 products.  Each f
     is the constant m,q factor times the kappa(gcd(l, m^2)) slices and the
     (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied in that
     order with p ascending, so no value depends on the leaf holding it.  The
@@ -173,6 +177,7 @@ def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
     _SUM_BLOCK values, and _pairwise_sum adds the n products as one np.sum
     would.  As they are nonnegative, the sum's rounding is bounded relative
     to it."""
+    end = n if end is None else end
     m_abs = abs(m)
     const = 1.0
     for p in prime_factors(m_abs):
@@ -192,6 +197,8 @@ def _f_weighted_sum(n: int, m: int, q: int, weight) -> ApproxReal:
     big_factor = (big - 1) / (big - 2)  # the floats Python int / int gives
 
     def leaf(lo, hi):
+        if lo >= end:  # its products are all +0.0
+            return np.zeros(hi - lo)
         f = np.full(hi - lo, const, dtype=np.float64)
         if lo == 0:
             f[0] = 0.0  # l = 0 enters through f_q_zero
@@ -260,7 +267,10 @@ def frakS_formula(q: int, m: int) -> MainTermBreakdown:
 
 def A_exact(X: float, q: int, m: int) -> ApproxReal:
     """A[m](X,q) = sum over l of f_q(l,m) |I(l)|, summed directly over the
-    support |l| <= (|m|+1) X / q, using f_q(-l) = f_q(l)."""
+    support |l| <= (|m|+1) X / q, using f_q(-l) = f_q(l).  At m > 0 every
+    float length is exactly +0.0 once l q > m X (both clips return their
+    lower bound 0.0), so the leaves from the first such l, taken exactly
+    from Fraction(X), are not built; the float is that of the whole sum."""
     require_mq(m, q, X)
     m_abs = abs(m)
     L = int(math.floor((m_abs + 1) * X / q)) + 1
@@ -282,6 +292,7 @@ def A_exact(X: float, q: int, m: int) -> ApproxReal:
             pos += np.clip(neg, 0.0, None, out=neg)
             return pos
         zero_len = Fraction(Xf) / m  # exact: as_approx bounds its rounding
+        end = math.floor(m * Fraction(X) / q) + 1
     else:
         mu = -m
 
@@ -295,7 +306,8 @@ def A_exact(X: float, q: int, m: int) -> ApproxReal:
             top -= np.maximum(0.0, lq, out=lq)
             return np.clip(top, 0.0, None, out=top)
         zero_len = 0
-    return (euler_constant("C2") * _f_weighted_sum(L + 1, m, q, lengths)
+        end = L + 1  # the lengths reach the support's end
+    return (euler_constant("C2") * _f_weighted_sum(L + 1, m, q, lengths, end)
             + f_q_zero(m, q) * zero_len)
 
 

@@ -149,8 +149,18 @@ def s1_literal(p: int, q: int, m2: int, b: int, c: int, d: int) -> complex:
 
 def s1_table(p: int, q: int, m2: int) -> np.ndarray:
     """All S1(p,q,m2;b,c,d) at once as a (p,p,p) complex array indexed
-    [b,c,d], via a 3D FFT of the Legendre-symbol cube."""
+    [b,c,d], via a 3D FFT of the Legendre-symbol cube.  s1_zero_plane
+    gives its d = 0 plane alone, bit for bit."""
     return np.conj(np.fft.fftn(_s1_symbols(p, q, m2)))
+
+
+def s1_zero_plane(p: int, q: int, m2: int) -> np.ndarray:
+    """S1(p,q,m2;b,c,0) as a (p,p) complex array indexed [b,c]: the same
+    floats as s1_table(p, q, m2)[:, :, 0].  np.fft.fftn transforms the last
+    axis first, so the zero column of that pass, transformed along the
+    other two axes, is the d = 0 plane of the whole table."""
+    column = np.fft.fft(_s1_symbols(p, q, m2))[:, :, 0]
+    return np.conj(np.fft.fftn(column))
 
 
 def s2_table(r_pow: int, q: int, m2: int) -> np.ndarray:

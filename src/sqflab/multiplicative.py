@@ -1,5 +1,6 @@
-"""Multiplicative functions (kappa, h, f_q(0, m)), the Gamma factors, and
-Euler-product constants with rigorous truncation-error bounds.
+"""Multiplicative functions (h, f_q(0, m), kappa inside the kappa-mu sums),
+the Gamma factors, and Euler-product constants with rigorous
+truncation-error bounds.
 
 Two infinite products over primes, C's prod (1 - 3/p^2 + 2/p^3) and
 C_2 = prod (1 - 2/p^2), come from zeta-factor acceleration: the polynomial
@@ -17,7 +18,8 @@ extended-precision value is a Decimal in _CTX.
 f_q(0, m) is an Euler constant times an exact rational, and its bar comes
 from ApproxReal multiplication alone: the constant's bar, scaled, plus the
 roundings of the rational and of the product.  f_q(l, m) at l != 0 is
-built in bulk by asymptotics; its one-l form is a test oracle.
+built in bulk by asymptotics; its one-l form, like kappa(l), is a test
+oracle.
 """
 
 from __future__ import annotations
@@ -47,22 +49,6 @@ def _dec(f: Fraction) -> Decimal:
 # ---------------------------------------------------------------------------
 # basic multiplicative functions (exact rationals)
 # ---------------------------------------------------------------------------
-
-def kappa(l: int) -> Fraction:
-    """Multiplicative: (p^2-p-1)/(p^2-1) at p, (p^2-p)/(p^2-1) at p^2,
-    0 at p^alpha for alpha >= 3; kappa(1) = 1."""
-    if l < 1:
-        raise ValueError("kappa requires l >= 1")
-    out = Fraction(1)
-    for p, e in factorize(l):
-        if e == 1:
-            out *= Fraction(p * p - p - 1, p * p - 1)
-        elif e == 2:
-            out *= Fraction(p * p - p, p * p - 1)
-        else:
-            return Fraction(0)
-    return out
-
 
 @lru_cache(maxsize=1 << 14)  # bounded: G_of's head reads d <= ceil(sqrt(Y))
 def h_of(d: int) -> Fraction:
@@ -118,14 +104,6 @@ def gq_product(l_max: int, r: int) -> tuple:
 def _require_table_args(l_max: int, r: int) -> None:
     if l_max < 1 or r == 0:
         raise ValueError("gq tables require l_max >= 1 and nonzero r")
-
-
-def _divisors(factors) -> list:
-    """Sorted divisors of prod p^e over the (p, e) pairs."""
-    divs = [1]
-    for p, e in factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +320,15 @@ def _to_approx(val, err, kind: str) -> ApproxReal:
 def kappa_mu_sums(m: int) -> tuple:
     """The three sums over rho*sigma | m^2 of kappa(rho)mu(sigma) weighted by
     1/(rho sigma), 1, and sqrt(rho sigma); m squarefree.  Returns
-    (Fraction, Fraction, float).  sigma runs over the squarefree divisors
+    (Fraction, Fraction, float).  rho runs over the divisors of m^2 in
+    ascending order, and for each rho, sigma over the squarefree divisors
     of m^2/rho in ascending order: the products of the primes p | m with
-    p^2 not dividing rho, each signed mu(sigma).  Every kappa(rho) is an
-    integer over K = prod_{p|m} (p^2-1), so the first two sums are integers
-    over K m^2 and K; Decimal(int)/int is correctly rounded, so the sqrt
-    sum's terms are the same Decimals as from the reduced
-    kappa(rho)mu(sigma)."""
+    p^2 not dividing rho, each signed mu(sigma).  kappa(rho) is an integer
+    n_rho over K = prod_{p|m} (p^2-1), built by _kappa_times_K without a
+    Fraction, so the first two sums are integers over K m^2 and K;
+    Decimal(int)/int is correctly rounded, so the sqrt sum's terms are the
+    same Decimals as from the reduced kappa(rho)mu(sigma), added in the
+    same order."""
     m_abs = abs(m)
     if mu_of(m_abs) == 0:
         raise ValueError("kappa_mu_sums requires squarefree m")
@@ -359,9 +339,7 @@ def kappa_mu_sums(m: int) -> tuple:
     roots = {}  # rho sigma -> its Decimal sqrt; few products are distinct
     with localcontext(_CTX):
         s_sqrt = Decimal(0)
-        for rho in _divisors(factorize(m2)):
-            krho = kappa(rho)  # nonzero: rho | m^2 has no cube factor
-            n_rho = krho.numerator * (K // krho.denominator)
+        for rho, n_rho in _kappa_times_K(primes):
             sigmas = [(1, 1)]
             for p in primes:
                 if rho % (p * p):
@@ -374,6 +352,19 @@ def kappa_mu_sums(m: int) -> tuple:
                     roots[rs] = Decimal(rs).sqrt()
                 s_sqrt += Decimal(term) / K * roots[rs]
         return Fraction(n_recip, K * m2), Fraction(n_plain, K), float(s_sqrt)
+
+
+def _kappa_times_K(primes) -> list:
+    """(rho, kappa(rho) K) for every divisor rho of m^2, ascending, where
+    primes are those of the squarefree m and K = prod (p^2-1) over them.
+    kappa(rho) K is an integer: the product over p | m of p^2-1 at p not
+    dividing rho, p^2-p-1 at p || rho and p^2-p at p^2 || rho."""
+    out = [(1, 1)]
+    for p in primes:
+        p2 = p * p
+        out = [(rho * pe, n * k) for rho, n in out
+               for pe, k in ((1, p2 - 1), (p, p2 - p - 1), (p2, p2 - p))]
+    return sorted(out)
 
 
 def kappa_mu_products(m: int) -> tuple:
@@ -399,11 +390,22 @@ def _h_table() -> tuple:
     """(d, float d, float h(d), h(d)/d^2, h(d)/d^4) over all squarefree
     d <= _H_SERIES_D, built once; h(d) multiplies its prime factors'
     p^2/(p^2-2) in increasing p, and each term is h(d) / d^k, d^k a float
-    power of float d."""
+    power of float d.  The primes up to sqrt(D) go in by one strided
+    multiply each, and all larger ones by one indexed multiply after them."""
     d = 1 + np.flatnonzero(squarefree_window(1, _H_SERIES_D + 1))
     h = np.ones(_H_SERIES_D + 1)
-    for p in primes_up_to(_H_SERIES_D).tolist():
+    primes = primes_up_to(_H_SERIES_D).astype(np.int64)
+    small = primes <= math.isqrt(_H_SERIES_D)
+    for p in primes[small].tolist():
         h[p::p] *= p * p / (p * p - 2.0)
+    # d <= D has at most one prime above sqrt(D), its largest: each d takes
+    # that factor last, and no index repeats in one fancy-indexed multiply
+    big = primes[~small]
+    hits = _H_SERIES_D // big
+    i = np.repeat(np.arange(big.size), hits)
+    multiple = np.arange(i.size) - (np.cumsum(hits) - hits)[i] + 1
+    big2 = big * big
+    h[big[i] * multiple] *= (big2 / (big2 - 2.0))[i]
     d_float, hv = d.astype(np.float64), h[d]
     table = d, d_float, hv, hv / d_float**2, hv / d_float**4
     for arr in table:
@@ -437,11 +439,11 @@ def identity_suite(m_max: int, r_max: int) -> list:
 
     The last is checked for r in (1, 2, 6, 30) at every l <= 10^4, squarefree
     l included, from one gq_sum and one gq_product table per r: l passes
-    when num[l] * den[l] == D * num'[l] in integers.  The sum table is the
-    literal divisor sum and the product table the literal Euler product, so
-    a fault in one side cannot hide in the other.  A "gq.exact" record
-    counts the failing l and names the smallest as first_failure (0 if
-    none)."""
+    when num[l] * den[l] == D * num'[l] in integers, read as num[l] == D
+    where the product table holds 1/1.  The sum table is the literal
+    divisor sum and the product table the literal Euler product, so a
+    fault in one side cannot hide in the other.  A "gq.exact" record counts
+    the failing l and names the smallest as first_failure (0 if none)."""
     if m_max < 1 or r_max < 1:
         raise ValueError("m_max and r_max must be >= 1")
     records = []
@@ -470,8 +472,10 @@ def identity_suite(m_max: int, r_max: int) -> list:
     for r in (1, 2, 6, 30):
         D, sum_num = gq_sum(l_max, r)
         prod_num, prod_den = gq_product(l_max, r)
+        # most l have no coprime p^2 | l, and there the products are 1 / 1
         bad = [l for l in range(1, l_max + 1)
-               if sum_num[l] * prod_den[l] != D * prod_num[l]]
+               if (sum_num[l] != D if prod_num[l] == prod_den[l] == 1
+                   else sum_num[l] * prod_den[l] != D * prod_num[l])]
         del sum_num, prod_num, prod_den  # one r's big-int lists at a time
         records.append(VerificationRecord(
             "gq.exact", {"r": r, "l_max": l_max,

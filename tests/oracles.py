@@ -4,7 +4,8 @@ sqflab run calls them.
 The zeta-accelerated Euler products: sqflab.multiplicative ships C's and
 C_2's (value, tail bound) as Decimal literals, and this is the derivation
 that produced them.  The tests hold the literals to it bit for bit.  Then
-the brute-force oracles and proof-lemma checks: f_q(l, m) one l at a time,
+the brute-force oracles and proof-lemma checks: kappa(l) and the sorted
+divisors of a factored integer, f_q(l, m) one l at a time,
 f_q(0, m)'s local factors, the O(X^2) pair count S[m], the local counts
 u_p, the lattice counts and the literal Kloosterman sum.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from sqflab.arith import factorize, mu_of, primes_up_to, require_mq
 from sqflab.expsums import _MAX_LITERAL_MODULUS, _phase_table
 from sqflab.multiplicative import (_CTX, _dec, _local_product, euler_constant,
-                                   kappa, zeta_em)
+                                   zeta_em)
 from sqflab.records import ApproxReal
 
 SERIES_ORDER = 64
@@ -102,6 +103,30 @@ def accelerated_product(coeffs: tuple) -> tuple:
         for p in primes:
             value *= _dec(local_factor(coeffs, p))
         return value, float(tail.exp() - 1)
+
+
+def kappa(l: int) -> Fraction:
+    """Multiplicative: (p^2-p-1)/(p^2-1) at p, (p^2-p)/(p^2-1) at p^2,
+    0 at p^alpha for alpha >= 3; kappa(1) = 1."""
+    if l < 1:
+        raise ValueError("kappa requires l >= 1")
+    out = Fraction(1)
+    for p, e in factorize(l):
+        if e == 1:
+            out *= Fraction(p * p - p - 1, p * p - 1)
+        elif e == 2:
+            out *= Fraction(p * p - p, p * p - 1)
+        else:
+            return Fraction(0)
+    return out
+
+
+def divisors(factors) -> list:
+    """Sorted divisors of prod p^e over the (p, e) pairs."""
+    divs = [1]
+    for p, e in factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def f_q_rational_part(l: int, m: int, q: int) -> Fraction:

@@ -4,6 +4,7 @@ oracles built from other modules; the closed forms are checked through the
 decomposition identity and calibrated envelopes."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -560,6 +561,55 @@ def test_f_values_take_their_factors_in_ascending_p(monkeypatch, block):
         asymptotics._f_weighted_sum(n, m, q, np.ones_like)
         got = np.concatenate(leaves)
         assert got.tobytes() == _f_by_strides(n, m, q).tobytes(), (m, q)
+
+
+def _skip_cells(rng, count, x_max, qs):
+    """(X, q, m) with m > 0: X uniform, or in turn X at a multiple k q / m
+    (where l q = m X may hold exactly at l = k) and at the floats on either
+    side of it."""
+    cells = []
+    while len(cells) < count:
+        m, q = rng.choice([1, 2, 3, 5, 6, 10]), rng.choice(qs)
+        if math.gcd(m, q) != 1:
+            continue
+        at = rng.randrange(m + 1, int(x_max * m / q)) * q / m
+        X = (rng.uniform(q, x_max), at, math.nextafter(at, 0.0),
+             math.nextafter(at, math.inf))[len(cells) % 4]
+        cells.append((X, q, m))
+    return cells
+
+
+@pytest.mark.parametrize("block,count,x_max,qs", [
+    (2**8, 40, 3e4, (1, 3, 7, 12, 13, 97)), (2**15, 4, 2e5, (1,))])
+def test_A_exact_skips_only_zero_lengths(monkeypatch, block, count, x_max, qs):
+    # at m > 0 the leaves from the first l with l q > m X on are not built:
+    # every length there is +0.0, and the float is the unskipped build's
+    monkeypatch.setattr(asymptotics, "_SUM_BLOCK", block)
+    real = asymptotics._f_weighted_sum
+    calls = []
+
+    def recording(n, m, q, weight, end=None):
+        calls.append((n, weight, end))
+        return real(n, m, q, weight, end)
+
+    def unskipped(n, m, q, weight, end=None):
+        return real(n, m, q, weight)
+
+    skipped = 0
+    for X, q, m in _skip_cells(random.Random(36), count, x_max, qs):
+        calls.clear()
+        monkeypatch.setattr(asymptotics, "_f_weighted_sum", recording)
+        got = A_exact(X, q, m)
+        monkeypatch.setattr(asymptotics, "_f_weighted_sum", unskipped)
+        want = A_exact(X, q, m)
+        (n, weight, end), = calls
+        assert (end - 1) * q <= m * Fraction(X) < end * q, (X, q, m)
+        past = weight(np.arange(end, n, dtype=np.float64))
+        assert not np.any(past) and not np.any(np.signbit(past)), (X, q, m)
+        assert (got.value.hex(), got.abs_err.hex()) == \
+            (want.value.hex(), want.abs_err.hex()), (X, q, m)
+        skipped += n - end >= 2 * block  # then a whole leaf lies past end
+    assert skipped >= count // 2
 
 
 def test_A_decomposition_matches_exact():

@@ -11,15 +11,20 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
-from sqflab import arith, asymptotics, cli, counters, multiplicative
+from sqflab import arith, asymptotics, cli, counters, expsums, multiplicative
 from sqflab.cli import _emit_rows, main, run_verify
 from sqflab.records import VerificationRecord
 
 # sha256 of the bytes of `sqflab verify --suite all --seed 0 --format csv`
 VERIFY_ALL_SHA256 = \
     "a5a6edd0c27a3374adb16d23a5028382614dabf2859889ab84a114d2612538f4"
+# the same for `--suite expsums`, so that a byte change in S1 or S2 is
+# named by its own suite
+VERIFY_EXPSUMS_SHA256 = \
+    "4d893169124460410ba993ff834bf0693ccceba83127d6d5193c1d2fe5f1ab20"
 
 
 def test_verify_identities_exits_clean(tmp_path, capsys):
@@ -407,6 +412,28 @@ def test_run_verify_all_suites_green():
     _emit_rows([r.as_dict() for r in records], "csv", out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         VERIFY_ALL_SHA256
+
+
+def test_verify_expsums_bytes_pinned(tmp_path):
+    out = tmp_path / "expsums.csv"
+    assert main(["verify", "--suite", "expsums", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        VERIFY_EXPSUMS_SHA256
+
+
+def test_s2_bound_planes_equal_the_per_b_bound():
+    # one plane per gcd(r^f, b) class, elementwise equal to the bound of
+    # each b, at every r^f and m2 the expsums suite draws
+    for rf in (3, 5, 7, 11, 9, 25, 27, 49, 4, 8, 16):
+        grid = np.arange(rf)
+        for m2 in (1, 2, -2):
+            planes = list(cli._s2_bound_planes(rf, m2))
+            assert len(planes) == rf
+            for b, plane in enumerate(planes):
+                want = expsums.s2_gcd_bound(rf, m2, b, grid[:, None],
+                                            grid[None, :])
+                assert np.array_equal(plane, want), (rf, m2, b)
 
 
 def test_verify_runs_without_mpmath():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from sqflab.arith import jacobi_symbol, phi_of
 from sqflab.expsums import (crt_factor_check, crt_product, full_sum_S,
                             gauss_sum, kloosterman_weil_report, s1_literal,
-                            s1_sum, s1_table, s2_gcd_bound, s2_sum, s2_table)
+                            s1_sum, s1_table, s1_zero_plane, s2_gcd_bound,
+                            s2_sum, s2_table)
 
 from oracles import kloosterman_K
 
@@ -247,6 +248,20 @@ def test_s1_table_and_weil_style_bound():
             assert float(np.max(np.abs(tab.imag))) < 1e-9
         else:
             assert float(np.max(np.abs(tab.real))) < 1e-9
+
+
+def test_s1_zero_plane_is_the_tables_d0_plane_bit_for_bit():
+    # every (q, m2) of the verify suite's pool that p admits
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for (q, m2) in [(1, 1), (2, 3), (5, -2), (12, 7), (4, -6)]:
+            if (m2 * q) % p == 0:
+                continue
+            want, got = s1_table(p, q, m2)[:, :, 0], s1_zero_plane(p, q, m2)
+            assert got.shape == (p, p), (p, q, m2)
+            assert got.real.tobytes() == want.real.tobytes(), (p, q, m2)
+            assert got.imag.tobytes() == want.imag.tobytes(), (p, q, m2)
+    with pytest.raises(ValueError):
+        s1_zero_plane(5, 5, 1)
 
 
 def test_s1_rejections():

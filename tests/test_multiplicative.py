@@ -13,13 +13,13 @@ from sqflab.arith import factorize, mu_of, prime_factors, primes_up_to
 from sqflab.multiplicative import (euler_constant, euler_product_mp,
                                    f_q_zero, gamma_an, gamma_ar, gq_product,
                                    gq_sum, h_of, h_series_partials,
-                                   identity_suite, kappa, kappa_mu_products,
+                                   identity_suite, kappa_mu_products,
                                    kappa_mu_sums, zeta_em, _bernoulli_even,
-                                   _divisors, _h_table)
+                                   _h_table, _kappa_times_K)
 
 from oracles import (LOCAL_FACTORS, SERIES_ORDER, accelerated_product,
-                     f_q_of, f_q_rational_part, f_q_zero_local_factors,
-                     local_factor, log_series)
+                     divisors, f_q_of, f_q_rational_part,
+                     f_q_zero_local_factors, kappa, local_factor, log_series)
 
 # 30-digit value derived from the zeta-accelerated Euler product, confirmed
 # by two independent extraction depths and a 2*10^6-prime direct log sum
@@ -56,7 +56,7 @@ def test_h_of_cache_still_rejects_zero():
 def _gq_sum_oracle(l, r):
     """sum over d with d^2 | l, gcd(d,r)=1 of h(d)/d^2, exact."""
     total = Fraction(0)
-    for d in _divisors((p, e // 2) for p, e in factorize(l)):
+    for d in divisors((p, e // 2) for p, e in factorize(l)):
         if math.gcd(d, r) == 1:
             total += h_of(d) / (d * d)
     return total
@@ -223,21 +223,45 @@ def test_kappa_mu_sums_match_products():
         kappa_mu_sums(4)
 
 
+def _divisor_pair_sums(m):
+    """kappa_mu_sums(m) by the literal formula in multiplicative._CTX: rho
+    over the divisors of m^2 ascending, then sigma over those of m^2/rho
+    ascending, weighted by mu(sigma)."""
+    pairs = [(rho * sigma, kappa(rho) * mu_of(sigma))
+             for rho in divisors(factorize(m * m))
+             for sigma in divisors(factorize(m * m // rho))
+             if mu_of(sigma)]
+    with localcontext(multiplicative._CTX):
+        s_sqrt = sum((multiplicative._dec(t) * Decimal(rs).sqrt()
+                      for rs, t in pairs), Decimal(0))
+    return (sum(t / rs for rs, t in pairs), sum(t for _, t in pairs),
+            float(s_sqrt))
+
+
 def test_kappa_mu_sums_match_the_divisor_pair_formula():
     # sigma over every divisor of m^2/rho, weighted by mu(sigma): the same
     # Decimal terms (a correctly rounded quotient of the same rational) in
     # the same order, so the same bits
     for m in filter(mu_of, range(1, 201)):
-        pairs = [(rho * sigma, kappa(rho) * mu_of(sigma))
-                 for rho in _divisors(factorize(m * m))
-                 for sigma in _divisors(factorize(m * m // rho))
-                 if mu_of(sigma)]
-        with localcontext(multiplicative._CTX):
-            s_sqrt = sum((multiplicative._dec(t) * Decimal(rs).sqrt()
-                          for rs, t in pairs), Decimal(0))
-        want = (sum(t / rs for rs, t in pairs), sum(t for _, t in pairs),
-                float(s_sqrt))
+        want = _divisor_pair_sums(m)
         assert kappa_mu_sums(m) == kappa_mu_sums(-m) == want, m
+
+
+def test_kappa_mu_sums_add_in_the_literal_order(monkeypatch):
+    # at 56 digits no order of the terms reaches the float for m <= 200; at
+    # 8 it does (sigma visited unsorted changes it), so this pins the order
+    monkeypatch.setattr(multiplicative, "_CTX", Context(prec=8))
+    for m in filter(mu_of, range(1, 201)):
+        assert kappa_mu_sums(m) == _divisor_pair_sums(m), m
+
+
+def test_kappa_times_K_is_kappa_times_K():
+    for m in filter(mu_of, range(1, 301)):
+        primes = prime_factors(m)
+        K = math.prod(p * p - 1 for p in primes)
+        got = _kappa_times_K(primes)
+        assert [rho for rho, _ in got] == divisors(factorize(m * m)), m
+        assert all(n == kappa(rho) * K for rho, n in got), m
 
 
 def test_f_q_rational_part_matches_local_product():
@@ -548,6 +572,17 @@ def test_h_table_matches_exact_h():
     # the terms are the elementwise quotients, bit for bit
     assert t2.tobytes() == (hv / d_float**2).tobytes()
     assert t4.tobytes() == (hv / d_float**4).tobytes()
+
+
+def test_h_table_takes_the_factors_in_ascending_p():
+    # bit for bit: a prime above 100 is each d's largest, so its factor,
+    # which goes in by one indexed multiply after the strided ones, is last
+    d, _, hv, _, _ = _h_table()
+    for n, h in zip(d.tolist(), hv.tolist()):
+        want = 1.0
+        for p in prime_factors(n):
+            want *= p * p / (p * p - 2.0)
+        assert h == want, n
 
 
 def test_h_series_partials_equal_the_gcd_mask_bit_for_bit():
