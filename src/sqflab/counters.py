@@ -5,27 +5,30 @@ Everything here is either an exact integer count or a value built from
 exact counts plus one Euler-product constant.  M2 and Croft's variance are
 quadratics in the float main terms over integer moments of the counts,
 evaluated exactly, so their error bars come from the main terms' bars
-alone.  The direct float sum of E(a) E(ma), exact by records._block_sum
-and rounded once, is the other side of the dispersion identity, checked to
-1e-8 relative.  The residue-class statistics never sieve: they read the
-caller's counts, one vector per (X, q), in one mirror walk, blocks of at
-most _SUM_BLOCK residues a of [1, ceil(q/2)) each read with its reflection
-q - a, so apart from the counts no array they build grows with q, and the
-index work of a block (and at m = -1 its products) serves both halves.
-The blocks keep the counts' own dtype; their integer moments are float64
-sums while every partial sum is an integer below 2^53, and Python-int sums
-past that.
+alone.  The direct float sum of E(a) E(ma), exact and rounded once, is the
+other side of the dispersion identity, checked to 1e-8 relative.  The
+residue-class statistics never sieve: they read the caller's counts, one
+vector per (X, q).  M2 walks them once, in blocks of at most _SUM_BLOCK
+residues a of [1, ceil(q/2)) each read with its reflection q - a, so apart
+from the counts no array it builds grows with q, and the index work of a
+block serves both halves.  Counts of a narrow range go into one histogram
+per cell, which every moment and the direct sum read once per distinct
+(c, c'); wider ones are summed block by block in their own dtype, as
+float64 sums while every partial sum is an integer below 2^53 and
+Python-int sums past that.  Croft's variance needs only sum c^2 and the
+divisor sums of the counts, whole-vector reductions with no walk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, phi_of, require_mq
+from .arith import factorize, require_mq
 from .multiplicative import euler_constant
 from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
                       _rounded)
@@ -41,7 +44,7 @@ def _mirror_walk(q: int, counts: np.ndarray):
     is [counts[lo:hi], the counts at the reflections q - a in the same
     order]; the residues that are their own reflection, 0 and q/2 for even
     q, come as (a, [counts[a:a+1]]).  gcd(q - a, q) = gcd(a, q), so one
-    coprime index or class code made for [lo, hi) serves both halves."""
+    coprime index made for [lo, hi) serves both halves."""
     yield 0, [counts[:1]]
     end = (q + 1) // 2
     for lo in range(1, end, _SUM_BLOCK):
@@ -109,14 +112,17 @@ def _block_sums(c: np.ndarray, c_partner: np.ndarray) -> tuple:
     """(sum_i c[i], sum_i c_partner[i], sum_i c[i] c_partner[i]) exactly for
     one block of nonnegative integer counts in any dtype.  Every partial sum
     of each is an integer of at most len(c) max(1, max(c)) max(1,
-    max(c_partner)); while that is below 2^53 float64 sums and a dot are
-    exact in any order, otherwise sum Python ints."""
+    max(c_partner)); while that is below 2^53 float64 sums and an einsum
+    product sum are exact in any order, otherwise sum Python ints.  (np.dot
+    would be exact too, but it runs in BLAS's thread pool, which on a small
+    host can stall a block for milliseconds.)"""
     top = max(1, int(c.max(initial=0))) * max(1, int(c_partner.max(initial=0)))
     if len(c) * top < 2 ** 53:
         cf = c.astype(np.float64)
         cpf = cf if c_partner is c else c_partner.astype(np.float64)
         t = int(cf.sum())
-        return t, t if cpf is cf else int(cpf.sum()), int(np.dot(cf, cpf))
+        return (t, t if cpf is cf else int(cpf.sum()),
+                int(np.einsum("i,i->", cf, cpf)))
     c, cp = c.tolist(), c_partner.tolist()
     return sum(c), sum(cp), sum(x * y for x, y in zip(c, cp))
 
@@ -146,35 +152,82 @@ def _quadratic(base: int, terms: list) -> ApproxReal:
     return _rounded(value / (D * D), err / (D * D))
 
 
+def _histogram_parts(pairs, lo: int, R: int, paired: bool,
+                     M: float) -> tuple:
+    """(phi, sum c + c', S, direct) over the pairs (c, c') from one
+    histogram: each pair adds the bincount of its codes (c - lo) R + (c' - lo),
+    or of c - lo alone where c' is c, so every statistic is read once per
+    distinct (c, c') from its multiplicity n.  fl(c - M) is formed as the
+    elementwise path forms it, from the count correctly rounded to float64,
+    and direct is sum n fl(fl(c - M) fl(c' - M)) exactly, in Python ints
+    over one power-of-two denominator: the multiset of rounded products is
+    the elementwise path's."""
+    hist = np.zeros(R * R if paired else R, dtype=np.int64)
+    for c, cp in pairs:
+        code = np.subtract(c, lo, dtype=np.intp)
+        if paired:
+            code *= R
+            code += np.subtract(cp, lo, dtype=np.intp)
+        hist += np.bincount(code, minlength=len(hist))
+    nz = np.flatnonzero(hist)
+    i, j = np.divmod(nz, R) if paired else (nz, nz)
+    e = (np.arange(R) + lo) - M
+    n = hist[nz].tolist()
+    ratios = [x.as_integer_ratio() for x in (e[i] * e[j]).tolist()]
+    D = max(d for _, d in ratios)
+    v, vp = (i + lo).tolist(), (j + lo).tolist()
+    return (sum(n), sum(k * (x + y) for k, x, y in zip(n, v, vp)),
+            sum(k * x * y for k, x, y in zip(n, v, vp)),
+            Fraction(sum(k * t * (D // d) for k, (t, d) in zip(n, ratios)), D))
+
+
+def _elementwise_parts(pairs, M: float) -> tuple:
+    """(phi, sum c + c', S, direct) over the pairs (c, c'), each pair's
+    sums from _block_sums and its products fl(fl(c - M) fl(c' - M)) summed
+    exactly by records._block_sum."""
+    phi = twice_total = S = direct = 0  # direct: exact, a sum of Fractions
+    for c, cp in pairs:
+        t, tp, s = _block_sums(c, cp)
+        phi += len(c)
+        twice_total += t + tp
+        S += s
+        e = c - M
+        e *= e if cp is c else cp - M
+        direct += _block_sum(e)
+    return phi, twice_total, S, direct
+
+
 def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     """(M2 from the integer moments as ApproxReal, direct M2, exact S,
     comparison scale) for one cell, in one mirror walk.  Each half of a
     piece is paired with its partners' counts c(ma): itself for m = 1, the
     other half for m = -1 (whose two pairs have the same products, so one
-    is taken len(halves) times), else the counts at pa = (ma) mod q and at
-    m(q - a) = q - pa.  Over all pairs sum c + sum c' = 2 sum c, since c'
-    permutes the coprime counts."""
+    is taken twice: for q >= 3 every coprime piece has both halves), else
+    the counts at pa = (ma) mod q and at m(q - a) = q - pa.  Over all pairs
+    sum c + sum c' = 2 sum c, since c' permutes the coprime counts.
+
+    With R = max - min + 1 over the counts, the pairs go into one histogram
+    when its bins fit one block (R at m = 1, else R^2 pair bins, at most
+    _SUM_BLOCK), and otherwise are summed elementwise; both give the same
+    integers and the same exact direct sum."""
     require_mq(m, q)
     main, walk = error_vector(X, q, counts)
     M, m = main.value, m % q
-    phi = twice_total = S = direct = 0  # direct: exact, a sum of Fractions
-    for a, halves in walk:
-        weight = 1
-        if m == 1 % q:
-            pairs = [(h, h) for h in halves]
-        elif m == q - 1:
-            pairs, weight = [(halves[0], halves[-1])], len(halves)
-        else:  # pa > 0: 0 is coprime only to q = 1, where m = 1
-            pa = _partner(a, m, q)
-            pairs = zip(halves, (counts[pa], counts[q - pa]))
-        for c, cp in pairs:
-            t, tp, s = _block_sums(c, cp)
-            phi += weight * len(c)
-            twice_total += weight * (t + tp)
-            S += weight * s
-            e = c - M
-            e *= e if cp is c else cp - M
-            direct += weight * _block_sum(e)
+    weight, paired = 1, m != 1 % q
+    if not paired:
+        pairs = ((h, h) for _, halves in walk for h in halves)
+    elif m == q - 1:
+        pairs, weight = ((c, cp) for _, (c, cp) in walk), 2
+    else:  # pa > 0: 0 is coprime only to q = 1, where m = 1
+        pairs = (pair for a, halves in walk for pa in [_partner(a, m, q)]
+                 for pair in zip(halves, (counts[pa], counts[q - pa])))
+    lo = int(counts.min())
+    R = int(counts.max()) - lo + 1
+    if (R * R if paired else R) <= _SUM_BLOCK:
+        parts = _histogram_parts(pairs, lo, R, paired, M)
+    else:
+        parts = _elementwise_parts(pairs, M)
+    phi, twice_total, S, direct = (weight * x for x in parts)
     direct = float(direct)
     m2 = _quadratic(S, [(phi, M, main.abs_err, twice_total // 2)])
     scale = max(1.0, abs(direct), abs(m2.value))
@@ -205,6 +258,40 @@ def dispersion_check(X: int, q: int, m: int,
 # Croft's all-classes variance and the Hooley envelope report
 # ---------------------------------------------------------------------------
 
+def _gcd_class_moments(q: int, counts: np.ndarray) -> tuple:
+    """(sum c^2, [(d, phi(q/d), T_d)] over the squarefree d | q), T_d the
+    total count of the residues a with gcd(a, q) = d.  sum c^2 and the
+    divisor sums U_g, the total count at the multiples of g | q, are int64
+    reductions while q max(c)^2 < 2^63 bounds every partial sum, and Python
+    ints past that.  T_d = sum mu(g/d) U_g over d | g | q, by
+    inclusion-exclusion one prime at a time on the grid of g = prod p^x_p,
+    x_p <= min(e_p, 2); phi(q/d) comes from q's own factorization."""
+    fac = factorize(q)
+    top = int(counts.max())
+    if q * top * top < 2 ** 63:
+        sq = int(np.einsum("i,i->", counts, counts, dtype=np.int64,
+                           casting="unsafe"))
+        divisor_sum = lambda g: int(counts[::g].sum(dtype=np.int64))
+    else:
+        sq = sum(x * x for x in counts.tolist())
+        divisor_sum = lambda g: sum(counts[::g].tolist())
+    # one axis per prime p^e || q, of Python ints
+    outer = lambda rows: functools.reduce(np.multiply.outer, rows,
+                                          np.ones((), dtype=object))
+    g = outer([[p ** x for x in range(min(e, 2) + 1)] for p, e in fac])
+    phi = outer([[(p - 1) * p ** (e - x - 1) if x < e else 1
+                  for x in (0, 1)] for p, e in fac])
+    T = np.array([divisor_sum(x) for x in g.flat], dtype=object)
+    T = T.reshape(g.shape)
+    # U at x_p less U at x_p + 1 is the total at the a with p^x_p || a,
+    # which the grid gives for x_p in {0, 1}
+    for axis in range(len(fac)):
+        grid = np.moveaxis(T, axis, 0)
+        grid[:-1] -= grid[1:]
+    squarefree = (slice(0, 2),) * len(fac) + (...,)
+    return sq, list(zip(g[squarefree].flat, phi.flat, T[squarefree].flat))
+
+
 def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     """Sum over all residues a mod q of (count(a) - expected(a))^2 with the
     class-dependent expected value
@@ -214,43 +301,17 @@ def croft_variance(X: int, q: int, counts: np.ndarray) -> ApproxReal:
     T_d the total count of the classes with gcd d, exact at the float e_d;
     each class's quadratic moves by at most
     2 |phi(q0) e_d - T_d| de_d + phi(q0) de_d^2 over e_d's interval.
-
-    One mirror walk over the counts gives sum c^2 and every T_d: each
-    residue a of a piece's own half gets the class code sum of 2^i over the
-    primes p_i | a, or 2^k (k primes) where p^2 | gcd(a, q) for some p, which
-    is also the code of q - a, and the codes are binned with the halves'
-    counts as weights."""
+    sum c^2 and every T_d come from whole-vector reductions over the
+    counts (_gcd_class_moments), with no per-residue class code."""
     _check_counts(q, counts)
-    fac = factorize(q)
-    k = len(fac)
-    # the float weights' totals are exact integers below 2^53
-    float_totals = q * int(counts.max()) < 2 ** 53
-    sq, T = 0, np.zeros(2 ** k + 1) if float_totals else [0] * (2 ** k + 1)
-    for lo, halves in _mirror_walk(q, counts):
-        code = np.zeros(len(halves[0]), dtype=np.intp)
-        for i, (p, _) in enumerate(fac):
-            code[-lo % p::p] += 1 << i
-        for p, e in fac:
-            if e > 1:
-                code[-lo % (p * p)::p * p] = 1 << k
-        sq += sum(_block_sums(h, h)[2] for h in halves)
-        if float_totals:
-            w = halves[0].astype(np.float64)
-            if len(halves) == 2:
-                w += halves[1]
-            T += np.bincount(code, weights=w, minlength=len(T))
-        else:
-            T = [t + sum(sum(h[code == i].tolist()) for h in halves)
-                 for i, t in enumerate(T)]
+    sq, classes = _gcd_class_moments(q, counts)
     six_over_pi2 = euler_constant("C_of_q", arg=1)
-    num = math.prod(p for p, _ in fac)
-    den = math.prod(p + 1 for p, _ in fac)
+    primes = [p for p, _ in factorize(q)]
+    num, den = math.prod(primes), math.prod(p + 1 for p in primes)
     terms = []
-    for i in range(2 ** k):
-        d = math.prod(p for j, (p, _) in enumerate(fac) if i >> j & 1)
-        n = phi_of(q // d)
+    for d, n, T in classes:
         e = six_over_pi2 * Fraction(X * num * (q // d), den * q * n)
-        terms.append((n, e.value, e.abs_err, int(T[i])))
+        terms.append((n, e.value, e.abs_err, T))
     return _quadratic(sq, terms)
 
 

@@ -339,6 +339,26 @@ def test_scan_bytes_pinned_cold_and_from_another_kinds_counts(
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# the residue statistics read a modulus's counts through a histogram when
+# their range is narrow: here a general m, in pair bins, and Croft's class
+# totals at moduli of six and seven primes; both digests were taken before
+# the histograms and the divisor sums
+_HISTOGRAM_PINS = [
+    (["--kind", "correlation", "--x", "3145733", "--q", "999983,1048579",
+      "--m", "3"],
+     "7781ed7c85d7b06efead3558b426df39884959453876ab4c1edbc1f50dad5a2a"),
+    (["--kind", "croft", "--x", "20000000", "--q", "30030,510510"],
+     "28e780b41fbf4b86262476bbd0de21bbbed0f28b4b69df575b30b6c43cfd5662"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _HISTOGRAM_PINS)
+def test_scan_bytes_pinned_through_the_histograms(tmp_path, argv, digest):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def _scan_csv(argv, capsys):
     assert main(argv + ["--format", "csv"]) == 0
     return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -10,15 +10,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqflab import counters
 from sqflab.arith import (mu_of, phi_of, prime_factors,
                           squarefree_counts_by_residue, squarefree_window)
-from sqflab.counters import (CorrelationResult, _block_sums, _mirror_walk,
-                             _partner, _quadratic, croft_variance,
-                             dispersion_check, error_vector, hooley_report,
-                             variance_M2)
+from sqflab.counters import (CorrelationResult, _block_sums,
+                             _gcd_class_moments, _mirror_walk, _partner,
+                             _quadratic, croft_variance, dispersion_check,
+                             error_vector, hooley_report, variance_M2)
 from sqflab.multiplicative import euler_constant
 from sqflab.records import _SUM_BLOCK, _block_sum, _rounded
 
@@ -323,7 +324,8 @@ def test_hooley_report_magnitude():
 
 
 _COUNT_LIMITS = {np.uint8: 2 ** 8 - 1, np.uint16: 2 ** 16 - 1,
-                 np.uint32: 2 ** 32 - 1, np.int64: 2 ** 62}
+                 np.uint32: 2 ** 32 - 1, np.int64: 2 ** 62,
+                 np.uint64: 2 ** 63 - 1}
 
 
 @st.composite
@@ -550,12 +552,15 @@ def test_quadratic_in_ints_equals_the_fraction_loop():
 
 def test_statistics_memory_does_not_grow_with_q():
     # at q = 999,983 whole-vector temporaries of the phi(q) coprime classes
-    # take 16-38 MiB; the blockwise walk keeps a few 2^15-element arrays
+    # take 16-38 MiB; the blockwise walk keeps a few 2^15-element arrays,
+    # and the histograms' codes are one block's and their bins at most 2^15
     X, q = 2 * 10 ** 7, 999983
     counts = squarefree_counts_by_residue(X, q)
     assert counts.max() < 256
     counts = counts.astype(np.uint8)
-    for f in (lambda: variance_M2(X, q, -1, counts),
+    for f in (lambda: variance_M2(X, q, 1, counts),
+              lambda: variance_M2(X, q, -1, counts),
+              lambda: variance_M2(X, q, 2, counts),
               lambda: croft_variance(X, q, counts),
               lambda: hooley_report(X, q, counts)):
         f()  # warm the cached constants and factorizations
@@ -566,6 +571,127 @@ def test_statistics_memory_does_not_grow_with_q():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# the two paths of the dispersion sums, Croft's class totals, and no BLAS
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _narrow_cells(draw):
+    # counts spanning R values at any offset of their dtype, with the ends
+    # of the range present so that max - min + 1 = R; q = 1, 2, prime
+    # powers up to p^6, moduli with p^2 or p^3 | q, one past two blocks,
+    # and random ones; m = 1, -1 or a random unit
+    q = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 8, 12, 18, 27, 54, 72,
+                                        250, 729, 1000, 3375, 30030,
+                                        131075]),
+                       st.integers(3, 5000)))
+    dtype = draw(st.sampled_from(list(_COUNT_LIMITS)))
+    R = 1 if q == 1 else draw(st.integers(1, min(300, _COUNT_LIMITS[dtype])))
+    lo = draw(st.sampled_from([0, _COUNT_LIMITS[dtype] - R + 1])
+              | st.integers(0, _COUNT_LIMITS[dtype] - R + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    counts = lo + rng.integers(0, R, q)
+    counts[0], counts[-1] = lo, lo + R - 1
+    coprime = lambda k: k != 0 and math.gcd(k, q) == 1
+    m = draw(st.sampled_from([1, -1])
+             | st.integers(-10 ** 6, 10 ** 6).filter(coprime))
+    # C(q) X/q near the counts, or anywhere
+    near = round((lo + R / 2) * q * math.pi ** 2 / 6)
+    X = draw(st.sampled_from([max(1, near)])
+             | st.integers(1, 2 * q * (lo + R) + 1))
+    return X, q, m, counts.astype(dtype)
+
+
+def _dispersion_stats(X, q, m, counts):
+    res = variance_M2(X, q, m, counts)
+    rec = dispersion_check(X, q, m, counts)
+    return res.S_exact, res.M2_exact, rec.lhs, res.decomposition_residual
+
+
+@given(_narrow_cells())
+@settings(max_examples=150, deadline=None)
+def test_histogram_and_elementwise_paths_agree(cell):
+    # (S, M2 and its bar, the direct sum, the residual) from the histogram
+    # of the pairs equal those from the elementwise sums, each path forced
+    # on the same cell; unforced, the histogram serves exactly the cells
+    # whose bins (R, or R^2 when paired) fit one block
+    X, q, m, counts = cell
+    lo = int(counts.min())
+    R = int(counts.max()) - lo + 1
+    paired = m % q != 1 % q
+    histogram, elementwise = (counters._histogram_parts,
+                              counters._elementwise_parts)
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counters, "_histogram_parts",
+                   lambda *args: taken.append("h") or histogram(*args))
+        mp.setattr(counters, "_elementwise_parts",
+                   lambda *args: taken.append("e") or elementwise(*args))
+        unforced = _dispersion_stats(X, q, m, counts)
+    assert taken == 2 * ["h" if (R * R if paired else R) <= _SUM_BLOCK
+                         else "e"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counters, "_histogram_parts",
+                   lambda pairs, lo, R, paired, M: elementwise(pairs, M))
+        by_elements = _dispersion_stats(X, q, m, counts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counters, "_elementwise_parts",
+                   lambda pairs, M: histogram(pairs, lo, R, paired, M))
+        by_histogram = _dispersion_stats(X, q, m, counts)
+    assert by_histogram == by_elements == unforced
+
+
+@st.composite
+def _class_cells(draw):
+    dtype = draw(st.sampled_from(list(_COUNT_LIMITS)))
+    q = draw(st.one_of(st.sampled_from([1, 2, 8, 12, 16, 27, 72, 1080,
+                                        30030]),
+                       st.integers(1, 3000)))
+    top = draw(st.sampled_from([3, _COUNT_LIMITS[dtype]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    counts = rng.integers(0, top, q, endpoint=True, dtype=np.int64)
+    return q, counts.astype(dtype)
+
+
+@given(_class_cells())
+@example((72, np.full(72, 2 ** 62, dtype=np.int64)))
+@example((1, np.array([2 ** 62], dtype=np.int64)))
+@settings(max_examples=150, deadline=None)
+def test_croft_class_totals_are_the_per_gcd_class_sums(cell):
+    # T_d from the divisor sums by inclusion-exclusion, against the sum over
+    # the residues whose gcd with q is d; past q max(c)^2 = 2^63 (int64
+    # counts near 2^62) every sum is in Python ints
+    q, counts = cell
+    c = counts.tolist()
+    gcds = [math.gcd(a, q) for a in range(q)]
+    sq, classes = _gcd_class_moments(q, counts)
+    assert sq == sum(x * x for x in c)
+    assert sorted(d for d, _, _ in classes) == \
+        [d for d in range(1, q + 1) if q % d == 0 and mu_of(d) != 0]
+    for d, n, total in classes:
+        assert n == phi_of(q // d)
+        assert total == sum(x for x, g in zip(c, gcds) if g == d), d
+
+
+def test_statistics_call_no_blas(monkeypatch):
+    # np.dot on float64 runs in BLAS's thread pool, which on a 2-CPU host
+    # held one 30-block variance_M2 call for 0.2 s in 2 of 25 processes;
+    # the exact sums need no BLAS.  Counts spanning 10^6 values take the
+    # elementwise path at every m, a narrow range the histogram
+    def no_blas(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    q = 3 ** 3 * 5 * 7 * 11 * 13
+    rng = np.random.default_rng(37)
+    wide = rng.integers(0, 10 ** 6, q)
+    narrow = rng.integers(100, 120, q).astype(np.uint8)
+    monkeypatch.setattr(np, "dot", no_blas)
+    for X, counts in ((5 * 10 ** 5 * q, wide), (110 * q, narrow)):
+        for m in (1, -1, 2):
+            assert variance_M2(X, q, m, counts).decomposition_residual < 1e-8
+        assert croft_variance(X, q, counts).value > 0
 
 
 # ---------------------------------------------------------------------------
