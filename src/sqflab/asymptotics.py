@@ -9,8 +9,9 @@ where a printed source formula disagrees with its own downstream algebra,
 the exact oracle decides.
 
 G(Y,r) is an exact head over d <= ceil(sqrt(Y)) plus a closed-form tail;
-A_formula is the S_main of theorem_main_terms, so the main-term closed form
-exists once.
+the head reads h(d), h(d)/d^2 and h(d)/d^4 as Decimals from a bounded
+cache.  A_formula is the S_main of theorem_main_terms, so the main-term
+closed form exists once.
 
 frakS_exact and A_exact share one builder, _f_weighted_sum: f_q(l, m) and
 the weights are built at most _SUM_BLOCK values of l at a time, and the
@@ -19,8 +20,11 @@ full length, so the float is that of one np.sum and the memory does not
 grow with X.  Within a leaf every l takes its factors in one fixed order:
 the kappa slices, then the factor of each coprime p^2 | l in ascending p,
 those past the sieve wheel's p <= 7 from one np.multiply.at, whose hits
-are indexed in a fixed number of numpy calls.  A leaf whose weights are
-all +0.0 (A_exact's lengths past l q = m X at m > 0) is not built.  The
+are indexed in a fixed number of numpy calls.  A leaf's l is one cached
+float64 arange plus its first l.  A_exact's lengths go region by region of
+l, each region taking only the float operations of the clip formula whose
+results it reads, so they are that formula's floats bit for bit; a leaf
+whose lengths are all +0.0 (past l q = m X at m > 0) is not built.  The
 error bars of both sums come from ApproxReal arithmetic on C_2, f_q(0, m)
 and the float sum, which carries a relative bar of its own (its terms are
 nonnegative).
@@ -102,6 +106,18 @@ def psi_mellin_limit(s: float) -> float:
 # G(Y, r)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 14)  # bounded like h_of's
+def _h_terms(d: int):
+    """h(d), h(d)/d^2 and h(d)/d^4 as Decimals in _CTX, or None where
+    h(d) = 0."""
+    h = h_of(d)
+    if h == 0:
+        return None
+    with localcontext(_CTX):
+        hm = _dec(h)
+        return hm, hm / d ** 2, hm / d ** 4
+
+
 def G_of(Y: float, r: int) -> ApproxReal:
     """G(Y,r) = sum over (d,r)=1 of h(d) Psi_1(Y/d^2): an exact head d <= D,
     the least D with D^2 >= Y, plus the d > D tail, where Psi_1(Y/d^2) =
@@ -116,16 +132,13 @@ def G_of(Y: float, r: int) -> ApproxReal:
         Ym = Decimal(Y)
         head = p2 = p4 = Decimal(0)  # p2, p4: partial sums of h(d)/d^2, /d^4
         for d in range(1, D + 1):
-            if math.gcd(d, r) != 1:
+            if math.gcd(d, r) != 1 or (terms := _h_terms(d)) is None:
                 continue
-            h = h_of(d)
-            if h == 0:
-                continue
-            hm = _dec(h)
+            hm, hm2, hm4 = terms
             frac = Ym / (d * d) % 1  # Psi_1 = ({x} - {x}^2)/2
             head += hm * ((frac - frac * frac) / 2)
-            p2 += hm / d ** 2
-            p4 += hm / d ** 4
+            p2 += hm2
+            p4 += hm4
         H2, t2 = euler_product_mp("sum_h_d2", r)
         H4, t4 = euler_product_mp("sum_h_d4", r)
         tail = Ym / 2 * (H2 - p2) - Ym * Ym / 2 * (H4 - p4)
@@ -162,14 +175,24 @@ def _pairwise_sum(leaf, lo: int, k: int) -> float:
     return _pairwise_sum(leaf, lo, k2) + _pairwise_sum(leaf, lo + k2, k - k2)
 
 
+@functools.cache
+def _float_arange(n: int) -> np.ndarray:
+    """Read-only float64 0, 1, ..., n - 1: a leaf's l is a slice of it plus
+    float(lo), exact below 2^53."""
+    a = np.arange(n, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 def _f_weighted_sum(n: int, m: int, q: int, weight, end=None) -> ApproxReal:
-    """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a float64
-    arange of l, which it may overwrite, to its nonnegative weights.  Given
-    end, every weight from l = end on must be +0.0: a leaf that starts
-    there builds neither f nor weights and returns its +0.0 products.  Each f
-    is the constant m,q factor times the kappa(gcd(l, m^2)) slices and the
-    (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to mq, applied in that
-    order with p ascending, so no value depends on the leaf holding it.  The
+    """sum over 0 < l < n of f_q(l, m)/C_2 weight(l), weight mapping a leaf's
+    consecutive l as float64, which it may overwrite, to their nonnegative
+    weights.  Given end, every weight from l = end on must be +0.0: a leaf
+    that starts there builds neither f nor weights and returns its +0.0
+    products.  Each f is the constant m,q factor times the kappa(gcd(l,
+    m^2)) slices and the (p^2-1)/(p^2-2) factors at p^2 | l, p coprime to
+    mq, applied in that order with p ascending, so no value depends on the
+    leaf holding it.  The
     kappa slices and the p^2 of the sieve wheel's p <= 7 are strided
     multiplies; every larger p^2's hits in the leaf are indexed at once and
     go in by one unbuffered np.multiply.at, grouped by ascending p, so an l
@@ -210,8 +233,8 @@ def _f_weighted_sum(n: int, m: int, q: int, weight, end=None) -> ApproxReal:
         i = np.repeat(np.arange(big.size), hits)  # each hit's p, ascending
         kth = np.arange(i.size) - (np.cumsum(hits) - hits)[i]
         np.multiply.at(f, first[i] + kth * big[i], big_factor[i])
-        return np.multiply(f, weight(np.arange(lo, hi, dtype=np.float64)),
-                           out=f)
+        l = np.add(_float_arange(_SUM_BLOCK)[:hi - lo], float(lo))
+        return np.multiply(f, weight(l), out=f)
 
     total = _pairwise_sum(leaf, 0, n)
     return ApproxReal(total, total * 2e-14)
@@ -265,48 +288,121 @@ def frakS_formula(q: int, m: int) -> MainTermBreakdown:
 # A[m](X, q)
 # ---------------------------------------------------------------------------
 
-def A_exact(X: float, q: int, m: int) -> ApproxReal:
-    """A[m](X,q) = sum over l of f_q(l,m) |I(l)|, summed directly over the
-    support |l| <= (|m|+1) X / q, using f_q(-l) = f_q(l).  At m > 0 every
-    float length is exactly +0.0 once l q > m X (both clips return their
-    lower bound 0.0), so the leaves from the first such l, taken exactly
-    from Fraction(X), are not built; the float is that of the whole sum."""
-    require_mq(m, q, X)
-    m_abs = abs(m)
-    L = int(math.floor((m_abs + 1) * X / q)) + 1
-    Xf = float(X)
-    # lengths works in place on l and two arrays of its own, taking the
-    # float operations of the formula above it in their order
+def _first(pred, guess: int, start: int, stop: int) -> int:
+    """The least l in [start, stop) with pred(l), or stop if none, for a
+    pred that is false and then true there: stepped to from guess, which
+    exact arithmetic puts on it or a step away."""
+    l = min(max(guess, start), stop)
+    while l > start and pred(l - 1):
+        l -= 1
+    while l < stop and not pred(l):
+        l += 1
+    return l
+
+
+def _interval_lengths(X: float, q: int, m: int, n: int):
+    """(lengths, end) for A_exact: lengths maps a float64 array of
+    consecutive l, 0 <= l < n, in place to |I(l)| + |I(-l)|, and every
+    length from l = end on is +0.0.  The floats are those of the clip
+    formula over every l, with lq the float l q: at m > 0
+    clip((X - lq)/m, 0, X) + clip(min(X, (X + lq)/m) - lq/m, 0, None),
+    and at m < 0, mu = -m,
+    clip(min(X, lq/mu) - max(0, (lq - X)/mu), 0, None).
+    In each region of l every clip, minimum and maximum returns an input
+    known beforehand, so the region takes only the operations whose
+    results it reads, in the same order.  With the floats a = (X - lq)/m,
+    b = (X + lq)/m, c = lq/m at m > 0, and c = lq/mu, d = (lq - X)/mu at
+    m < 0:
+
+        m > 0:  lq <= X              a + (b - c); 2 (X - lq) at m = 1
+                X < lq, b <= X       b - c
+                b > X, lq <= m X     X - c
+        m < 0:  lq <= X              c
+                X < lq <= mu X       c - d
+                mu X < lq, d <= X    X - d
+
+    and +0.0 past the last region.  lq is compared with X, m X and mu X
+    exactly; b and d with X by the float tests, which are monotone in l
+    and differ from the exact ones at some non-integral X."""
+    Xx = Fraction(X)
+
+    def first(pred, bound):  # the least l with pred(l), near l q = bound
+        return _first(pred, math.floor(bound / q) + 1, 0, n)
+
+    below_x = first(lambda l: float(l * q) > X, Xx)
     if m > 0:
-        def lengths(l):  # |I(l)| + |I(-l)|
-            # clip((X - lq)/m, 0, X) + clip(min(X, (X + lq)/m) - lq/m, 0, None)
-            lq = np.multiply(l, q, out=l)
-            pos = np.subtract(Xf, lq)
-            pos /= m
-            np.clip(pos, 0.0, Xf, out=pos)
-            neg = np.add(Xf, lq)
-            neg /= m
-            np.minimum(Xf, neg, out=neg)
-            lq /= m
-            neg -= lq
-            pos += np.clip(neg, 0.0, None, out=neg)
-            return pos
-        zero_len = Fraction(Xf) / m  # exact: as_approx bounds its rounding
-        end = math.floor(m * Fraction(X) / q) + 1
+        def short(v):  # a + (b - c), or 2 (X - lq) at m = 1
+            if m == 1:
+                np.subtract(X, v, out=v)
+                v *= 2
+                return
+            a = np.subtract(X, v)
+            a /= m
+            b_minus_c(v)
+            v += a
+
+        def b_minus_c(v):
+            b = np.add(X, v)
+            b /= m
+            v /= m
+            np.subtract(b, v, out=v)
+
+        def long(v):  # X - c
+            v /= m
+            np.subtract(X, v, out=v)
+
+        end = first(lambda l: float(l * q) > m * Xx, m * Xx)
+        b_below = _first(lambda l: (X + float(l * q)) / m > X,
+                         math.floor((m - 1) * Xx / q) + 1, below_x, end)
+        regions = ((below_x, short), (b_below, b_minus_c), (end, long))
     else:
         mu = -m
 
-        def lengths(l):  # |I(l)|; I(-l) is empty
-            # clip(min(X, lq/mu) - max(0, (lq - X)/mu), 0, None)
-            lq = np.multiply(l, q, out=l)
-            top = np.divide(lq, mu)
-            np.minimum(Xf, top, out=top)
-            lq -= Xf
-            lq /= mu
-            top -= np.maximum(0.0, lq, out=lq)
-            return np.clip(top, 0.0, None, out=top)
-        zero_len = 0
-        end = L + 1  # the lengths reach the support's end
+        def short(v):  # c
+            v /= mu
+
+        def c_minus_d(v):
+            d = np.subtract(v, X)
+            d /= mu
+            v /= mu
+            v -= d
+
+        def long(v):  # X - d
+            v -= X
+            v /= mu
+            np.subtract(X, v, out=v)
+
+        below_mux = first(lambda l: float(l * q) > mu * Xx, mu * Xx)
+        end = _first(lambda l: (float(l * q) - X) / mu > X,
+                     math.floor((1 + mu) * Xx / q) + 1, below_mux, n)
+        regions = ((below_x, short), (below_mux, c_minus_d), (end, long))
+
+    def lengths(l):
+        lo = int(l[0]) if l.size else 0
+        lq = np.multiply(l, q, out=l)
+        i = 0
+        for stop, region in regions:
+            j = min(max(stop - lo, i), l.size)
+            if j > i:
+                region(lq[i:j])
+            i = j
+        lq[i:] = 0.0
+        return lq
+
+    return lengths, end
+
+
+def A_exact(X: float, q: int, m: int) -> ApproxReal:
+    """A[m](X,q) = sum over l of f_q(l,m) |I(l)|, summed directly over the
+    support |l| <= (|m|+1) X / q, using f_q(-l) = f_q(l).  The lengths are
+    _interval_lengths', region by region; the leaves from their end on,
+    where every length is +0.0 (at m > 0 from the first l q > m X on), are
+    not built, and the float is that of the whole sum."""
+    require_mq(m, q, X)
+    L = int(math.floor((abs(m) + 1) * X / q)) + 1
+    Xf = float(X)
+    lengths, end = _interval_lengths(Xf, q, m, L + 1)
+    zero_len = Fraction(Xf) / m if m > 0 else 0  # exact: as_approx rounds
     return (euler_constant("C2") * _f_weighted_sum(L + 1, m, q, lengths, end)
             + f_q_zero(m, q) * zero_len)
 

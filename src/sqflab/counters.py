@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, require_mq
+from .arith import factorize, phi_of, require_mq
 from .multiplicative import euler_constant
 from .records import (_SUM_BLOCK, ApproxReal, VerificationRecord, _block_sum,
                       _rounded)
@@ -197,6 +197,14 @@ def _elementwise_parts(pairs, M: float) -> tuple:
     return phi, twice_total, S, direct
 
 
+def _histogram_bins(q: int) -> int:
+    """The most bins for which _dispersion_parts takes the histogram: they
+    must fit one block, and past 2^13 bins more than phi(q) the histogram's
+    passes over its bins cost more than the elementwise sums over the
+    phi(q) residues (timed on both paths from q = 7 to 10^6)."""
+    return min(_SUM_BLOCK, 2 ** 13 + phi_of(q))
+
+
 def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     """(M2 from the integer moments as ApproxReal, direct M2, exact S,
     comparison scale) for one cell, in one mirror walk.  Each half of a
@@ -207,9 +215,9 @@ def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
     sum c + sum c' = 2 sum c, since c' permutes the coprime counts.
 
     With R = max - min + 1 over the counts, the pairs go into one histogram
-    when its bins fit one block (R at m = 1, else R^2 pair bins, at most
-    _SUM_BLOCK), and otherwise are summed elementwise; both give the same
-    integers and the same exact direct sum."""
+    when its bins (R at m = 1, else R^2 pair bins) are at most
+    _histogram_bins(q), and otherwise are summed elementwise; both give
+    the same integers and the same exact direct sum."""
     require_mq(m, q)
     main, walk = error_vector(X, q, counts)
     M, m = main.value, m % q
@@ -223,7 +231,7 @@ def _dispersion_parts(X: int, q: int, m: int, counts: np.ndarray):
                  for pair in zip(halves, (counts[pa], counts[q - pa])))
     lo = int(counts.min())
     R = int(counts.max()) - lo + 1
-    if (R * R if paired else R) <= _SUM_BLOCK:
+    if (R * R if paired else R) <= _histogram_bins(q):
         parts = _histogram_parts(pairs, lo, R, paired, M)
     else:
         parts = _elementwise_parts(pairs, M)

@@ -155,11 +155,13 @@ def s1_table(p: int, q: int, m2: int) -> np.ndarray:
 
 
 def s1_zero_plane(p: int, q: int, m2: int) -> np.ndarray:
-    """S1(p,q,m2;b,c,0) as a (p,p) complex array indexed [b,c]: the same
-    floats as s1_table(p, q, m2)[:, :, 0].  np.fft.fftn transforms the last
-    axis first, so the zero column of that pass, transformed along the
-    other two axes, is the d = 0 plane of the whole table."""
-    column = np.fft.fft(_s1_symbols(p, q, m2))[:, :, 0]
+    """S1(p,q,m2;b,c,0) as a (p,p) complex array indexed [b,c].  np.fft.fftn
+    transforms the last axis first, and the zero column of that pass is the
+    sum over gamma of the symbols; here it is the exact integer sum
+    np.sum(cube, axis=-1), transformed along the other two axes.  Where
+    the FFT sums that column exactly too (every p of the verify suite),
+    these are the floats of s1_table(p, q, m2)[:, :, 0], bit for bit."""
+    column = np.sum(_s1_symbols(p, q, m2), axis=-1)
     return np.conj(np.fft.fftn(column))
 
 

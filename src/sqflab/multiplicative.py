@@ -68,14 +68,15 @@ def gq_sum(l_max: int, r: int) -> tuple:
     l = 1..l_max, exact: returns (D, num) with value num[l]/D (num[0] is
     unused).  Built in the dual order: each d <= isqrt(l_max) with
     gcd(d,r)=1 and h(d) != 0 adds h(d)/d^2, scaled to the common denominator
-    D, to every multiple of d^2.  It reads only h_of, never a prime list, so
+    D, to every multiple of d^2, d = 1 by starting every l at D.  It reads only h_of, never a prime list, so
     it stays independent of gq_product, the other side of the identity."""
     _require_table_args(l_max, r)
     terms = [(d, h_of(d) / (d * d)) for d in range(1, math.isqrt(l_max) + 1)
              if math.gcd(d, r) == 1 and h_of(d)]
     D = math.lcm(*(t.denominator for _, t in terms))
-    num = [0] * (l_max + 1)
-    for d, t in terms:
+    num = [D] * (l_max + 1)  # d = 1 adds h(1) = 1 to every l >= 1
+    num[0] = 0
+    for d, t in terms[1:]:
         c = t.numerator * (D // t.denominator)
         for l in range(d * d, l_max + 1, d * d):
             num[l] += c

@@ -5,7 +5,8 @@ The zeta-accelerated Euler products: sqflab.multiplicative ships C's and
 C_2's (value, tail bound) as Decimal literals, and this is the derivation
 that produced them.  The tests hold the literals to it bit for bit.  Then
 the brute-force oracles and proof-lemma checks: kappa(l) and the sorted
-divisors of a factored integer, f_q(l, m) one l at a time,
+divisors of a factored integer, f_q(l, m) one l at a time, A[m](X, q)'s
+interval lengths by the clip formula,
 f_q(0, m)'s local factors, the O(X^2) pair count S[m], the local counts
 u_p, the lattice counts and the literal Kloosterman sum.
 """
@@ -150,6 +151,35 @@ def f_q_of(l: int, m: int, q: int) -> ApproxReal:
     the bar is C_2's, scaled, plus the rounding of the rational and of the
     product."""
     return euler_constant("C2") * f_q_rational_part(l, m, q)
+
+
+def A_lengths_clip(l: np.ndarray, X: float, q: int, m: int) -> np.ndarray:
+    """|I(l)| + |I(-l)| for the float64 array l, by the clip formula over
+    every l: at m > 0
+    clip((X - l q)/m, 0, X) + clip(min(X, (X + l q)/m) - l q/m, 0, None),
+    at m < 0, mu = -m, clip(min(X, l q/mu) - max(0, (l q - X)/mu), 0, None),
+    each float operation in that order.  A_exact's lengths, which keep
+    only the operations whose results a region of l reads, must give the
+    same floats."""
+    lq = np.multiply(l, q)
+    if m > 0:
+        pos = np.subtract(X, lq)
+        pos /= m
+        np.clip(pos, 0.0, X, out=pos)
+        neg = np.add(X, lq)
+        neg /= m
+        np.minimum(X, neg, out=neg)
+        lq /= m
+        neg -= lq
+        pos += np.clip(neg, 0.0, None, out=neg)
+        return pos
+    mu = -m
+    top = np.divide(lq, mu)
+    np.minimum(X, top, out=top)
+    lq -= X
+    lq /= mu
+    top -= np.maximum(0.0, lq, out=lq)
+    return np.clip(top, 0.0, None, out=top)
 
 
 def f_q_zero_local_factors(p: int, m: int, q: int) -> tuple:

@@ -6,10 +6,13 @@ decomposition identity and calibrated envelopes."""
 import math
 import random
 import tracemalloc
+from decimal import localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from sqflab import asymptotics
@@ -21,11 +24,12 @@ from sqflab.asymptotics import (A_decomposition, A_exact, A_formula,
                                 psi_mellin_integral, psi_mellin_limit,
                                 theorem_main_terms)
 from sqflab.cli import _envelope
-from sqflab.multiplicative import (euler_constant, euler_product_mp, f_q_zero,
-                                   gamma_an, gamma_ar, h_of)
+from sqflab.multiplicative import (_CTX, _dec, euler_constant,
+                                   euler_product_mp, f_q_zero, gamma_an,
+                                   gamma_ar, h_of)
 from sqflab.records import ApproxReal
 
-from oracles import f_q_of, f_q_rational_part
+from oracles import A_lengths_clip, f_q_of, f_q_rational_part
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +172,22 @@ def test_G_split_sum_vs_literal_sum(Y, r):
     S_N = math.fsum(parts)
     gap = G_of(Y, r).value - S_N
     assert -1e-9 <= gap <= h_max * Y / (2 * N), (Y, r, gap)
+
+
+def test_G_head_terms_are_the_per_call_quotients():
+    # h(d), h(d)/d^2 and h(d)/d^4 from the cache are the Decimals that
+    # dividing in _CTX at each call gives, digits and exponent alike
+    for d in [*range(1, 400), 1 << 14, 30029, 99991]:
+        h = h_of(d)
+        if h == 0:
+            assert asymptotics._h_terms(d) is None, d
+            continue
+        with localcontext(_CTX):
+            hm = _dec(h)
+            want = (hm, hm / d ** 2, hm / d ** 4)
+        got = asymptotics._h_terms(d)
+        assert [x.as_tuple() for x in got] == \
+            [x.as_tuple() for x in want], d
 
 
 def test_G_guards():
@@ -610,6 +630,60 @@ def test_A_exact_skips_only_zero_lengths(monkeypatch, block, count, x_max, qs):
             (want.value.hex(), want.abs_err.hex()), (X, q, m)
         skipped += n - end >= 2 * block  # then a whole leaf lies past end
     assert skipped >= count // 2
+
+
+@st.composite
+def _length_cells(draw):
+    """(X, q, m) with (|m| + 1) X <= 8 10^15: X integral, non-integral, or
+    within two floats of l q = k X for an integer l and one of the k that
+    bound the regions, so that a region's bound falls on an l or between
+    two floats of it."""
+    q = draw(st.sampled_from([1, 2, 3, 7, 12, 97, 1009, 9973])
+             | st.integers(1, 10 ** 4))
+    m = draw(st.sampled_from([k * s for k in range(1, 8) for s in (1, -1)]))
+    assume(math.gcd(abs(m), q) == 1)
+    x_max = 10.0 ** draw(st.integers(4, 15))
+    kind = draw(st.sampled_from(["integral", "float", "bound"]))
+    if kind == "integral":
+        X = float(draw(st.integers(q, int(x_max))))
+    elif kind == "float":
+        X = draw(st.floats(q, x_max))
+    else:
+        k = draw(st.sampled_from([1, abs(m) - 1 or 1, abs(m), abs(m) + 1]))
+        X = draw(st.integers(1, int(x_max * k / q))) * q / k
+        toward = math.inf if draw(st.booleans()) else 0.0
+        for _ in range(draw(st.integers(0, 2))):
+            X = math.nextafter(X, toward)
+    assume(q <= X <= 10.0 ** 15)
+    return X, q, m
+
+
+@given(_length_cells(), st.integers(1, 40), st.integers(0, 40))
+@example((511525566443312.25, 1009, -7), 3, 3)  # d > X at l q <= 8 X
+@example((334866544461821.4, 9973, -4), 3, 3)  # d <= X at l q > 5 X
+@example((683165938647798.5, 9973, 7), 3, 3)  # b > X at l q <= 6 X
+@example((2000.0, 5, 2), 40, 40)
+@settings(max_examples=300, deadline=None)
+def test_lengths_are_the_clip_formulas_bit_for_bit(cell, before, after):
+    # in windows across every region bound, end and both ends of 0 <= l < n:
+    # the region-by-region lengths against the clip formula over every l,
+    # as int64 views (so that -0.0 and +0.0 differ), and +0.0 from end on
+    X, q, m = cell
+    n = int(math.floor((abs(m) + 1) * X / q)) + 2  # A_exact's L + 1
+    lengths, end = asymptotics._interval_lengths(X, q, m, n)
+    Xx = Fraction(X)
+    bounds = {0, n, end} | {math.floor(k * Xx / q) + 1
+                            for k in (1, abs(m) - 1, abs(m), abs(m) + 1)}
+    for b in sorted(bounds):
+        lo, hi = max(0, b - before), min(n, b + after)
+        if lo >= hi:
+            continue
+        l = np.arange(lo, hi, dtype=np.float64)
+        want = A_lengths_clip(l, X, q, m)
+        got = lengths(l.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            (X, q, m, lo, hi)
+        assert not np.any(want.view(np.int64)[l >= end]), (X, q, m, lo, hi)
 
 
 def test_A_decomposition_matches_exact():

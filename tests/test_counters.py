@@ -616,7 +616,8 @@ def test_histogram_and_elementwise_paths_agree(cell):
     # (S, M2 and its bar, the direct sum, the residual) from the histogram
     # of the pairs equal those from the elementwise sums, each path forced
     # on the same cell; unforced, the histogram serves exactly the cells
-    # whose bins (R, or R^2 when paired) fit one block
+    # whose bins (R, or R^2 when paired) fit one block and number at most
+    # 2^13 more than phi(q)
     X, q, m, counts = cell
     lo = int(counts.min())
     R = int(counts.max()) - lo + 1
@@ -630,7 +631,8 @@ def test_histogram_and_elementwise_paths_agree(cell):
         mp.setattr(counters, "_elementwise_parts",
                    lambda *args: taken.append("e") or elementwise(*args))
         unforced = _dispersion_stats(X, q, m, counts)
-    assert taken == 2 * ["h" if (R * R if paired else R) <= _SUM_BLOCK
+    bins = R * R if paired else R
+    assert taken == 2 * ["h" if bins <= min(_SUM_BLOCK, 2 ** 13 + phi_of(q))
                          else "e"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counters, "_histogram_parts",
